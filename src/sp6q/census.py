@@ -30,12 +30,12 @@ from typing import Iterable
 import numpy as np
 
 from . import weyl
-from .multiplicity import (
+from .multiplicity import (  # symbolic_sigma_rows is re-exported for callers of this module
     PROFILE_FIELDS,
     TERMS,
     AlternationSet,
-    _PROFILE_2X,
     alternation_set,
+    sigma_table,
     symbolic_sigma_rows,
 )
 from .root_system import WeightFW
@@ -46,29 +46,6 @@ _FIELD_INDEX = {f: i for i, f in enumerate(PROFILE_FIELDS)}
 _TERM_FIELD_MASK = {
     t.letter: sum(1 << _FIELD_INDEX[f] for f in t.fields) for t in TERMS
 }
-
-
-@dataclass(frozen=True)
-class SignPredicate:
-    """One of the 28 atomic sign statements about a profile variable."""
-
-    var: str
-    negative: bool  # False: var >= 0, True: var < 0
-
-    def __str__(self) -> str:
-        return f"{self.var}{'1' if self.negative else '0'}"
-
-
-def all_predicates() -> list[SignPredicate]:
-    return [SignPredicate(v, neg) for v in PROFILE_FIELDS for neg in (False, True)]
-
-
-def term_condition(letter: str) -> tuple[SignPredicate, SignPredicate, SignPredicate]:
-    """The conjunction equivalent to 'this term contributes': all three of
-    its profile variables nonnegative.  The negation (at least one
-    negative) is derived by callers, not stored."""
-    term = next(t for t in TERMS if t.letter == letter)
-    return tuple(SignPredicate(f, False) for f in term.fields)
 
 
 # Catalog of variable-sign combinations that no pair of dominant integral
@@ -129,11 +106,6 @@ CONTRADICTION_RULES: tuple[tuple[tuple[str, bool], ...], ...] = (
     (("l", True), ("f", False), ("g", False)),
     (("o", True), ("c", False), ("i", False)),
 )
-
-
-def type3_rules() -> list[tuple[SignPredicate, ...]]:
-    """The contradiction catalog as predicate tuples."""
-    return [tuple(SignPredicate(v, neg) for v, neg in rule) for rule in CONTRADICTION_RULES]
 
 
 # Derived views of the catalog used by the closure stage:
@@ -304,13 +276,13 @@ def type1_excluded() -> list[weyl.WeylElement]:
     and a negative constant term, hence is negative for all dominant
     integral weight pairs.
     """
-    out = []
-    for el, rows in symbolic_sigma_rows():
-        for row in rows:
-            if all(c <= 0 for c in row[:6]) and row[6] < 0:
-                out.append(el)
-                break
-    return out
+    table = sigma_table()
+    group = weyl.enumerate_group()
+    return [
+        group[idx]
+        for idx, _sign, ids in table.elements
+        if any(all(c <= 0 for c in table.rows[r][:6]) and table.rows[r][6] < 0 for r in ids)
+    ]
 
 
 def contributing_elements() -> list[weyl.WeylElement]:
@@ -323,13 +295,8 @@ def contributing_elements() -> list[weyl.WeylElement]:
 # Empirical sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_COEF = np.array(
-    [[_PROFILE_2X[f][t] for t in range(6)] for term in TERMS for f in term.fields],
-    dtype=np.int64,
-)
-_SWEEP_CONST = np.array(
-    [_PROFILE_2X[f][6] for term in TERMS for f in term.fields], dtype=np.int64
-)
+# Position of each term's three profile variables among PROFILE_FIELDS.
+_TERM_FIELDS = np.array([[_FIELD_INDEX[f] for f in t.fields] for t in TERMS])
 
 
 @dataclass(frozen=True)
@@ -350,8 +317,11 @@ def _sweep_one_m(m: int, lam_max: int, mu_max: int):
     vars6 = vars6[parity]
     if vars6.size == 0:
         return {}
-    vals = vars6 @ _SWEEP_COEF.T + _SWEEP_CONST  # doubled coordinates
-    member = ((vals >= 0) & (vals % 2 == 0)).reshape(-1, 17, 3).all(axis=2)
+    table = sigma_table()
+    rows = np.array([table.rows[r] for r in table.profile], dtype=np.int64)
+    vals = vars6 @ rows[:, :6].T + rows[:, 6]  # doubled profile variables
+    nonneg = (vals >= 0) & (vals % 2 == 0)
+    member = nonneg[:, _TERM_FIELDS].all(axis=2)
     masks = (member.astype(np.int64) << np.arange(17, dtype=np.int64)).sum(axis=1)
     uniq, first = np.unique(masks, return_index=True)
     found = {}
@@ -410,27 +380,48 @@ _FIXTURE_FILES = {
 }
 
 
+class FixtureError(ValueError):
+    """A fixture file is missing, unreadable or malformed."""
+
+
 def _load_fixture(name: str, fixtures_dir: str | None = None):
     fname = _FIXTURE_FILES[name]
     directory = fixtures_dir or os.environ.get(FIXTURE_ENV_VAR)
-    if directory:
-        with open(os.path.join(directory, fname), encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(resources.files("sp6q").joinpath("data", fname).read_text("utf-8"))
+    try:
+        if directory:
+            with open(os.path.join(directory, fname), encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(resources.files("sp6q").joinpath("data", fname).read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise FixtureError(f"cannot read fixture {fname}: {exc}") from None
+
+
+def _parse_fixture(name: str, fixtures_dir: str | None, parse_row) -> list:
+    rows = _load_fixture(name, fixtures_dir)
+    try:
+        return [parse_row(row) for row in rows]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FixtureError(f"malformed fixture {_FIXTURE_FILES[name]}: {exc!r}") from None
+
+
+def _fixture_weight(coeffs) -> WeightFW:
+    if len(coeffs) != 3 or not all(type(c) is int for c in coeffs):
+        raise ValueError(f"expected three integers, got {coeffs!r}")
+    return WeightFW(*coeffs)
 
 
 def load_family_fixture(name: str, fixtures_dir: str | None = None) -> list[AlternationSet]:
     """A stage fixture: JSON array of arrays of canonical Weyl words."""
-    return [AlternationSet.from_names(names) for names in _load_fixture(name, fixtures_dir)]
+    return _parse_fixture(name, fixtures_dir, AlternationSet.from_names)
 
 
 def load_witness_fixture(fixtures_dir: str | None = None):
     """Witness rows: objects with a set of Weyl words and a weight pair."""
-    rows = _load_fixture("witnesses", fixtures_dir)
-    return [
-        (AlternationSet.from_names(r["set"]), WeightFW(*r["lam"]), WeightFW(*r["mu"]))
-        for r in rows
-    ]
+    return _parse_fixture(
+        "witnesses",
+        fixtures_dir,
+        lambda r: (AlternationSet.from_names(r["set"]), _fixture_weight(r["lam"]), _fixture_weight(r["mu"])),
+    )
 
 
 @dataclass
@@ -480,7 +471,8 @@ def verify_census(
     (i) the filter pipeline's stage families against the three fixtures,
     (ii) every fixture witness pair against a recomputed alternation set,
     (iii) the sweep family against the final fixture and the pipeline.
-    Any mismatch is reported with the offending sets, never dropped.
+    Any mismatch is reported with the offending sets, never dropped; a
+    missing or malformed fixture file raises FixtureError.
     """
     report = CensusReport()
 

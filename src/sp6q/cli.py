@@ -23,6 +23,7 @@ import json
 import re
 import sys
 import time
+from typing import NoReturn
 
 from . import __version__, census, multiplicity, partition
 from .qpoly import eval_at_one
@@ -45,6 +46,19 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
     return vals
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Report a bad value found after parsing on one line, and exit 2."""
+    print(f"sp6q: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _check_box(args):
+    if args.lam_max < 0 or args.mu_max < 0:
+        _usage_error(f"--lam-max and --mu-max must be nonnegative, got {args.lam_max} and {args.mu_max}")
+    if args.jobs is not None and args.jobs < 1:
+        _usage_error(f"--jobs must be at least 1, got {args.jobs}")
 
 
 def _canonical_json(obj) -> str:
@@ -180,6 +194,7 @@ def _cmd_census_pipeline(args, argv) -> int:
 
 
 def _cmd_census_sweep(args, argv) -> int:
+    _check_box(args)
     t0 = time.perf_counter()
     entries = census.sweep_census(args.lam_max, args.mu_max, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
@@ -208,10 +223,14 @@ def _cmd_census_sweep(args, argv) -> int:
 
 
 def _cmd_census_verify(args, argv) -> int:
+    _check_box(args)
     t0 = time.perf_counter()
-    report = census.verify_census(
-        fixtures_dir=args.fixtures, lam_max=args.lam_max, mu_max=args.mu_max, jobs=args.jobs
-    )
+    try:
+        report = census.verify_census(
+            fixtures_dir=args.fixtures, lam_max=args.lam_max, mu_max=args.mu_max, jobs=args.jobs
+        )
+    except census.FixtureError as exc:
+        _usage_error(str(exc))
     elapsed = time.perf_counter() - t0
     body = report.to_json()
     payload = {

@@ -10,6 +10,8 @@ nonzero.  For dominant integral weights only 17 of the 48 group elements
 can ever contribute; their coefficient vectors are affine expressions in
 the six weight coordinates (m, n, k) and (x, y, z), captured here by the
 fourteen substitution variables a..i, j, l, o, p, r of CoefficientProfile.
+Every such expression, for all 48 elements, is a row of one table,
+sigma_table, derived once from the Weyl action.
 
 Two independent evaluation routes are implemented:
 
@@ -33,28 +35,9 @@ from typing import Iterable, NamedTuple
 from . import weyl
 from .partition import kpf_q
 from .qpoly import QPoly, add_signed, eval_at_one
-from .root_system import AlphaVector, WeightFW, alpha, fw_to_alpha, rho_alpha
+from .root_system import AlphaVector, WeightFW, fw_to_alpha, rho_alpha
 
 PROFILE_FIELDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "l", "o", "p", "r")
-
-# Affine expression of each profile variable in (m, n, k, x, y, z, 1),
-# stored doubled so that every entry is an integer.
-_PROFILE_2X = {
-    "a": (2, 2, 2, -2, -2, -2, 0),
-    "b": (0, 2, 2, -2, -2, -2, -2),
-    "c": (0, 0, 2, -2, -2, -2, -4),
-    "d": (2, 4, 4, -2, -4, -4, 0),
-    "e": (2, 2, 4, -2, -4, -4, -2),
-    "f": (0, 2, 4, -2, -4, -4, -4),
-    "g": (2, 2, 0, -2, -4, -4, -6),
-    "h": (0, 2, 0, -2, -4, -4, -8),
-    "i": (2, 0, 0, -2, -4, -4, -8),
-    "j": (1, 2, 3, -1, -2, -3, 0),
-    "l": (1, 2, 1, -1, -2, -3, -2),
-    "o": (1, 0, 1, -1, -2, -3, -4),
-    "p": (-1, 0, 1, -1, -2, -3, -6),
-    "r": (1, 0, -1, -1, -2, -3, -6),
-}
 
 
 class Term(NamedTuple):
@@ -110,6 +93,73 @@ def sigma_coeffs(s: weyl.WeylElement, lam, mu) -> AlphaVector:
     return moved - rho - fw_to_alpha(mu)
 
 
+class SigmaTable(NamedTuple):
+    """sigma(lam+rho) - rho - mu for all 48 elements, as doubled integers.
+
+    Each row holds the coefficients of (m, n, k, x, y, z, 1) in one alpha
+    coordinate, doubled so that every entry is an integer.  Elements share
+    rows: 48 elements x 3 coordinates use 26 distinct rows, and the 17
+    contributing elements use 14 of them, one per profile variable.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    # (canonical index, sign, row ids of the three alpha coordinates)
+    elements: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    # row id of each profile variable, in PROFILE_FIELDS order
+    profile: tuple[int, ...]
+
+
+@lru_cache(maxsize=1)
+def sigma_table() -> SigmaTable:
+    """Derive the affine table once from the Weyl action."""
+    fundamental = [fw_to_alpha(WeightFW(*unit)) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    rho = rho_alpha()
+    minus_mu = [-w for w in fundamental]
+    row_ids: dict[tuple[int, ...], int] = {}
+    elements = []
+    for idx, el in enumerate(weyl.enumerate_group()):
+        columns = [weyl.apply(el, w) for w in fundamental] + minus_mu + [weyl.apply(el, rho) - rho]
+        ids = tuple(
+            row_ids.setdefault(tuple(int(2 * col.coeffs()[i]) for col in columns), len(row_ids))
+            for i in range(3)
+        )
+        elements.append((idx, weyl.sign(el), ids))
+    profile: dict[str, int] = {}
+    for term in TERMS:
+        _idx, _sign, ids = elements[weyl.canonical_index(weyl.evaluate_word(term.word))]
+        for field, row in zip(term.fields, ids):
+            if profile.setdefault(field, row) != row:
+                raise RuntimeError(f"profile variable {field} names two rows of the affine table")
+    return SigmaTable(tuple(row_ids), tuple(elements), tuple(profile[f] for f in PROFILE_FIELDS))
+
+
+@lru_cache(maxsize=1)
+def symbolic_sigma_rows():
+    """(element, 3x7 affine rows) for all 48 elements, canonical order.
+
+    Each row holds the coefficients of (m, n, k, x, y, z, 1) in one alpha
+    coordinate of sigma(lam+rho) - rho - mu, as exact rationals: the
+    rows of sigma_table, halved.
+    """
+    table = sigma_table()
+    group = weyl.enumerate_group()
+    return tuple(
+        (group[idx], tuple(tuple(Fraction(c, 2) for c in table.rows[r]) for r in ids))
+        for idx, _sign, ids in table.elements
+    )
+
+
+def _doubled_rows(lam, mu, rows) -> list[int]:
+    """Each doubled affine row evaluated at the weight pair."""
+    lam, mu = _as_weight(lam), _as_weight(mu)
+    m, n, k = lam.coeffs()
+    x, y, z = mu.coeffs()
+    return [
+        cm * m + cn * n + ck * k + cx * x + cy * y + cz * z + c1
+        for cm, cn, ck, cx, cy, cz, c1 in rows
+    ]
+
+
 @dataclass(frozen=True)
 class CoefficientProfile:
     """The fourteen substitution variables evaluated at a weight pair.
@@ -149,39 +199,15 @@ class CoefficientProfile:
     def triple(self, term: Term) -> tuple:
         return tuple(getattr(self, f) for f in term.fields)
 
-    def is_integral(self) -> bool:
-        return all(Fraction(getattr(self, f)).denominator == 1 for f in ("j", "l", "o", "p", "r"))
 
-
-def coefficient_profile(lam, mu, cross_check: bool = False) -> CoefficientProfile:
-    """Evaluate the fourteen variables exactly.
-
-    With cross_check=True, the triple of every term is verified against the
-    group action (sigma_coeffs of the associated element); the two routes
-    are affinely identical, so the check is exercised in the test suite and
-    skipped on hot paths.
-    """
-    lam, mu = _as_weight(lam), _as_weight(mu)
-    vals6 = (*lam.coeffs(), *mu.coeffs())
-    doubled = {}
-    for field, row in _PROFILE_2X.items():
-        doubled[field] = sum(c * v for c, v in zip(row[:6], vals6)) + row[6]
-    kwargs = {}
-    for field in PROFILE_FIELDS:
-        d = doubled[field]
-        if field in "abcdefghi":
-            kwargs[field] = d // 2
-        else:
-            kwargs[field] = Fraction(d, 2)
-    profile = CoefficientProfile(**kwargs)
-    if cross_check:
-        for term in TERMS:
-            el = weyl.evaluate_word(term.word)
-            expect = sigma_coeffs(el, lam, mu).coeffs()
-            got = tuple(Fraction(v) for v in profile.triple(term))
-            if got != expect:
-                raise AssertionError(f"profile triple for {term.letter} disagrees with group action")
-    return profile
+def coefficient_profile(lam, mu) -> CoefficientProfile:
+    """Evaluate the fourteen variables exactly: the profile rows of sigma_table."""
+    table = sigma_table()
+    doubled = _doubled_rows(lam, mu, [table.rows[r] for r in table.profile])
+    return CoefficientProfile(**{
+        field: d // 2 if field in "abcdefghi" else Fraction(d, 2)
+        for field, d in zip(PROFILE_FIELDS, doubled)
+    })
 
 
 @dataclass(frozen=True)
@@ -189,10 +215,6 @@ class AlternationSet:
     """A subset of the Weyl group, stored as canonical listing indices."""
 
     indices: frozenset[int]
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[weyl.WeylElement]) -> "AlternationSet":
-        return cls(frozenset(weyl.canonical_index(e) for e in elements))
 
     @classmethod
     def from_letters(cls, letters: Iterable[str]) -> "AlternationSet":
@@ -225,110 +247,39 @@ class AlternationSet:
         return self.names()
 
 
-@lru_cache(maxsize=1)
-def symbolic_sigma_rows():
-    """(element, 3x7 affine rows) for all 48 elements, canonical order.
+def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
+    """(canonical index, sign, alpha triple) of every sigma whose term is nonzero.
 
-    Each row holds the coefficients of (m, n, k, x, y, z, 1) in one alpha
-    coordinate of sigma(lam+rho) - rho - mu, as exact rationals.
+    A term is nonzero exactly when its coefficient vector is integral and
+    coordinate-wise nonnegative, i.e. all three doubled coordinates are
+    even and nonnegative.  All 48 elements are scanned for every pair.
     """
-    lam_rho = (
-        (Fraction(1), Fraction(1), Fraction(1), 0, 0, 0, Fraction(3)),
-        (Fraction(1), Fraction(2), Fraction(2), 0, 0, 0, Fraction(5)),
-        (Fraction(1, 2), Fraction(1), Fraction(3, 2), 0, 0, 0, Fraction(3)),
-    )
-    mu_rho = (
-        (0, 0, 0, Fraction(1), Fraction(1), Fraction(1), Fraction(3)),
-        (0, 0, 0, Fraction(1), Fraction(2), Fraction(2), Fraction(5)),
-        (0, 0, 0, Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)),
-    )
-    result = []
-    for el in weyl.enumerate_group():
-        cols = [weyl.apply(el, alpha(j + 1)).coeffs() for j in range(3)]
-        rows = []
-        for i in range(3):
-            rows.append(tuple(
-                sum(Fraction(cols[j][i]) * lam_rho[j][t] for j in range(3)) - mu_rho[i][t]
-                for t in range(7)
-            ))
-        result.append((el, tuple(rows)))
-    return tuple(result)
-
-
-@lru_cache(maxsize=1)
-def _all_element_rows_2x():
-    """Doubled-integer affine rows for all 48 elements, with signs."""
+    table = sigma_table()
+    half = [d // 2 if d >= 0 and d % 2 == 0 else None for d in _doubled_rows(lam, mu, table.rows)]
     out = []
-    for el, rows in symbolic_sigma_rows():
-        out.append((
-            weyl.canonical_index(el),
-            weyl.sign(el),
-            tuple(tuple(int(2 * c) for c in row) for row in rows),
-        ))
-    return tuple(out)
-
-
-def _member_triples(lam, mu):
-    """Per contributing term: its coefficient triple, doubled, as ints."""
-    lam, mu = _as_weight(lam), _as_weight(mu)
-    vals6 = (*lam.coeffs(), *mu.coeffs())
-    doubled = {f: sum(c * v for c, v in zip(row[:6], vals6)) + row[6] for f, row in _PROFILE_2X.items()}
-    return [(t, tuple(doubled[f] for f in t.fields)) for t in TERMS]
-
-
-def _full_scan(lam, mu):
-    """(canonical index, sign, doubled triple) over all 48 elements."""
-    lam, mu = _as_weight(lam), _as_weight(mu)
-    vals6 = (*lam.coeffs(), *mu.coeffs())
-    out = []
-    for idx, sgn, rows in _all_element_rows_2x():
-        triple = tuple(
-            sum(c * v for c, v in zip(row[:6], vals6)) + row[6] for row in rows
-        )
-        out.append((idx, sgn, triple))
+    for idx, sign, (r1, r2, r3) in table.elements:
+        v1, v2, v3 = half[r1], half[r2], half[r3]
+        if v1 is not None and v2 is not None and v3 is not None:
+            out.append((idx, sign, (v1, v2, v3)))
     return out
-
-
-def _is_dominant_pair(lam, mu) -> bool:
-    lam, mu = _as_weight(lam), _as_weight(mu)
-    return lam.is_dominant() and mu.is_dominant()
 
 
 def alternation_set(lam, mu) -> AlternationSet:
     """All sigma with kpf_q(sigma(lam+rho) - rho - mu) nonzero.
 
     Membership needs the coefficient vector to be integral and
-    coordinate-wise nonnegative.  For dominant weight pairs only the 17
-    contributing elements can qualify (the other 31 always produce a
-    negative coordinate there, which the test suite verifies directly), so
-    the scan is restricted; any other pair is scanned over all 48.
+    coordinate-wise nonnegative.  All 48 elements are scanned for every
+    pair; for dominant pairs only the 17 elements of TERMS ever qualify
+    (the test suite checks this).
     """
-    if _is_dominant_pair(lam, mu):
-        members = [
-            t.letter for t, d in _member_triples(lam, mu)
-            if all(v >= 0 and v % 2 == 0 for v in d)
-        ]
-        return AlternationSet.from_letters(members)
-    indices = [
-        idx for idx, _sgn, d in _full_scan(lam, mu)
-        if all(v >= 0 and v % 2 == 0 for v in d)
-    ]
-    return AlternationSet(frozenset(indices))
+    return AlternationSet(frozenset(idx for idx, _sign, _v in _nonzero_terms(lam, mu)))
 
 
 def mult_q_direct(lam, mu) -> QPoly:
     """The alternating sum over the alternation set."""
-    if not root_lattice_parity(lam, mu):
-        return QPoly()
     out = QPoly()
-    if _is_dominant_pair(lam, mu):
-        for t, d in _member_triples(lam, mu):
-            if all(v >= 0 and v % 2 == 0 for v in d):
-                out = add_signed(out, TERM_SIGNS[t.letter], kpf_q(*(v // 2 for v in d)))
-        return out
-    for _idx, sgn, d in _full_scan(lam, mu):
-        if all(v >= 0 and v % 2 == 0 for v in d):
-            out = add_signed(out, sgn, kpf_q(*(v // 2 for v in d)))
+    for _idx, sign, v in _nonzero_terms(lam, mu):
+        out = add_signed(out, sign, kpf_q(*v))
     return out
 
 

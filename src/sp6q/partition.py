@@ -30,8 +30,9 @@ AlphaTriple = tuple[int, int, int]
 
 
 def _check_int(*vals):
+    # bool is a subclass of int, but True is not a coordinate
     for v in vals:
-        if not isinstance(v, int):
+        if not isinstance(v, int) or isinstance(v, bool):
             raise TypeError(f"alpha coordinates must be integers, got {v!r}")
 
 

@@ -70,18 +70,6 @@ class QPoly:
         return cls(tuple(int(s) for s in data))
 
 
-ZERO = QPoly()
-ONE = QPoly((1,))
-
-
-def add(p: QPoly, r: QPoly) -> QPoly:
-    return add_signed(p, 1, r)
-
-
-def sub(p: QPoly, r: QPoly) -> QPoly:
-    return add_signed(p, -1, r)
-
-
 def add_signed(p: QPoly, s: int, r: QPoly) -> QPoly:
     """p + s*r for s = +1 or -1."""
     if s not in (1, -1):
@@ -95,21 +83,6 @@ def add_signed(p: QPoly, s: int, r: QPoly) -> QPoly:
     return QPoly(tuple(out))
 
 
-def negate(p: QPoly) -> QPoly:
-    return QPoly(tuple(-c for c in p.coeffs))
-
-
-def monomial(e: int) -> QPoly:
-    """The monomial q^e."""
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
-    return QPoly((0,) * e + (1,))
-
-
 def eval_at_one(p: QPoly) -> int:
     """Coefficient sum: the value of the polynomial at q = 1."""
     return sum(p.coeffs)
-
-
-def is_nonzero(p: QPoly) -> bool:
-    return bool(p)

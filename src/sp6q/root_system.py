@@ -144,15 +144,6 @@ def positive_roots() -> list[AlphaVector]:
     return [AlphaVector(*map(Fraction, r)) for r in _POSITIVE_ROOTS]
 
 
-def fundamental_weights_alpha() -> tuple[AlphaVector, AlphaVector, AlphaVector]:
-    """w1, w2, w3 in alpha coordinates: (1,1,1/2), (1,2,1), (1,2,3/2)."""
-    return (
-        AlphaVector(Fraction(1), Fraction(1), Fraction(1, 2)),
-        AlphaVector(Fraction(1), Fraction(2), Fraction(1)),
-        AlphaVector(Fraction(1), Fraction(2), Fraction(3, 2)),
-    )
-
-
 def fw_to_alpha(w: WeightFW) -> AlphaVector:
     """Change of basis from fundamental weights to simple roots.
 

@@ -8,7 +8,6 @@ from sp6q.census import (
     CONTRADICTION_RULES,
     LETTERS,
     AlternationSet,
-    SignPredicate,
     _stage1_ok,
     _stage2_ok,
     contributing_elements,
@@ -17,12 +16,10 @@ from sp6q.census import (
     load_family_fixture,
     load_witness_fixture,
     sweep_census,
-    term_condition,
     type1_excluded,
-    type3_rules,
     verify_census,
 )
-from sp6q.multiplicity import TERMS, alternation_set
+from sp6q.multiplicity import TERM_BY_LETTER, TERMS, alternation_set
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -47,26 +44,19 @@ def test_contributing_complement():
 
 
 def test_term_conditions():
-    assert term_condition("A") == (
-        SignPredicate("a", False),
-        SignPredicate("d", False),
-        SignPredicate("j", False),
-    )
-    assert tuple(p.var for p in term_condition("Q")) == ("a", "i", "r")
-    assert tuple(p.var for p in term_condition("M")) == ("b", "f", "p")
+    # a term contributes iff all three of its profile variables are nonnegative
+    assert TERM_BY_LETTER["A"].fields == ("a", "d", "j")
+    assert TERM_BY_LETTER["Q"].fields == ("a", "i", "r")
+    assert TERM_BY_LETTER["M"].fields == ("b", "f", "p")
 
 
 def test_predicate_catalog():
-    rules = type3_rules()
+    rules = CONTRADICTION_RULES
     assert len(rules) == 53
     assert sum(1 for r in rules if len(r) == 2) == 47
     assert sum(1 for r in rules if len(r) == 3) == 6
-    assert rules[0] == (SignPredicate("a", True), SignPredicate("b", False))
-    assert rules[-1] == (
-        SignPredicate("o", True),
-        SignPredicate("c", False),
-        SignPredicate("i", False),
-    )
+    assert rules[0] == (("a", True), ("b", False))
+    assert rules[-1] == (("o", True), ("c", False), ("i", False))
     # exactly one rule has no negative atom (two nonnegativities clashing)
     pure = [r for r in CONTRADICTION_RULES if all(not neg for _v, neg in r)]
     assert pure == [(("p", False), ("r", False))]

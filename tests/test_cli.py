@@ -155,13 +155,21 @@ def test_negative_coefficients_accepted(capsys):
     assert "s1*s2*s3" in out
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["kpf", "--alpha", "1,2"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["kpf", "--alpha", "a,b,c"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main([])
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(capsys, tmp_path):
+    (tmp_path / "alt_sets_stage1.json").write_text("[[")
+    for argv in (
+        ["kpf", "--alpha", "1,2"],
+        ["kpf", "--alpha", "a,b,c"],
+        [],
+        ["census", "sweep", "--lam-max", "-1", "--mu-max", "0"],
+        ["census", "verify", "--mu-max", "-3"],
+        ["census", "sweep", "--lam-max", "0", "--mu-max", "0", "--jobs", "0"],
+        ["census", "verify", "--jobs", "-1"],
+        ["census", "verify", "--fixtures", str(tmp_path / "missing")],
+        ["census", "verify", "--fixtures", str(tmp_path)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "error:" in err.splitlines()[-1] and "Traceback" not in err, argv

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import random
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp6q import weyl
-from sp6q.census import symbolic_sigma_rows
 from sp6q.multiplicity import (
     CASES,
     PROFILE_FIELDS,
@@ -25,9 +25,11 @@ from sp6q.multiplicity import (
     mult_q_direct,
     root_lattice_parity,
     sigma_coeffs,
+    sigma_table,
+    symbolic_sigma_rows,
 )
 from sp6q.qpoly import QPoly
-from sp6q.root_system import AlphaVector, WeightFW
+from sp6q.root_system import AlphaVector, WeightFW, fw_to_alpha
 
 F = Fraction
 DATA = pathlib.Path(__file__).parent / "data"
@@ -54,6 +56,17 @@ def test_symbolic_rows_match_fixture():
         assert rows == fixture[weyl.name(el)]
 
 
+def test_sigma_table_shares_rows():
+    # 26 distinct rows serve all 48 elements; the 17 terms use exactly the
+    # 14 profile rows, one per variable
+    table = sigma_table()
+    assert len(table.rows) == 26
+    assert len(set(table.profile)) == 14
+    term_indices = {weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS}
+    assert {r for idx, _sign, ids in table.elements if idx in term_indices for r in ids} == set(table.profile)
+    assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
+
+
 def test_sigma_coeffs_match_fixture_rows_numerically():
     fixture = _fixture_rows()
     rng = random.Random(11)
@@ -71,17 +84,17 @@ def test_sigma_coeffs_match_fixture_rows_numerically():
 
 def test_profile_worked_examples():
     # highest root against zero: exactly a, d, e, j, l are nonnegative
-    p = coefficient_profile((2, 0, 0), (0, 0, 0), cross_check=True)
+    p = coefficient_profile((2, 0, 0), (0, 0, 0))
     nonneg = {f for f in PROFILE_FIELDS if p.value(f) >= 0}
     assert nonneg == {"a", "d", "e", "j", "l"}
     assert (p.a, p.d, p.e, p.j, p.l) == (2, 2, 1, F(1), F(0))
 
-    p = coefficient_profile((0, 0, 0), (0, 0, 0), cross_check=True)
+    p = coefficient_profile((0, 0, 0), (0, 0, 0))
     nonneg = {f for f in PROFILE_FIELDS if p.value(f) >= 0}
     assert nonneg == {"a", "d", "j"}
     assert (p.a, p.d, p.j, p.b, p.c) == (0, 0, F(0), -1, -2)
 
-    p = coefficient_profile((0, 0, 2), (1, 0, 1), cross_check=True)
+    p = coefficient_profile((0, 0, 2), (1, 0, 1))
     nonneg = {f for f in PROFILE_FIELDS if p.value(f) >= 0}
     assert nonneg == {"a", "d", "e", "j"}
     assert (p.a, p.e, p.d, p.j) == (0, 0, 1, F(1))
@@ -92,7 +105,7 @@ def test_profile_triples_equal_sigma_coeffs():
     for _ in range(20):
         lam = WeightFW(*(rng.randint(0, 7) for _ in range(3)))
         mu = WeightFW(*(rng.randint(0, 7) for _ in range(3)))
-        profile = coefficient_profile(lam, mu, cross_check=True)
+        profile = coefficient_profile(lam, mu)
         for term in TERMS:
             el = weyl.evaluate_word(term.word)
             assert tuple(F(v) for v in profile.triple(term)) == sigma_coeffs(el, lam, mu).coeffs()
@@ -118,11 +131,12 @@ def test_alternation_sets_stay_within_contributing():
 
 def test_membership_matches_defining_condition():
     # membership iff the coefficient vector is integral and nonnegative,
-    # checked against the exact vectors over all 48 elements
+    # checked against the exact vectors over all 48 elements, for weights
+    # of either sign
     rng = random.Random(6)
     for _ in range(12):
-        lam = WeightFW(*(rng.randint(0, 6) for _ in range(3)))
-        mu = WeightFW(*(rng.randint(0, 6) for _ in range(3)))
+        lam = WeightFW(*(rng.randint(-6, 6) for _ in range(3)))
+        mu = WeightFW(*(rng.randint(-6, 6) for _ in range(3)))
         aset = alternation_set(lam, mu)
         for el in weyl.enumerate_group():
             v = sigma_coeffs(el, lam, mu)
@@ -153,6 +167,22 @@ def test_mult_examples():
     assert mult((2, 0, 0), (0, 0, 0)) == 3
     assert mult((0, 0, 0), (0, 0, 0)) == 1
     assert mult((3, 1, 2), (3, 1, 2)) == 1
+
+
+def test_q_multiplicity_positive_and_monic():
+    # for dominant lam, mu with m_q(lam, mu) != 0, every coefficient is
+    # nonnegative and m_q is monic of degree ht(lam - mu)
+    nonzero = 0
+    for vals in itertools.product(range(5), repeat=6):
+        lam, mu = WeightFW(*vals[:3]), WeightFW(*vals[3:])
+        p = mult_q_direct(lam, mu)
+        if not p:
+            continue
+        nonzero += 1
+        assert all(c >= 0 for c in p.coeffs), (lam, mu, p)
+        assert p.degree() == sum(fw_to_alpha(lam - mu).coeffs()), (lam, mu, p)
+        assert p.coeffs[-1] == 1, (lam, mu, p)
+    assert nonzero == 3784
 
 
 def test_parity_examples():
@@ -254,7 +284,7 @@ def test_freudenthal_nondominant_mu_via_conjugate():
 
 
 def test_full_scan_outside_dominant_chamber():
-    # for non-dominant pairs the 17-element shortcut is invalid: deep in
+    # outside the dominant chamber the 17 terms are not enough: deep in
     # the antidominant region other group elements satisfy the membership
     # predicate, and the scan must cover all 48
     aset = alternation_set((-3, -3, -3), (-3, -3, -3))
@@ -282,9 +312,7 @@ def _dominant_conjugate_fw(mu):
 
 
 def test_multiplicity_weyl_invariance():
-    # weight multiplicities are constant on Weyl orbits; the dominant
-    # conjugate pair goes through the restricted scan, the original
-    # through the full one
+    # weight multiplicities are constant on Weyl orbits
     rng = random.Random(37)
     for _ in range(20):
         lam = tuple(rng.randint(0, 3) for _ in range(3))

@@ -37,12 +37,12 @@ def test_kpf_at_one():
 
 
 def test_rejects_non_integers():
-    with pytest.raises(TypeError):
-        kpf_q(1.5, 0, 0)
     from fractions import Fraction
 
-    with pytest.raises(TypeError):
-        kpf_q_oracle(Fraction(1, 2), 0, 0)
+    for bad in (1.5, Fraction(1, 2), True):
+        for fn in (kpf_q, kpf_q_oracle):
+            with pytest.raises(TypeError):
+                fn(bad, 0, 0)
 
 
 def test_oracle_equivalence_small_box():

@@ -10,7 +10,6 @@ from sp6q.root_system import (
     alpha,
     alpha_to_eps,
     eps_to_alpha,
-    fundamental_weights_alpha,
     fw_to_alpha,
     positive_roots,
     rational_str,
@@ -37,7 +36,7 @@ def test_positive_roots_sum_is_twice_rho():
 
 
 def test_fundamental_weights():
-    w1, w2, w3 = fundamental_weights_alpha()
+    w1, w2, w3 = (fw_to_alpha(WeightFW(*unit)) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert w1 == AlphaVector(F(1), F(1), F(1, 2))
     assert w2 == AlphaVector(F(1), F(2), F(1))
     assert w3 == AlphaVector(F(1), F(2), F(3, 2))
@@ -100,7 +99,7 @@ def test_denominator_invariant():
 
 def test_json_rational_form():
     assert rho_alpha().to_json() == ["3", "5", "3"]
-    w3 = fundamental_weights_alpha()[2]
+    w3 = fw_to_alpha(WeightFW(0, 0, 1))
     assert w3.to_json() == ["1", "2", "3/2"]
     assert AlphaVector.from_json(["1", "2", "3/2"]) == w3
     assert rational_str(F(-4, 2)) == "-2"
