@@ -471,9 +471,12 @@ def verify_census(
     (i) the filter pipeline's stage families against the three fixtures,
     (ii) every fixture witness pair against a recomputed alternation set,
     (iii) the sweep family against the final fixture and the pipeline.
-    Any mismatch is reported with the offending sets, never dropped; a
-    missing or malformed fixture file raises FixtureError.
+    Any mismatch is reported with the offending sets, never dropped.  All
+    four fixture files are read first, so a missing or malformed one
+    raises FixtureError before any pipeline or sweep work.
     """
+    families = {stage: load_family_fixture(stage, fixtures_dir) for stage in ("stage1", "stage2", "final")}
+    witnesses = load_witness_fixture(fixtures_dir)
     report = CensusReport()
 
     pipeline = filter_pipeline()
@@ -482,7 +485,7 @@ def verify_census(
         ("stage2", pipeline.stage2),
         ("final", pipeline.final),
     ):
-        want = load_family_fixture(stage, fixtures_dir)
+        want = families[stage]
         got = [AlternationSet.from_letters(s) for s in got_letters]
         diff = _family_diff(got, want)
         report.add(
@@ -491,7 +494,6 @@ def verify_census(
             diff or f"{len(got)} sets",
         )
 
-    witnesses = load_witness_fixture(fixtures_dir)
     bad = []
     for want_set, lam, mu in witnesses:
         got = alternation_set(lam, mu)
@@ -505,7 +507,7 @@ def verify_census(
 
     entries = sweep_census(lam_max, mu_max, jobs=jobs)
     sweep_family = [e.altset for e in entries]
-    want_final = load_family_fixture("final", fixtures_dir)
+    want_final = families["final"]
     diff = _family_diff(sweep_family, want_final)
     report.add(
         "sweep-family",

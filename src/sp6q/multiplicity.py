@@ -341,25 +341,24 @@ CASES: tuple[tuple[tuple[tuple[str, str], ...], str], ...] = (
 OTHERWISE_CASE = len(CASES) + 1  # dispatch number reported when nothing matches
 
 
-def matching_cases(profile: CoefficientProfile) -> list[int]:
-    """1-based numbers of every case whose sign pattern the profile satisfies."""
+def _matching(profile: CoefficientProfile):
+    """(number, term letters) of each case whose sign pattern the profile satisfies, in order."""
     vals = profile.values()
-    out = []
-    for number, (patterns, _terms) in enumerate(CASES, start=1):
+    for number, (patterns, letters) in enumerate(CASES, start=1):
         for pos, neg in patterns:
             if all(vals[v] >= 0 for v in pos) and all(vals[v] < 0 for v in neg):
-                out.append(number)
+                yield number, letters
                 break
-    return out
+
+
+def matching_cases(profile: CoefficientProfile) -> list[int]:
+    """1-based numbers of every case whose sign pattern the profile satisfies."""
+    return [number for number, _letters in _matching(profile)]
 
 
 def match_case(profile: CoefficientProfile) -> tuple[int, str]:
     """First matching case number and its term letters ('' for the zero case)."""
-    matches = matching_cases(profile)
-    if not matches:
-        return (OTHERWISE_CASE, "")
-    first = matches[0]
-    return (first, CASES[first - 1][1])
+    return next(_matching(profile), (OTHERWISE_CASE, ""))
 
 
 def mult_q_cases(lam, mu) -> QPoly:

@@ -4,11 +4,13 @@ For mu = m*a1 + n*a2 + k*a3 with integer coordinates, the coefficient of
 q^j in kpf_q(m, n, k) counts the ways to write mu as a sum of exactly j
 positive roots.  Two independent implementations are provided:
 
-  - kpf_q: a closed six-fold nested sum.  Every decomposition is
-    determined by the multiplicities (d, e, f, g, h, i) of the six
-    composite roots a1+a2, a2+a3, a1+a2+a3, a1+2a2+a3, 2a1+2a2+a3 and
-    2a2+a3; the simple-root multiplicities are then forced, and the
-    number of parts used is m+n+k - d - e - 2f - 3g - 4h - 2i.
+  - kpf_q: the nested-sum formula.  Every decomposition is determined
+    by the multiplicities (d, e, f, g, h, i) of the six composite roots
+    a1+a2, a2+a3, a1+a2+a3, a1+2a2+a3, 2a1+2a2+a3 and 2a2+a3; the
+    simple-root multiplicities are then forced, and the number of parts
+    used is m+n+k - d - e - 2f - 3g - 4h - 2i.  Four loops run over
+    (h, g, f, i); the d and e sums are done in closed form with
+    difference arrays.
 
   - kpf_q_oracle: exhaustive enumeration of all nine multiplicities,
     sharing nothing with kpf_q beyond the root list.  It is the
@@ -22,6 +24,8 @@ decide integrality beforehand (see multiplicity.root_lattice_parity).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import add
 
 from .qpoly import QPoly
 from .root_system import _POSITIVE_ROOTS
@@ -40,28 +44,56 @@ def _check_int(*vals):
 def kpf_q(m: int, n: int, k: int) -> QPoly:
     """q-analog of the partition function by the nested-sum formula.
 
-    The loop bounds below make every admissible choice of composite-root
-    multiplicities appear exactly once; an upper bound below the lower
-    bound 0 simply contributes an empty sum.  Exponent tallies accumulate
-    into a flat integer array rather than repeated polynomial addition.
+    Four loops choose the multiplicities (h, g, f, i); the loop bounds make
+    every admissible choice appear exactly once.  With A = n-2h-2g-f-2i,
+    C = k-h-g-f-i and b0 = m+n+k-2f-3g-4h-2i, the remaining d and e
+    loops would add 1 to every exponent in [b0-d-min(A-d, C), b0-d] for
+    d = 0..min(m-2h-g-f, A).  Those intervals are summed in closed form:
+    the upper ends form one contiguous run, the lower ends form one run
+    while d <= A-C and stay at b0-A after that, so each (h, g, f, i)
+    costs a few updates of a second-order and a first-order difference
+    array, and two prefix sums at the end give the coefficients.
+
     Values are memoized; the alternating sums evaluate the same small
-    vectors over and over.
+    vectors over and over.  Arguments must be Python ints: bool and numpy
+    integers are rejected, since with typed=True an np.int64 key would
+    be a separate cache entry for the same vector.
     """
     _check_int(m, n, k)
     if m < 0 or n < 0 or k < 0:
         return QPoly()
     total = m + n + k
-    coeffs = [0] * (total + 1)
-    for h in range(0, min(m // 2, n // 2, k) + 1):
-        for g in range(0, min(m - 2 * h, (n - 2 * h) // 2, k - h) + 1):
-            for f in range(0, min(m - 2 * h - g, n - 2 * h - 2 * g, k - h - g) + 1):
-                for i in range(0, min((n - 2 * h - 2 * g - f) // 2, k - h - g - f) + 1):
-                    for d in range(0, min(m - 2 * h - g - f, n - 2 * h - 2 * g - f - 2 * i) + 1):
-                        e_max = min(n - 2 * h - 2 * g - f - 2 * i - d, k - h - g - f - i)
-                        base = total - d - 2 * f - 3 * g - 4 * h - 2 * i
-                        for e in range(0, e_max + 1):
-                            coeffs[base - e] += 1
-    return QPoly(tuple(coeffs))
+    # second-order and first-order differences of the coefficients
+    diff2 = [0] * (total + 3)
+    diff1 = [0] * (total + 1)
+    for h in range(min(m // 2, n // 2, k) + 1):
+        mh, nh, kh, bh = m - 2 * h, n - 2 * h, k - h, total - 4 * h
+        for g in range(min(mh, nh // 2, kh) + 1):
+            mg, ng, kg, bg = mh - g, nh - 2 * g, kh - g, bh - 3 * g
+            for f in range(min(mg, ng, kg) + 1):
+                mf, nf, kf, bf = mg - f, ng - f, kg - f, bg - 2 * f
+                for i in range(min(nf // 2, kf) + 1):
+                    a = nf - 2 * i
+                    c = kf - i
+                    b0 = bf - 2 * i
+                    dmax = mf if mf < a else a
+                    # upper ends b0-d, d = 0..dmax
+                    diff2[b0 + 1 - dmax] -= 1
+                    diff2[b0 + 2] += 1
+                    if a < c:
+                        # every lower end is b0-a
+                        diff1[b0 - a] += dmax + 1
+                    elif a - c >= dmax:
+                        # every lower end is b0-c-d
+                        diff2[b0 - c - dmax] += 1
+                        diff2[b0 - c + 1] -= 1
+                    else:
+                        # b0-c-d for d <= a-c, then b0-a for the rest
+                        diff2[b0 - a] += 1
+                        diff2[b0 - c + 1] -= 1
+                        diff1[b0 - a] += dmax - a + c
+    # map stops at the end of diff1, so exponents above total are dropped
+    return QPoly(tuple(accumulate(map(add, accumulate(diff2), diff1))))
 
 
 # Enumeration order for the oracle: largest coefficient sum first, so that

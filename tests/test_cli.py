@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sp6q import cli, partition
+from sp6q import census, cli, partition
 from sp6q.qpoly import QPoly
 
 
@@ -173,3 +173,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert "error:" in err.splitlines()[-1] and "Traceback" not in err, argv
+
+
+def test_verify_reads_fixtures_before_pipeline(monkeypatch, capsys, tmp_path):
+    def no_pipeline():
+        raise AssertionError("filter_pipeline ran before the fixtures were read")
+
+    monkeypatch.setattr(census, "filter_pipeline", no_pipeline)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", "verify", "--fixtures", str(tmp_path / "missing")])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 import random
+from collections import Counter
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp6q.partition import kpf, kpf_q, kpf_q_oracle
 from sp6q.qpoly import QPoly, eval_at_one
+from sp6q.root_system import _POSITIVE_ROOTS
 
 
 def test_formula_known_values():
@@ -39,7 +43,7 @@ def test_kpf_at_one():
 def test_rejects_non_integers():
     from fractions import Fraction
 
-    for bad in (1.5, Fraction(1, 2), True):
+    for bad in (1.5, Fraction(1, 2), True, np.int64(1)):
         for fn in (kpf_q, kpf_q_oracle):
             with pytest.raises(TypeError):
                 fn(bad, 0, 0)
@@ -86,3 +90,37 @@ def test_min_exponent_matches_oracle_min_parts():
         got, ref = kpf_q(m, n, k), kpf_q_oracle(m, n, k)
         if got:
             assert got.support()[0] == ref.support()[0]
+
+
+# The nine positive roots of C3 in simple-root coordinates, written out here
+# so that the identity below shares nothing with the formula or the oracle.
+_ROOTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+          (1, 1, 1), (0, 2, 1), (1, 2, 1), (2, 2, 1))
+
+
+def _denominator_terms():
+    """prod over positive roots of (1 - q x^alpha) as {(shift, degree): coefficient}."""
+    terms = Counter()
+    for j in range(len(_ROOTS) + 1):
+        for subset in combinations(_ROOTS, j):
+            shift = tuple(map(sum, zip((0, 0, 0), *subset)))
+            terms[shift, j] += (-1) ** j
+    return {key: c for key, c in terms.items() if c}
+
+
+def test_denominator_expansion():
+    assert sorted(_ROOTS) == sorted(_POSITIVE_ROOTS)
+    assert len(_denominator_terms()) == 286
+
+
+@pytest.mark.parametrize("box", [(8, 8, 8), (4, 16, 4), (12, 4, 12)])
+def test_generating_function_identity(box):
+    # sum_v kpf_q(v) x^v = prod_alpha 1/(1 - q x^alpha): multiplying back by
+    # the denominator must leave 1 at v = 0 and 0 everywhere else
+    terms = _denominator_terms()
+    for v in product(*(range(top + 1) for top in box)):
+        acc = [0] * (sum(v) + 1)
+        for (shift, j), c in terms.items():
+            for e, x in enumerate(kpf_q(*(a - b for a, b in zip(v, shift))).coeffs):
+                acc[e + j] += c * x
+        assert QPoly(tuple(acc)) == (QPoly((1,)) if v == (0, 0, 0) else QPoly()), v
