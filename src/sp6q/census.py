@@ -35,6 +35,7 @@ from .multiplicity import (  # symbolic_sigma_rows is re-exported for callers of
     TERMS,
     AlternationSet,
     alternation_set,
+    field_mask,
     sigma_table,
     symbolic_sigma_rows,
 )
@@ -42,10 +43,6 @@ from .root_system import WeightFW
 
 LETTERS = "".join(t.letter for t in TERMS)
 _LETTER_INDEX = {L: i for i, L in enumerate(LETTERS)}
-_FIELD_INDEX = {f: i for i, f in enumerate(PROFILE_FIELDS)}
-_TERM_FIELD_MASK = {
-    t.letter: sum(1 << _FIELD_INDEX[f] for f in t.fields) for t in TERMS
-}
 
 
 # Catalog of variable-sign combinations that no pair of dominant integral
@@ -108,28 +105,6 @@ CONTRADICTION_RULES: tuple[tuple[tuple[str, bool], ...], ...] = (
 )
 
 
-# Derived views of the catalog used by the closure stage:
-#   pair rule (x<0 and y>=0) impossible  <=>  y>=0 forces x>=0;
-#   triple rule (x<0 and y>=0 and z>=0)  <=>  y,z>=0 force x>=0;
-#   the one all-nonnegative pair (p>=0 and r>=0) is a hard clash.
-def _catalog_views():
-    implies = {v: set() for v in PROFILE_FIELDS}
-    conj_rules = []
-    hard = []
-    for rule in CONTRADICTION_RULES:
-        neg = [v for v, isneg in rule if isneg]
-        pos = [v for v, isneg in rule if not isneg]
-        if not neg:
-            hard.append(frozenset(pos))
-        elif len(rule) == 2:
-            implies[pos[0]].add(neg[0])
-        else:
-            conj_rules.append((frozenset(pos), neg[0]))
-    return implies, conj_rules, hard
-
-
-_IMPLIES, _CONJ_RULES, _HARD_CLASHES = _catalog_views()
-
 # One-step derivation map of the intermediate filter stage.  It is a
 # deliberate under-approximation of the catalog closure (only the final
 # stage applies the full catalog); together with the a&f conjunction rule
@@ -141,22 +116,27 @@ _STAGE2_DERIVED = {
     "o": "jl", "p": "cjlo", "r": "ijlo",
 }
 
-_NVARS = len(PROFILE_FIELDS)
-_PR_MASK = (1 << _FIELD_INDEX["p"]) | (1 << _FIELD_INDEX["r"])
-_AF_MASK = (1 << _FIELD_INDEX["a"]) | (1 << _FIELD_INDEX["f"])
-_J_BIT = 1 << _FIELD_INDEX["j"]
-_STAGE2_MAP_BITS = {
-    _FIELD_INDEX[v]: sum(1 << _FIELD_INDEX[w] for w in ws) for v, ws in _STAGE2_DERIVED.items()
-}
+_PR_MASK = field_mask("pr")
+_AF_MASK = field_mask("af")
+_J_BIT = field_mask("j")
+_STAGE2_MAP_BITS = {PROFILE_FIELDS.index(v): field_mask(ws) for v, ws in _STAGE2_DERIVED.items()}
+
+
+def _atoms(rule, negative: bool) -> int:
+    return field_mask(v for v, isneg in rule if isneg == negative)
+
+
+# The catalog as read by the closure stage:
+#   pair rule (x<0 and y>=0) impossible  <=>  y>=0 forces x>=0;
+#   triple rule (x<0 and y>=0 and z>=0)  <=>  y,z>=0 force x>=0;
+#   the one all-nonnegative pair (p>=0 and r>=0) is a hard clash.
+_HARD_BITS = [_atoms(r, False) for r in CONTRADICTION_RULES if not _atoms(r, True)]
+_CONJ_BITS = [(_atoms(r, False), _atoms(r, True)) for r in CONTRADICTION_RULES if len(r) == 3]
 _IMPLIES_BITS = {
-    _FIELD_INDEX[v]: sum(1 << _FIELD_INDEX[w] for w in ws) for v, ws in _IMPLIES.items()
+    b: field_mask(x for r in CONTRADICTION_RULES if len(r) == 2 and (y, False) in r for x, isneg in r if isneg)
+    for b, y in enumerate(PROFILE_FIELDS)
 }
-_CONJ_BITS = [
-    (sum(1 << _FIELD_INDEX[v] for v in pre), 1 << _FIELD_INDEX[post])
-    for pre, post in _CONJ_RULES
-]
-_HARD_BITS = [sum(1 << _FIELD_INDEX[v] for v in clash) for clash in _HARD_CLASHES]
-_TERM_MASKS = [_TERM_FIELD_MASK[L] for L in LETTERS]
+_TERM_MASKS = [field_mask(t.fields) for t in TERMS]
 
 
 def _bits(mask: int):
@@ -296,7 +276,7 @@ def contributing_elements() -> list[weyl.WeylElement]:
 # ---------------------------------------------------------------------------
 
 # Position of each term's three profile variables among PROFILE_FIELDS.
-_TERM_FIELDS = np.array([[_FIELD_INDEX[f] for f in t.fields] for t in TERMS])
+_TERM_FIELDS = np.array([[PROFILE_FIELDS.index(f) for f in t.fields] for t in TERMS])
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,11 @@ def _manifest(args_list, params, result, elapsed) -> dict:
 def _emit_json(payload, out_path=None):
     text = json.dumps(payload, indent=1, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            _usage_error(f"cannot write --out file: {exc}")
     else:
         print(text)
 

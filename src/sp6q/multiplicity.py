@@ -23,6 +23,9 @@ Two independent evaluation routes are implemented:
 A third route, mult_freudenthal, computes the plain multiplicity by the
 Freudenthal recursion over the weight system and shares no code with the
 partition-function path.
+
+A sign pattern over the profile variables has one form, field_mask: the
+case dispatch here and the contradiction catalog of census both use it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from . import weyl
@@ -38,6 +42,12 @@ from .qpoly import QPoly, add_signed, eval_at_one
 from .root_system import AlphaVector, WeightFW, fw_to_alpha, rho_alpha
 
 PROFILE_FIELDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "l", "o", "p", "r")
+_profile_values = attrgetter(*PROFILE_FIELDS)
+
+
+def field_mask(fields: Iterable[str]) -> int:
+    """Sign pattern as a 14-bit mask: bit i set for each named PROFILE_FIELDS[i]."""
+    return sum(1 << PROFILE_FIELDS.index(f) for f in set(fields))
 
 
 class Term(NamedTuple):
@@ -130,7 +140,13 @@ def sigma_table() -> SigmaTable:
         for field, row in zip(term.fields, ids):
             if profile.setdefault(field, row) != row:
                 raise RuntimeError(f"profile variable {field} names two rows of the affine table")
-    return SigmaTable(tuple(row_ids), tuple(elements), tuple(profile[f] for f in PROFILE_FIELDS))
+    rows = tuple(row_ids)
+    # Redundancy identities that hold for every weight pair: a-b and e-f
+    # both equal m+1, d-e and b-c both equal n+1 (rows are doubled).
+    diffs = [tuple(x - y for x, y in zip(rows[profile[u]], rows[profile[v]])) for u, v in ("ab", "ef", "de", "bc")]
+    if diffs != [(2, 0, 0, 0, 0, 0, 2)] * 2 + [(0, 2, 0, 0, 0, 0, 2)] * 2:
+        raise RuntimeError("profile rows violate a-b = e-f = m+1 or d-e = b-c = n+1")
+    return SigmaTable(rows, tuple(elements), tuple(profile[f] for f in PROFILE_FIELDS))
 
 
 @lru_cache(maxsize=1)
@@ -183,18 +199,9 @@ class CoefficientProfile:
     p: Fraction
     r: Fraction
 
-    def __post_init__(self):
-        # Redundancy identities among the defining expressions: a-b and e-f
-        # both equal m+1, d-e and b-c both equal n+1.  They hold for every
-        # weight pair and catch construction mistakes.
-        if self.a - self.b != self.e - self.f or self.d - self.e != self.b - self.c:
-            raise ValueError("profile redundancy identities violated")
-
-    def value(self, field: str):
-        return getattr(self, field)
-
-    def values(self) -> dict:
-        return {f: getattr(self, f) for f in PROFILE_FIELDS}
+    def signs(self) -> int:
+        """field_mask of the variables that are >= 0 (a Fraction's denominator is positive)."""
+        return sum(1 << i for i, v in enumerate(_profile_values(self)) if v.numerator >= 0)
 
     def triple(self, term: Term) -> tuple:
         return tuple(getattr(self, f) for f in term.fields)
@@ -287,6 +294,7 @@ def mult_q_direct(lam, mu) -> QPoly:
 # alternative (nonnegative-variables, negative-variables) patterns over
 # the fourteen profile fields -- variables in neither string are
 # unconstrained -- together with the letters of the contributing terms.
+# The patterns are compiled once to field_mask pairs (_CASE_MASKS).
 # Cases are tried in order and the first match wins; no match means the
 # multiplicity is zero.  Term signs are (-1)^length of the associated
 # group element.
@@ -340,13 +348,19 @@ CASES: tuple[tuple[tuple[tuple[str, str], ...], str], ...] = (
 
 OTHERWISE_CASE = len(CASES) + 1  # dispatch number reported when nothing matches
 
+# (number, letters, ((constrained mask, nonnegative mask), ...)) per case
+_CASE_MASKS = tuple(
+    (number, letters, tuple((field_mask(pos + neg), field_mask(pos)) for pos, neg in patterns))
+    for number, (patterns, letters) in enumerate(CASES, start=1)
+)
+
 
 def _matching(profile: CoefficientProfile):
     """(number, term letters) of each case whose sign pattern the profile satisfies, in order."""
-    vals = profile.values()
-    for number, (patterns, letters) in enumerate(CASES, start=1):
-        for pos, neg in patterns:
-            if all(vals[v] >= 0 for v in pos) and all(vals[v] < 0 for v in neg):
+    signs = profile.signs()
+    for number, letters, patterns in _CASE_MASKS:
+        for care, nonneg in patterns:
+            if signs & care == nonneg:
                 yield number, letters
                 break
 

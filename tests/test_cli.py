@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sp6q import census, cli, partition
 from sp6q.qpoly import QPoly
@@ -167,6 +171,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["census", "verify", "--jobs", "-1"],
         ["census", "verify", "--fixtures", str(tmp_path / "missing")],
         ["census", "verify", "--fixtures", str(tmp_path)],
+        ["census", "pipeline", "--out", str(tmp_path / "missing" / "x.json")],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -184,3 +189,60 @@ def test_verify_reads_fixtures_before_pipeline(monkeypatch, capsys, tmp_path):
         cli.main(["census", "verify", "--fixtures", str(tmp_path / "missing")])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# A small argv grammar: each command with its flags, every flag usually
+# present with a drawn value, plus at most one stray token, in any order.
+_COORD = st.integers(-6, 25)
+_TRIPLE = st.integers(0, 3).flatmap(  # malformed one time in four
+    lambda k: st.tuples(_COORD, _COORD, _COORD).map(lambda t: "%d,%d,%d" % t) if k
+    else st.sampled_from(["1,2", "a,b,c", "1,,2", "1,2,3,4", "", "1.5,0,0", "-"])
+)
+_SMALL = st.integers(-1, 2).map(str)
+_MISSING_DIR = str(pathlib.Path(__file__).parent / "no-such-fixtures")
+_GRAMMAR = {
+    "kpf": [("--alpha", _TRIPLE), ("--oracle", None), ("--json", None)],
+    "mult": [
+        ("--lam", _TRIPLE),
+        ("--mu", _TRIPLE),
+        ("--method", st.sampled_from(["direct", "cases", "both", "other"])),
+        ("--at-one", None),
+        ("--json", None),
+    ],
+    "altset": [("--lam", _TRIPLE), ("--mu", _TRIPLE), ("--json", None)],
+    "census sweep": [("--lam-max", _SMALL), ("--mu-max", _SMALL), ("--jobs", _SMALL), ("--json", None)],
+    "census verify": [
+        ("--fixtures", st.just(_MISSING_DIR)),
+        ("--lam-max", _SMALL),
+        ("--mu-max", _SMALL),
+        ("--jobs", _SMALL),
+        ("--json", None),
+    ],
+}
+_STRAY = st.sampled_from(["extra", "--bogus", "-x", "--", "1,2,3", "--lam", "--json"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    groups = [
+        [flag] if values is None else [flag, draw(values)]
+        for flag, values in _GRAMMAR[command]
+        if draw(st.integers(0, 3))  # present three times in four
+    ]
+    groups += [[tok] for tok in draw(st.lists(_STRAY, max_size=1))]
+    groups = draw(st.permutations(groups))
+    return command.split() + [tok for group in groups for tok in group]
+
+
+@given(_argv())
+@settings(max_examples=60, deadline=None)
+def test_cli_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

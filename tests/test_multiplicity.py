@@ -15,8 +15,10 @@ from sp6q.multiplicity import (
     TERM_SIGNS,
     TERMS,
     AlternationSet,
+    _CASE_MASKS,
     alternation_set,
     coefficient_profile,
+    field_mask,
     match_case,
     matching_cases,
     mult,
@@ -85,17 +87,17 @@ def test_sigma_coeffs_match_fixture_rows_numerically():
 def test_profile_worked_examples():
     # highest root against zero: exactly a, d, e, j, l are nonnegative
     p = coefficient_profile((2, 0, 0), (0, 0, 0))
-    nonneg = {f for f in PROFILE_FIELDS if p.value(f) >= 0}
+    nonneg = {f for f in PROFILE_FIELDS if getattr(p, f) >= 0}
     assert nonneg == {"a", "d", "e", "j", "l"}
     assert (p.a, p.d, p.e, p.j, p.l) == (2, 2, 1, F(1), F(0))
 
     p = coefficient_profile((0, 0, 0), (0, 0, 0))
-    nonneg = {f for f in PROFILE_FIELDS if p.value(f) >= 0}
+    nonneg = {f for f in PROFILE_FIELDS if getattr(p, f) >= 0}
     assert nonneg == {"a", "d", "j"}
     assert (p.a, p.d, p.j, p.b, p.c) == (0, 0, F(0), -1, -2)
 
     p = coefficient_profile((0, 0, 2), (1, 0, 1))
-    nonneg = {f for f in PROFILE_FIELDS if p.value(f) >= 0}
+    nonneg = {f for f in PROFILE_FIELDS if getattr(p, f) >= 0}
     assert nonneg == {"a", "d", "e", "j"}
     assert (p.a, p.e, p.d, p.j) == (0, 0, 1, F(1))
 
@@ -221,18 +223,49 @@ def test_sign_table_matches_group():
         assert TERM_SIGNS[term.letter] == (-1) ** weyl.length(el)
 
 
+def _mask_fields(mask):
+    return {f for i, f in enumerate(PROFILE_FIELDS) if mask >> i & 1}
+
+
 def test_case_table_shape():
     assert len(CASES) == 45
-    # every pattern constrains each of the fourteen variables at most once
-    for patterns, letters in CASES:
-        for pos, neg in patterns:
+    # every pattern constrains each of the fourteen variables at most once,
+    # and compiles to the (constrained, nonnegative) masks of its strings
+    assert [number for number, _letters, _masks in _CASE_MASKS] == list(range(1, 46))
+    for (patterns, letters), (_number, compiled_letters, masks) in zip(CASES, _CASE_MASKS):
+        assert (compiled_letters, len(masks)) == (letters, len(patterns))
+        for (pos, neg), (care, nonneg) in zip(patterns, masks):
             assert not (set(pos) & set(neg))
             assert set(pos) | set(neg) <= set(PROFILE_FIELDS)
+            assert (_mask_fields(nonneg), _mask_fields(care & ~nonneg)) == (set(pos), set(neg))
         assert set(letters) <= set(TERM_BY_LETTER)
     # the one case with alternative sign patterns carries four of them
     multi = [(i + 1, patterns, letters) for i, (patterns, letters) in enumerate(CASES) if len(patterns) > 1]
     assert multi == [(43, CASES[42][0], "AC")]
     assert len(CASES[42][0]) == 4
+
+
+def test_case_letters_follow_from_the_nonnegative_part():
+    # a term contributes iff its three variables are nonnegative, so every
+    # alternative pattern of a case yields exactly that case's letters
+    for patterns, letters in CASES:
+        for pos, _neg in patterns:
+            assert letters == "".join(t.letter for t in TERMS if set(t.fields) <= set(pos)), (pos, letters)
+
+
+def test_field_mask_and_signs():
+    assert field_mask("a") == 1 and field_mask("r") == 1 << 13
+    assert field_mask(PROFILE_FIELDS) == (1 << 14) - 1
+    assert field_mask("pr") == field_mask(["r", "p", "p"])
+    with pytest.raises(ValueError):
+        field_mask("k")
+    # half-integral variables included: odd-parity and non-dominant pairs
+    rng = random.Random(41)
+    for _ in range(200):
+        lam = tuple(rng.randint(-4, 6) for _ in range(3))
+        mu = tuple(rng.randint(-4, 6) for _ in range(3))
+        p = coefficient_profile(lam, mu)
+        assert _mask_fields(p.signs()) == {f for f in PROFILE_FIELDS if getattr(p, f) >= 0}
 
 
 def test_case_term_sets_are_the_nonempty_families():
