@@ -12,6 +12,9 @@ Two independent routes establish the same family of 46 sets:
 
   2. An empirical sweep of alternation sets over a box of weight pairs.
 
+Both routes read the same rule from multiplicity.covered_terms: the terms
+whose three variables all lie in a set of nonnegative variables.
+
 The shipped fixture files record the survivor families of each stage and
 a witness weight pair for every final set; verify_census diffs both
 routes against them.
@@ -31,10 +34,13 @@ import numpy as np
 
 from . import weyl
 from .multiplicity import (  # symbolic_sigma_rows is re-exported for callers of this module
+    LETTER_INDEX,
     PROFILE_FIELDS,
+    TERM_MASKS,
     TERMS,
     AlternationSet,
     alternation_set,
+    covered_terms,
     field_mask,
     sigma_table,
     symbolic_sigma_rows,
@@ -42,7 +48,6 @@ from .multiplicity import (  # symbolic_sigma_rows is re-exported for callers of
 from .root_system import WeightFW
 
 LETTERS = "".join(t.letter for t in TERMS)
-_LETTER_INDEX = {L: i for i, L in enumerate(LETTERS)}
 
 
 # Catalog of variable-sign combinations that no pair of dominant integral
@@ -136,7 +141,6 @@ _IMPLIES_BITS = {
     b: field_mask(x for r in CONTRADICTION_RULES if len(r) == 2 and (y, False) in r for x, isneg in r if isneg)
     for b, y in enumerate(PROFILE_FIELDS)
 }
-_TERM_MASKS = [field_mask(t.fields) for t in TERMS]
 
 
 def _bits(mask: int):
@@ -146,25 +150,22 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _forced_mask(subset: int) -> int:
-    forced = 0
-    for i in range(17):
-        if subset >> i & 1:
-            forced |= _TERM_MASKS[i]
-    return forced
+@lru_cache(maxsize=1)
+def _forced_table() -> tuple[int, ...]:
+    """field_mask of the variables each of the 2^17 subsets of TERMS forces nonnegative."""
+    forced = [0]
+    for term in TERM_MASKS:  # the subsets with this term: those before it, each with it added
+        forced += [f | term for f in forced]
+    return tuple(forced)
 
 
-def _needs_absent_term(subset: int, pool: int) -> bool:
-    for i in range(17):
-        if not subset >> i & 1 and _TERM_MASKS[i] & ~pool == 0:
-            return True
-    return False
-
+# In every stage a subset clashes when a term it leaves out has all three
+# variables in the pool known nonnegative: covered_terms()[pool] & ~subset.
 
 def _stage1_ok(subset: int) -> bool:
     # A direct clash: the members alone force every variable of an absent
     # term nonnegative, while its absence requires one of them negative.
-    return not _needs_absent_term(subset, _forced_mask(subset))
+    return not covered_terms()[_forced_table()[subset]] & ~subset
 
 
 @lru_cache(maxsize=None)
@@ -180,10 +181,10 @@ def _stage2_derived_mask(forced: int) -> int:
 def _stage2_ok(subset: int) -> bool:
     # Derived clash: variables forced nonnegative one implication step away
     # from the members cover an absent term; or p and r are both forced.
-    forced = _forced_mask(subset)
+    forced = _forced_table()[subset]
     if forced & _PR_MASK == _PR_MASK:
         return False
-    return not _needs_absent_term(subset, _stage2_derived_mask(forced))
+    return not covered_terms()[_stage2_derived_mask(forced)] & ~subset
 
 
 @lru_cache(maxsize=None)
@@ -203,11 +204,11 @@ def _closure_mask(forced: int) -> int:
 
 def _stage3_ok(subset: int) -> bool:
     # Full catalog closure of the forced set, hard clashes included.
-    forced = _closure_mask(_forced_mask(subset))
+    forced = _closure_mask(_forced_table()[subset])
     for clash in _HARD_BITS:
         if forced & clash == clash:
             return False
-    return not _needs_absent_term(subset, forced)
+    return not covered_terms()[forced] & ~subset
 
 
 def _mask_to_letters(subset: int) -> frozenset[str]:
@@ -215,7 +216,7 @@ def _mask_to_letters(subset: int) -> frozenset[str]:
 
 
 def letters_sort_key(letters: Iterable[str]) -> tuple:
-    idx = sorted(_LETTER_INDEX[L] for L in letters)
+    idx = sorted(LETTER_INDEX[L] for L in letters)
     return (len(idx), tuple(idx))
 
 
@@ -265,19 +266,9 @@ def type1_excluded() -> list[weyl.WeylElement]:
     ]
 
 
-def contributing_elements() -> list[weyl.WeylElement]:
-    """Complement of type1_excluded within the group (17 elements)."""
-    excluded = set(type1_excluded())
-    return [el for el in weyl.enumerate_group() if el not in excluded]
-
-
 # ---------------------------------------------------------------------------
 # Empirical sweep
 # ---------------------------------------------------------------------------
-
-# Position of each term's three profile variables among PROFILE_FIELDS.
-_TERM_FIELDS = np.array([[PROFILE_FIELDS.index(f) for f in t.fields] for t in TERMS])
-
 
 @dataclass(frozen=True)
 class SweepEntry:
@@ -286,7 +277,7 @@ class SweepEntry:
     mu: WeightFW
 
 
-def _sweep_one_m(m: int, lam_max: int, mu_max: int):
+def _sweep_one_m(m: int, lam_max: int, mu_max: int, covered: np.ndarray):
     axes = [np.arange(lam_max + 1)] * 2 + [np.arange(mu_max + 1)] * 3
     grid = np.meshgrid(*axes, indexing="ij")
     rest = np.stack([g.ravel() for g in grid], axis=1)  # (n, k, x, y, z)
@@ -300,9 +291,10 @@ def _sweep_one_m(m: int, lam_max: int, mu_max: int):
     table = sigma_table()
     rows = np.array([table.rows[r] for r in table.profile], dtype=np.int64)
     vals = vars6 @ rows[:, :6].T + rows[:, 6]  # doubled profile variables
-    nonneg = (vals >= 0) & (vals % 2 == 0)
-    member = nonneg[:, _TERM_FIELDS].all(axis=2)
-    masks = (member.astype(np.int64) << np.arange(17, dtype=np.int64)).sum(axis=1)
+    # Every value is even here, so its sign alone decides: a..i are
+    # integers for all pairs, and j..r exactly when m + k + x + z is even.
+    signs = (vals >= 0) @ (1 << np.arange(14, dtype=np.int64))  # field_mask of the nonnegative ones
+    masks = covered[signs]
     uniq, first = np.unique(masks, return_index=True)
     found = {}
     for u, i in zip(uniq, first):
@@ -326,11 +318,12 @@ def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[Swe
     jobs = jobs or os.cpu_count() or 1
     merged: dict[int, tuple] = {}
     ms = list(range(lam_max + 1))
+    covered = np.array(covered_terms(), dtype=np.int64)
     if jobs > 1 and len(ms) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda m: _sweep_one_m(m, lam_max, mu_max), ms))
+            parts = list(pool.map(lambda m: _sweep_one_m(m, lam_max, mu_max, covered), ms))
     else:
-        parts = [_sweep_one_m(m, lam_max, mu_max) for m in ms]
+        parts = [_sweep_one_m(m, lam_max, mu_max, covered) for m in ms]
     for part in parts:
         for mask, witness in part.items():
             if mask not in merged or witness < merged[mask]:

@@ -118,6 +118,8 @@ def _cmd_kpf(args) -> int:
 
 def _cmd_mult(args) -> int:
     lam, mu = WeightFW(*args.lam), WeightFW(*args.mu)
+    if args.method != "direct" and not (lam.is_dominant() and mu.is_dominant()):
+        _usage_error(f"--method {args.method} needs dominant --lam and --mu (the 45 cases hold only there)")
     results = {}
     if args.method in ("direct", "both"):
         results["direct"] = multiplicity.mult_q_direct(lam, mu)
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mult = sub.add_parser("mult", help="weight q-multiplicity m_q(lam, mu)")
     p_mult.add_argument("--lam", type=_parse_triple, required=True, metavar="m,n,k")
     p_mult.add_argument("--mu", type=_parse_triple, required=True, metavar="x,y,z")
-    p_mult.add_argument("--method", choices=("direct", "cases", "both"), default="direct")
+    p_mult.add_argument("--method", choices=("direct", "cases", "both"), default="direct", help="cases and both need dominant weights")
     p_mult.add_argument("--at-one", action="store_true", help="print the plain multiplicity")
     p_mult.add_argument("--json", action="store_true")
 

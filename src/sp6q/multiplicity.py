@@ -11,7 +11,10 @@ can ever contribute; their coefficient vectors are affine expressions in
 the six weight coordinates (m, n, k) and (x, y, z), captured here by the
 fourteen substitution variables a..i, j, l, o, p, r of CoefficientProfile.
 Every such expression, for all 48 elements, is a row of one table,
-sigma_table, derived once from the Weyl action.
+sigma_table, derived once from the Weyl action.  When m + k + x + z is
+even, each of the 17 terms contributes exactly when its three variables
+are nonnegative; covered_terms tabulates that rule once for every sign
+pattern.
 
 Two independent evaluation routes are implemented:
 
@@ -25,7 +28,8 @@ Freudenthal recursion over the weight system and shares no code with the
 partition-function path.
 
 A sign pattern over the profile variables has one form, field_mask: the
-case dispatch here and the contradiction catalog of census both use it.
+case dispatch here and the contradiction catalog, filter and sweep of
+census all use it.
 """
 
 from __future__ import annotations
@@ -82,6 +86,19 @@ TERMS: tuple[Term, ...] = (
 
 TERM_BY_LETTER = {t.letter: t for t in TERMS}
 TERM_SIGNS = {t.letter: (-1) ** len(t.word) for t in TERMS}
+LETTER_INDEX = {t.letter: i for i, t in enumerate(TERMS)}  # position in TERMS; bit i of a term mask
+TERM_MASKS = tuple(field_mask(t.fields) for t in TERMS)
+
+
+@lru_cache(maxsize=1)
+def covered_terms() -> tuple[int, ...]:
+    """Term mask of every sign pattern, built once.
+
+    Entry s, for a 14-bit field_mask s, has bit i set exactly when all
+    three variables of TERMS[i] lie in s: the terms that contribute when
+    the variables of s are the nonnegative ones.
+    """
+    return tuple(sum(1 << i for i, term in enumerate(TERM_MASKS) if s & term == term) for s in range(1 << 14))
 
 
 def _as_weight(w) -> WeightFW:
@@ -117,6 +134,8 @@ class SigmaTable(NamedTuple):
     elements: tuple[tuple[int, int, tuple[int, int, int]], ...]
     # row id of each profile variable, in PROFILE_FIELDS order
     profile: tuple[int, ...]
+    # canonical index of each TERMS element
+    terms: tuple[int, ...]
 
 
 @lru_cache(maxsize=1)
@@ -134,9 +153,10 @@ def sigma_table() -> SigmaTable:
             for i in range(3)
         )
         elements.append((idx, weyl.sign(el), ids))
+    terms = tuple(weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS)
     profile: dict[str, int] = {}
-    for term in TERMS:
-        _idx, _sign, ids = elements[weyl.canonical_index(weyl.evaluate_word(term.word))]
+    for term, idx in zip(TERMS, terms):
+        _idx, _sign, ids = elements[idx]
         for field, row in zip(term.fields, ids):
             if profile.setdefault(field, row) != row:
                 raise RuntimeError(f"profile variable {field} names two rows of the affine table")
@@ -146,7 +166,7 @@ def sigma_table() -> SigmaTable:
     diffs = [tuple(x - y for x, y in zip(rows[profile[u]], rows[profile[v]])) for u, v in ("ab", "ef", "de", "bc")]
     if diffs != [(2, 0, 0, 0, 0, 0, 2)] * 2 + [(0, 2, 0, 0, 0, 0, 2)] * 2:
         raise RuntimeError("profile rows violate a-b = e-f = m+1 or d-e = b-c = n+1")
-    return SigmaTable(rows, tuple(elements), tuple(profile[f] for f in PROFILE_FIELDS))
+    return SigmaTable(rows, tuple(elements), tuple(profile[f] for f in PROFILE_FIELDS), terms)
 
 
 @lru_cache(maxsize=1)
@@ -211,10 +231,7 @@ def coefficient_profile(lam, mu) -> CoefficientProfile:
     """Evaluate the fourteen variables exactly: the profile rows of sigma_table."""
     table = sigma_table()
     doubled = _doubled_rows(lam, mu, [table.rows[r] for r in table.profile])
-    return CoefficientProfile(**{
-        field: d // 2 if field in "abcdefghi" else Fraction(d, 2)
-        for field, d in zip(PROFILE_FIELDS, doubled)
-    })
+    return CoefficientProfile(*[d // 2 for d in doubled[:9]], *[Fraction(d, 2) for d in doubled[9:]])
 
 
 @dataclass(frozen=True)
@@ -225,7 +242,8 @@ class AlternationSet:
 
     @classmethod
     def from_letters(cls, letters: Iterable[str]) -> "AlternationSet":
-        return cls(frozenset(weyl.canonical_index(weyl.evaluate_word(TERM_BY_LETTER[L].word)) for L in letters))
+        terms = sigma_table().terms
+        return cls(frozenset(terms[LETTER_INDEX[L]] for L in letters))
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "AlternationSet":
@@ -403,7 +421,8 @@ def mult(lam, mu) -> int:
 # ---------------------------------------------------------------------------
 # Independent oracle: Freudenthal's recursion over the weight system.
 # Works entirely in ambient integer coordinates with the standard invariant
-# form (the dot product), sharing only the root list with the code above.
+# form (the dot product), with its own list of the positive roots; it
+# shares no code with the partition-function path above.
 # ---------------------------------------------------------------------------
 
 def _fw_to_eps(w: WeightFW) -> tuple[int, int, int]:

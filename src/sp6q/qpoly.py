@@ -65,10 +65,6 @@ class QPoly:
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data) -> "QPoly":
-        return cls(tuple(int(s) for s in data))
-
 
 def add_signed(p: QPoly, s: int, r: QPoly) -> QPoly:
     """p + s*r for s = +1 or -1."""

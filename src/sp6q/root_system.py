@@ -26,12 +26,6 @@ def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def rational_str(x: Fraction) -> str:
-    """Lowest-terms "p/q" form, plain "p" for integers."""
-    x = _rat(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class WeightFW:
     """A weight written in fundamental-weight coordinates m*w1 + n*w2 + k*w3."""
@@ -86,13 +80,6 @@ class AlphaVector:
     def __neg__(self) -> "AlphaVector":
         return AlphaVector(-self.c1, -self.c2, -self.c3)
 
-    def to_json(self) -> list[str]:
-        return [rational_str(c) for c in self.coeffs()]
-
-    @classmethod
-    def from_json(cls, data) -> "AlphaVector":
-        return cls(*(Fraction(s) for s in data))
-
 
 @dataclass(frozen=True)
 class EpsVector:
@@ -108,9 +95,6 @@ class EpsVector:
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.e1, self.e2, self.e3)
-
-    def to_json(self) -> list[str]:
-        return [rational_str(c) for c in self.coeffs()]
 
 
 def alpha(i: int) -> AlphaVector:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -10,7 +11,6 @@ from sp6q.census import (
     AlternationSet,
     _stage1_ok,
     _stage2_ok,
-    contributing_elements,
     filter_pipeline,
     letters_sort_key,
     load_family_fixture,
@@ -19,7 +19,7 @@ from sp6q.census import (
     type1_excluded,
     verify_census,
 )
-from sp6q.multiplicity import TERM_BY_LETTER, TERMS, alternation_set
+from sp6q.multiplicity import TERM_BY_LETTER, alternation_set
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -35,12 +35,6 @@ def test_type1_excludes_s1s2s3_not_identity():
     names = {weyl.name(el) for el in type1_excluded()}
     assert "s1*s2*s3" in names
     assert "1" not in names
-
-
-def test_contributing_complement():
-    contributing = contributing_elements()
-    assert len(contributing) == 17
-    assert [weyl.canonical_word(el) for el in contributing] == [t.word for t in TERMS]
 
 
 def test_term_conditions():
@@ -124,6 +118,18 @@ def test_sweep_matches_exact_membership_small_box():
     by_witness = {(e.lam.coeffs(), e.mu.coeffs()): e.altset for e in entries}
     for (lam, mu), aset in by_witness.items():
         assert alternation_set(lam, mu).indices == aset.indices
+
+
+def test_sweep_matches_brute_force_first_witnesses():
+    # every even-parity pair of [0,3]^6 in lexicographic (m, n, k, x, y, z)
+    # order: the sweep returns exactly the sets met, each with the first
+    # pair that produces it, in order of first appearance
+    first = {}
+    for v in itertools.product(range(4), repeat=6):
+        if (v[0] + v[2] + v[3] + v[5]) % 2 == 0:
+            first.setdefault(alternation_set(v[:3], v[3:]).indices, v)
+    got = [(e.altset.indices, e.lam.coeffs() + e.mu.coeffs()) for e in sweep_census(3, 3)]
+    assert got == list(first.items())
 
 
 def test_sweep_jobs_deterministic():

@@ -172,6 +172,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["census", "verify", "--fixtures", str(tmp_path / "missing")],
         ["census", "verify", "--fixtures", str(tmp_path)],
         ["census", "pipeline", "--out", str(tmp_path / "missing" / "x.json")],
+        ["mult", "--lam", "0,0,0", "--mu", "-4,-4,-4", "--method", "both"],
+        ["mult", "--lam", "0,0,0", "--mu", "-4,-4,-4", "--method", "cases"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sp6q import weyl
 from sp6q.multiplicity import (
     CASES,
+    LETTER_INDEX,
     PROFILE_FIELDS,
     TERM_BY_LETTER,
     TERM_SIGNS,
@@ -18,6 +19,7 @@ from sp6q.multiplicity import (
     _CASE_MASKS,
     alternation_set,
     coefficient_profile,
+    covered_terms,
     field_mask,
     match_case,
     matching_cases,
@@ -64,8 +66,8 @@ def test_sigma_table_shares_rows():
     table = sigma_table()
     assert len(table.rows) == 26
     assert len(set(table.profile)) == 14
-    term_indices = {weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS}
-    assert {r for idx, _sign, ids in table.elements if idx in term_indices for r in ids} == set(table.profile)
+    assert table.terms == tuple(weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS)
+    assert {r for idx, _sign, ids in table.elements if idx in table.terms for r in ids} == set(table.profile)
     assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
 
 
@@ -247,10 +249,14 @@ def test_case_table_shape():
 
 def test_case_letters_follow_from_the_nonnegative_part():
     # a term contributes iff its three variables are nonnegative, so every
-    # alternative pattern of a case yields exactly that case's letters
+    # alternative pattern of a case yields exactly that case's letters,
+    # and covered_terms maps the pattern to the same term mask
+    covered = covered_terms()
+    assert covered[0] == 0 and covered[field_mask(PROFILE_FIELDS)] == (1 << 17) - 1
     for patterns, letters in CASES:
         for pos, _neg in patterns:
             assert letters == "".join(t.letter for t in TERMS if set(t.fields) <= set(pos)), (pos, letters)
+            assert covered[field_mask(pos)] == sum(1 << LETTER_INDEX[L] for L in letters), (pos, letters)
 
 
 def test_field_mask_and_signs():

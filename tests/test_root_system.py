@@ -12,7 +12,6 @@ from sp6q.root_system import (
     eps_to_alpha,
     fw_to_alpha,
     positive_roots,
-    rational_str,
     rho_alpha,
 )
 
@@ -95,11 +94,3 @@ def test_integrality_iff_parity(w):
 def test_denominator_invariant():
     with pytest.raises(ValueError):
         AlphaVector(F(1, 3), F(0), F(0))
-
-
-def test_json_rational_form():
-    assert rho_alpha().to_json() == ["3", "5", "3"]
-    w3 = fw_to_alpha(WeightFW(0, 0, 1))
-    assert w3.to_json() == ["1", "2", "3/2"]
-    assert AlphaVector.from_json(["1", "2", "3/2"]) == w3
-    assert rational_str(F(-4, 2)) == "-2"
