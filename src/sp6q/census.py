@@ -26,7 +26,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import Iterable
 
@@ -277,30 +277,36 @@ class SweepEntry:
     mu: WeightFW
 
 
-def _sweep_one_m(m: int, lam_max: int, mu_max: int, covered: np.ndarray):
-    axes = [np.arange(lam_max + 1)] * 2 + [np.arange(mu_max + 1)] * 3
-    grid = np.meshgrid(*axes, indexing="ij")
-    rest = np.stack([g.ravel() for g in grid], axis=1)  # (n, k, x, y, z)
-    vars6 = np.concatenate(
-        [np.full((rest.shape[0], 1), m, dtype=np.int64), rest], axis=1
-    )
-    parity = (vars6[:, 0] + vars6[:, 2] + vars6[:, 3] + vars6[:, 5]) % 2 == 0
-    vars6 = vars6[parity]
-    if vars6.size == 0:
-        return {}
-    table = sigma_table()
-    rows = np.array([table.rows[r] for r in table.profile], dtype=np.int64)
-    vals = vars6 @ rows[:, :6].T + rows[:, 6]  # doubled profile variables
+# Peak bytes of one slice (one m) per point of its (n, k, x, y, z) grid,
+# rounded up from the 98 that tracemalloc measures on 10x10 and 20x3 boxes.
+SLICE_BYTES_PER_POINT = 13 * 8
+SWEEP_BUDGET_BYTES = 1 << 30  # for all slices held at once
+
+
+def check_sweep_box(lam_max: int, mu_max: int, jobs: int | None = None) -> int:
+    """Slices to run at once; ValueError for a negative bound, jobs below 1 or slices over the budget."""
+    if lam_max < 0 or mu_max < 0:
+        raise ValueError(f"sweep bounds must be nonnegative, got {lam_max} and {mu_max}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs or os.cpu_count() or 1, lam_max + 1)
+    need = workers * (lam_max + 1) ** 2 * (mu_max + 1) ** 3 * SLICE_BYTES_PER_POINT
+    if need > SWEEP_BUDGET_BYTES:
+        raise ValueError(f"a {lam_max}x{mu_max} sweep needs {need >> 20} MiB with {workers} slice(s) at once, "
+                         f"over the {SWEEP_BUDGET_BYTES >> 20} MiB budget")
+    return workers
+
+
+def _sweep_one_m(m: int, lam_max: int, mu_max: int, rows: np.ndarray, covered: np.ndarray):
+    grid = np.indices((lam_max + 1,) * 2 + (mu_max + 1,) * 3).reshape(5, -1)  # (n, k, x, y, z)
+    grid = grid[:, (m + grid[1] + grid[2] + grid[4]) % 2 == 0]
+    vals = rows[:, 1:6] @ grid  # doubled profile variables, one row each
+    vals += m * rows[:, :1] + rows[:, 6:]
     # Every value is even here, so its sign alone decides: a..i are
     # integers for all pairs, and j..r exactly when m + k + x + z is even.
-    signs = (vals >= 0) @ (1 << np.arange(14, dtype=np.int64))  # field_mask of the nonnegative ones
-    masks = covered[signs]
-    uniq, first = np.unique(masks, return_index=True)
-    found = {}
-    for u, i in zip(uniq, first):
-        v = vars6[i]
-        found[int(u)] = (int(v[0]), int(v[1]), int(v[2]), int(v[3]), int(v[4]), int(v[5]))
-    return found
+    signs = (1 << np.arange(14, dtype=np.uint16)) @ (vals >= 0)  # field_mask of the nonnegative ones
+    uniq, first = np.unique(covered[signs], return_index=True)
+    return {int(u): (m, *map(int, grid[:, i])) for u, i in zip(uniq, first)}
 
 
 def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[SweepEntry]:
@@ -311,29 +317,21 @@ def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[Swe
     witness (ordering (m, n, k, x, y, z)); entries are listed in order of
     first appearance.  Workers split the outer coordinate; merging keeps
     the lexicographically smallest witness, so the result is independent
-    of the worker count.
+    of the worker count.  check_sweep_box bounds the memory.
     """
-    if lam_max < 0 or mu_max < 0:
-        raise ValueError("sweep bounds must be nonnegative")
-    jobs = jobs or os.cpu_count() or 1
-    merged: dict[int, tuple] = {}
-    ms = list(range(lam_max + 1))
+    workers = check_sweep_box(lam_max, mu_max, jobs)
+    rows = np.array(sigma_table().profile_rows, dtype=np.int64)
     covered = np.array(covered_terms(), dtype=np.int64)
-    if jobs > 1 and len(ms) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda m: _sweep_one_m(m, lam_max, mu_max, covered), ms))
+    one_m = partial(_sweep_one_m, lam_max=lam_max, mu_max=mu_max, rows=rows, covered=covered)
+    if workers == 1:  # here: a worker thread's own malloc arena would hold a second peak
+        parts = [one_m(m) for m in range(lam_max + 1)]
     else:
-        parts = [_sweep_one_m(m, lam_max, mu_max, covered) for m in ms]
-    for part in parts:
-        for mask, witness in part.items():
-            if mask not in merged or witness < merged[mask]:
-                merged[mask] = witness
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(one_m, range(lam_max + 1)))
+    # slices are in order of m: taken last to first, each set keeps its smallest witness
+    merged = {mask: witness for part in reversed(parts) for mask, witness in part.items()}
     entries = [
-        SweepEntry(
-            AlternationSet.from_letters(_mask_to_letters(mask)),
-            WeightFW(*w[:3]),
-            WeightFW(*w[3:]),
-        )
+        SweepEntry(AlternationSet.from_letters(_mask_to_letters(mask)), WeightFW(*w[:3]), WeightFW(*w[3:]))
         for mask, w in merged.items()
     ]
     entries.sort(key=lambda e: (e.lam.coeffs(), e.mu.coeffs()))
@@ -444,10 +442,11 @@ def verify_census(
     (i) the filter pipeline's stage families against the three fixtures,
     (ii) every fixture witness pair against a recomputed alternation set,
     (iii) the sweep family against the final fixture and the pipeline.
-    Any mismatch is reported with the offending sets, never dropped.  All
-    four fixture files are read first, so a missing or malformed one
-    raises FixtureError before any pipeline or sweep work.
+    Any mismatch is reported with the offending sets, never dropped.  The
+    box (check_sweep_box) and all four fixture files are checked first,
+    so a bad one raises before any pipeline or sweep work.
     """
+    check_sweep_box(lam_max, mu_max, jobs)
     families = {stage: load_family_fixture(stage, fixtures_dir) for stage in ("stage1", "stage2", "final")}
     witnesses = load_witness_fixture(fixtures_dir)
     report = CensusReport()

@@ -55,10 +55,10 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _check_box(args):
-    if args.lam_max < 0 or args.mu_max < 0:
-        _usage_error(f"--lam-max and --mu-max must be nonnegative, got {args.lam_max} and {args.mu_max}")
-    if args.jobs is not None and args.jobs < 1:
-        _usage_error(f"--jobs must be at least 1, got {args.jobs}")
+    try:
+        census.check_sweep_box(args.lam_max, args.mu_max, args.jobs)
+    except ValueError as exc:
+        _usage_error(str(exc))
 
 
 def _canonical_json(obj) -> str:
@@ -93,7 +93,10 @@ def _emit_json(payload, out_path=None):
 
 
 def _cmd_kpf(args) -> int:
-    value = partition.kpf_q(*args.alpha)
+    try:
+        value = partition.kpf_q(*args.alpha)
+    except ValueError as exc:  # height above partition.KPF_MAX_HEIGHT
+        _usage_error(str(exc))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "kpf",
@@ -121,10 +124,13 @@ def _cmd_mult(args) -> int:
     if args.method != "direct" and not (lam.is_dominant() and mu.is_dominant()):
         _usage_error(f"--method {args.method} needs dominant --lam and --mu (the 45 cases hold only there)")
     results = {}
-    if args.method in ("direct", "both"):
-        results["direct"] = multiplicity.mult_q_direct(lam, mu)
-    if args.method in ("cases", "both"):
-        results["cases"] = multiplicity.mult_q_cases(lam, mu)
+    try:
+        if args.method in ("direct", "both"):
+            results["direct"] = multiplicity.mult_q_direct(lam, mu)
+        if args.method in ("cases", "both"):
+            results["cases"] = multiplicity.mult_q_cases(lam, mu)
+    except ValueError as exc:  # a term above partition.KPF_MAX_HEIGHT
+        _usage_error(str(exc))
     shown = results.get("direct", results.get("cases"))
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -259,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
         "and weight q-multiplicities for sp6(C).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs_help = f"worker count (default: all cores); refused if its slices need over {census.SWEEP_BUDGET_BYTES >> 20} MiB"
 
     p_kpf = sub.add_parser("kpf", help="q-partition function of m*a1 + n*a2 + k*a3")
-    p_kpf.add_argument("--alpha", type=_parse_triple, required=True, metavar="m,n,k")
+    p_kpf.add_argument("--alpha", type=_parse_triple, required=True, metavar="m,n,k", help=f"m+n+k at most {partition.KPF_MAX_HEIGHT}")
     p_kpf.add_argument("--oracle", action="store_true", help="also run the brute-force oracle and compare")
     p_kpf.add_argument("--json", action="store_true")
 
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = csub.add_parser("sweep", help="enumerate alternation sets over a weight box")
     p_sweep.add_argument("--lam-max", type=int, required=True)
     p_sweep.add_argument("--mu-max", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=None, help="worker count (default: all cores)")
+    p_sweep.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p_sweep.add_argument("--out", metavar="FILE.json")
     p_sweep.add_argument("--json", action="store_true")
 
@@ -297,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"fixture directory (default: packaged data, or ${census.FIXTURE_ENV_VAR})")
     p_verify.add_argument("--lam-max", type=int, default=10)
     p_verify.add_argument("--mu-max", type=int, default=10)
-    p_verify.add_argument("--jobs", type=int, default=None)
+    p_verify.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p_verify.add_argument("--out", metavar="FILE.json")
     p_verify.add_argument("--json", action="store_true")
 

@@ -9,7 +9,8 @@ and the Weyl alternation set A(lam, mu) collects the sigma whose term is
 nonzero.  For dominant integral weights only 17 of the 48 group elements
 can ever contribute; their coefficient vectors are affine expressions in
 the six weight coordinates (m, n, k) and (x, y, z), captured here by the
-fourteen substitution variables a..i, j, l, o, p, r of CoefficientProfile.
+fourteen substitution variables a..i, j, l, o, p, r of CoefficientProfile,
+held doubled so that every value is an integer.
 Every such expression, for all 48 elements, is a row of one table,
 sigma_table, derived once from the Weyl action.  When m + k + x + z is
 even, each of the 17 terms contributes exactly when its three variables
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from . import weyl
@@ -46,7 +46,6 @@ from .qpoly import QPoly, add_signed, eval_at_one
 from .root_system import AlphaVector, WeightFW, fw_to_alpha, rho_alpha
 
 PROFILE_FIELDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "l", "o", "p", "r")
-_profile_values = attrgetter(*PROFILE_FIELDS)
 
 
 def field_mask(fields: Iterable[str]) -> int:
@@ -84,8 +83,6 @@ TERMS: tuple[Term, ...] = (
     Term("Q", (3, 2, 3, 2), ("a", "i", "r")),
 )
 
-TERM_BY_LETTER = {t.letter: t for t in TERMS}
-TERM_SIGNS = {t.letter: (-1) ** len(t.word) for t in TERMS}
 LETTER_INDEX = {t.letter: i for i, t in enumerate(TERMS)}  # position in TERMS; bit i of a term mask
 TERM_MASKS = tuple(field_mask(t.fields) for t in TERMS)
 
@@ -136,6 +133,8 @@ class SigmaTable(NamedTuple):
     profile: tuple[int, ...]
     # canonical index of each TERMS element
     terms: tuple[int, ...]
+    # the rows of the profile variables, read by coefficient_profile and the sweep
+    profile_rows: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=1)
@@ -166,7 +165,8 @@ def sigma_table() -> SigmaTable:
     diffs = [tuple(x - y for x, y in zip(rows[profile[u]], rows[profile[v]])) for u, v in ("ab", "ef", "de", "bc")]
     if diffs != [(2, 0, 0, 0, 0, 0, 2)] * 2 + [(0, 2, 0, 0, 0, 0, 2)] * 2:
         raise RuntimeError("profile rows violate a-b = e-f = m+1 or d-e = b-c = n+1")
-    return SigmaTable(rows, tuple(elements), tuple(profile[f] for f in PROFILE_FIELDS), terms)
+    ids = tuple(profile[f] for f in PROFILE_FIELDS)
+    return SigmaTable(rows, tuple(elements), ids, terms, tuple(rows[r] for r in ids))
 
 
 @lru_cache(maxsize=1)
@@ -196,42 +196,23 @@ def _doubled_rows(lam, mu, rows) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class CoefficientProfile:
-    """The fourteen substitution variables evaluated at a weight pair.
+class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELDS])):
+    """The fourteen substitution variables a..r at a weight pair, doubled to integers.
 
-    a..i are integers for any integer inputs; j, l, o, p, r are
-    half-integers, integral exactly when m + k + x + z is even.
+    a..i are even; j, l, o, p, r are even exactly when m + k + x + z is even.
+    A term's kpf_q argument is its three values halved.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
-    g: int
-    h: int
-    i: int
-    j: Fraction
-    l: Fraction
-    o: Fraction
-    p: Fraction
-    r: Fraction
+    __slots__ = ()
 
     def signs(self) -> int:
-        """field_mask of the variables that are >= 0 (a Fraction's denominator is positive)."""
-        return sum(1 << i for i, v in enumerate(_profile_values(self)) if v.numerator >= 0)
-
-    def triple(self, term: Term) -> tuple:
-        return tuple(getattr(self, f) for f in term.fields)
+        """field_mask of the variables that are >= 0."""
+        return sum(1 << i for i, v in enumerate(self) if v >= 0)
 
 
 def coefficient_profile(lam, mu) -> CoefficientProfile:
-    """Evaluate the fourteen variables exactly: the profile rows of sigma_table."""
-    table = sigma_table()
-    doubled = _doubled_rows(lam, mu, [table.rows[r] for r in table.profile])
-    return CoefficientProfile(*[d // 2 for d in doubled[:9]], *[Fraction(d, 2) for d in doubled[9:]])
+    """The profile rows of sigma_table evaluated at the pair, unhalved."""
+    return CoefficientProfile._make(_doubled_rows(lam, mu, sigma_table().profile_rows))
 
 
 @dataclass(frozen=True)
@@ -366,6 +347,9 @@ CASES: tuple[tuple[tuple[tuple[str, str], ...], str], ...] = (
 
 OTHERWISE_CASE = len(CASES) + 1  # dispatch number reported when nothing matches
 
+# letter -> (sign, profile positions of its three variables), per term
+_TERM_SLOTS = {t.letter: ((-1) ** len(t.word), tuple(map(PROFILE_FIELDS.index, t.fields))) for t in TERMS}
+
 # (number, letters, ((constrained mask, nonnegative mask), ...)) per case
 _CASE_MASKS = tuple(
     (number, letters, tuple((field_mask(pos + neg), field_mask(pos)) for pos, neg in patterns))
@@ -407,9 +391,9 @@ def mult_q_cases(lam, mu) -> QPoly:
     _number, letters = match_case(profile)
     out = QPoly()
     for letter in letters:
-        term = TERM_BY_LETTER[letter]
-        triple = tuple(int(v) for v in profile.triple(term))
-        out = add_signed(out, TERM_SIGNS[letter], kpf_q(*triple))
+        sign, (u, v, w) = _TERM_SLOTS[letter]
+        # even under the parity condition, so halving is exact
+        out = add_signed(out, sign, kpf_q(profile[u] >> 1, profile[v] >> 1, profile[w] >> 1))
     return out
 
 

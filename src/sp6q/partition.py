@@ -32,6 +32,11 @@ from .root_system import _POSITIVE_ROOTS
 
 AlphaTriple = tuple[int, int, int]
 
+# Largest m+n+k kpf_q accepts; its time grows as the fourth power.  Above
+# 660, the identity term of m_q((60,60,60), 0); the slowest vectors of this
+# height, such as (210, 315, 175), take about 21 s on a 2-core host.
+KPF_MAX_HEIGHT = 700
+
 
 def _check_int(*vals):
     # bool is a subclass of int, but True is not a coordinate
@@ -57,12 +62,15 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     Values are memoized; the alternating sums evaluate the same small
     vectors over and over.  Arguments must be Python ints: bool and numpy
     integers are rejected, since with typed=True an np.int64 key would
-    be a separate cache entry for the same vector.
+    be a separate cache entry for the same vector.  A nonnegative vector
+    with m+n+k above KPF_MAX_HEIGHT raises ValueError.
     """
     _check_int(m, n, k)
     if m < 0 or n < 0 or k < 0:
         return QPoly()
     total = m + n + k
+    if total > KPF_MAX_HEIGHT:
+        raise ValueError(f"kpf_q height m+n+k = {total} exceeds the bound {KPF_MAX_HEIGHT}")
     # second-order and first-order differences of the coefficients
     diff2 = [0] * (total + 3)
     diff1 = [0] * (total + 1)

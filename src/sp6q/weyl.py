@@ -136,8 +136,9 @@ def name(s: WeylElement) -> str:
     return "*".join(f"s{i}" for i in w) if w else "1"
 
 
+@lru_cache(maxsize=1024)
 def element_from_name(text: str) -> WeylElement:
-    """Inverse of name(); accepts any word in the s1/s2/s3 alphabet."""
+    """Inverse of name(); accepts any word in the s1/s2/s3 alphabet (memoized for fixtures)."""
     text = text.strip()
     if text == "1":
         return IDENTITY

@@ -1,14 +1,21 @@
 import itertools
 import json
+import os
 import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from sp6q import weyl
 from sp6q.census import (
     CONTRADICTION_RULES,
     LETTERS,
+    SLICE_BYTES_PER_POINT,
+    SWEEP_BUDGET_BYTES,
     AlternationSet,
+    _sweep_one_m,
+    check_sweep_box,
     _stage1_ok,
     _stage2_ok,
     filter_pipeline,
@@ -19,7 +26,7 @@ from sp6q.census import (
     type1_excluded,
     verify_census,
 )
-from sp6q.multiplicity import TERM_BY_LETTER, alternation_set
+from sp6q.multiplicity import LETTER_INDEX, TERMS, alternation_set, covered_terms, sigma_table
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -39,9 +46,9 @@ def test_type1_excludes_s1s2s3_not_identity():
 
 def test_term_conditions():
     # a term contributes iff all three of its profile variables are nonnegative
-    assert TERM_BY_LETTER["A"].fields == ("a", "d", "j")
-    assert TERM_BY_LETTER["Q"].fields == ("a", "i", "r")
-    assert TERM_BY_LETTER["M"].fields == ("b", "f", "p")
+    assert TERMS[LETTER_INDEX["A"]].fields == ("a", "d", "j")
+    assert TERMS[LETTER_INDEX["Q"]].fields == ("a", "i", "r")
+    assert TERMS[LETTER_INDEX["M"]].fields == ("b", "f", "p")
 
 
 def test_predicate_catalog():
@@ -120,16 +127,49 @@ def test_sweep_matches_exact_membership_small_box():
         assert alternation_set(lam, mu).indices == aset.indices
 
 
-def test_sweep_matches_brute_force_first_witnesses():
-    # every even-parity pair of [0,3]^6 in lexicographic (m, n, k, x, y, z)
+@pytest.mark.parametrize("lam_max, mu_max", [(3, 3), (2, 4), (4, 1)])
+def test_sweep_matches_brute_force_first_witnesses(lam_max, mu_max):
+    # every even-parity pair of the box in lexicographic (m, n, k, x, y, z)
     # order: the sweep returns exactly the sets met, each with the first
     # pair that produces it, in order of first appearance
     first = {}
-    for v in itertools.product(range(4), repeat=6):
+    for v in itertools.product(*[range(lam_max + 1)] * 3, *[range(mu_max + 1)] * 3):
         if (v[0] + v[2] + v[3] + v[5]) % 2 == 0:
             first.setdefault(alternation_set(v[:3], v[3:]).indices, v)
-    got = [(e.altset.indices, e.lam.coeffs() + e.mu.coeffs()) for e in sweep_census(3, 3)]
+    got = [(e.altset.indices, e.lam.coeffs() + e.mu.coeffs()) for e in sweep_census(lam_max, mu_max)]
     assert got == list(first.items())
+
+
+def test_sweep_slice_stays_within_its_estimate():
+    # numpy reports its buffers to tracemalloc, so the traced peak of one
+    # slice is what the budget check must bound
+    rows = np.array(sigma_table().profile_rows, dtype=np.int64)
+    covered = np.array(covered_terms(), dtype=np.int64)
+    for lam_max, mu_max in ((6, 6), (9, 3), (2, 8)):
+        tracemalloc.start()
+        try:
+            _sweep_one_m(1, lam_max, mu_max, rows, covered)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (lam_max + 1) ** 2 * (mu_max + 1) ** 3 * SLICE_BYTES_PER_POINT, (lam_max, mu_max, peak)
+
+
+def test_sweep_box_budget():
+    # every box the suite, the benchmark and the documented baselines run
+    # is accepted; a box past the budget is refused before any work
+    # (jobs default to all cores and are capped by the number of slices)
+    assert check_sweep_box(10, 10) == min(os.cpu_count() or 1, 11)
+    assert check_sweep_box(10, 10, 64) == 11 and check_sweep_box(0, 0) == 1
+    assert check_sweep_box(20, 20, 1) == 1 and check_sweep_box(20, 20, 2) == 2
+    assert 41**5 * SLICE_BYTES_PER_POINT > SWEEP_BUDGET_BYTES
+    for lam_max, mu_max, jobs in ((1000, 1000, 1), (40, 40, 1), (-1, 0, 1), (2, 2, 0)):
+        with pytest.raises(ValueError):
+            check_sweep_box(lam_max, mu_max, jobs)
+        with pytest.raises(ValueError):
+            sweep_census(lam_max, mu_max, jobs=jobs)
+        with pytest.raises(ValueError):
+            verify_census(lam_max=lam_max, mu_max=mu_max, jobs=jobs)
 
 
 def test_sweep_jobs_deterministic():

@@ -174,6 +174,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["census", "pipeline", "--out", str(tmp_path / "missing" / "x.json")],
         ["mult", "--lam", "0,0,0", "--mu", "-4,-4,-4", "--method", "both"],
         ["mult", "--lam", "0,0,0", "--mu", "-4,-4,-4", "--method", "cases"],
+        # above the kpf_q height bound and the sweep memory budget
+        ["kpf", "--alpha", "99999999999999999999999,0,0"],
+        ["mult", "--lam", "99999999999999999999998,0,0", "--mu", "0,0,0"],
+        ["census", "sweep", "--lam-max", "1000", "--mu-max", "1000"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -195,12 +199,16 @@ def test_verify_reads_fixtures_before_pipeline(monkeypatch, capsys, tmp_path):
 
 # A small argv grammar: each command with its flags, every flag usually
 # present with a drawn value, plus at most one stray token, in any order.
-_COORD = st.integers(-6, 25)
+# Now and then a coordinate or a box bound is far above what kpf_q or
+# the sweep budget accepts.
+_HUGE = 10**23
+_COORD = st.integers(-6, 26).map(lambda v: _HUGE if v == 26 else v)
 _TRIPLE = st.integers(0, 3).flatmap(  # malformed one time in four
     lambda k: st.tuples(_COORD, _COORD, _COORD).map(lambda t: "%d,%d,%d" % t) if k
     else st.sampled_from(["1,2", "a,b,c", "1,,2", "1,2,3,4", "", "1.5,0,0", "-"])
 )
 _SMALL = st.integers(-1, 2).map(str)
+_BOUND = st.integers(-1, 3).map(lambda v: str(_HUGE if v == 3 else v))
 _MISSING_DIR = str(pathlib.Path(__file__).parent / "no-such-fixtures")
 _GRAMMAR = {
     "kpf": [("--alpha", _TRIPLE), ("--oracle", None), ("--json", None)],
@@ -212,11 +220,11 @@ _GRAMMAR = {
         ("--json", None),
     ],
     "altset": [("--lam", _TRIPLE), ("--mu", _TRIPLE), ("--json", None)],
-    "census sweep": [("--lam-max", _SMALL), ("--mu-max", _SMALL), ("--jobs", _SMALL), ("--json", None)],
+    "census sweep": [("--lam-max", _BOUND), ("--mu-max", _BOUND), ("--jobs", _SMALL), ("--json", None)],
     "census verify": [
         ("--fixtures", st.just(_MISSING_DIR)),
-        ("--lam-max", _SMALL),
-        ("--mu-max", _SMALL),
+        ("--lam-max", _BOUND),
+        ("--mu-max", _BOUND),
         ("--jobs", _SMALL),
         ("--json", None),
     ],

@@ -12,11 +12,10 @@ from sp6q.multiplicity import (
     CASES,
     LETTER_INDEX,
     PROFILE_FIELDS,
-    TERM_BY_LETTER,
-    TERM_SIGNS,
     TERMS,
     AlternationSet,
     _CASE_MASKS,
+    _TERM_SLOTS,
     alternation_set,
     coefficient_profile,
     covered_terms,
@@ -66,6 +65,7 @@ def test_sigma_table_shares_rows():
     table = sigma_table()
     assert len(table.rows) == 26
     assert len(set(table.profile)) == 14
+    assert table.profile_rows == tuple(table.rows[r] for r in table.profile)
     assert table.terms == tuple(weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS)
     assert {r for idx, _sign, ids in table.elements if idx in table.terms for r in ids} == set(table.profile)
     assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
@@ -87,32 +87,41 @@ def test_sigma_coeffs_match_fixture_rows_numerically():
 
 
 def test_profile_worked_examples():
+    # values are doubled: twice each substitution variable
     # highest root against zero: exactly a, d, e, j, l are nonnegative
     p = coefficient_profile((2, 0, 0), (0, 0, 0))
     nonneg = {f for f in PROFILE_FIELDS if getattr(p, f) >= 0}
     assert nonneg == {"a", "d", "e", "j", "l"}
-    assert (p.a, p.d, p.e, p.j, p.l) == (2, 2, 1, F(1), F(0))
+    assert (p.a, p.d, p.e, p.j, p.l) == (4, 4, 2, 2, 0)
 
     p = coefficient_profile((0, 0, 0), (0, 0, 0))
     nonneg = {f for f in PROFILE_FIELDS if getattr(p, f) >= 0}
     assert nonneg == {"a", "d", "j"}
-    assert (p.a, p.d, p.j, p.b, p.c) == (0, 0, F(0), -1, -2)
+    assert (p.a, p.d, p.j, p.b, p.c) == (0, 0, 0, -2, -4)
 
     p = coefficient_profile((0, 0, 2), (1, 0, 1))
     nonneg = {f for f in PROFILE_FIELDS if getattr(p, f) >= 0}
     assert nonneg == {"a", "d", "e", "j"}
-    assert (p.a, p.e, p.d, p.j) == (0, 0, 1, F(1))
+    assert (p.a, p.e, p.d, p.j) == (0, 0, 2, 2)
+    assert all(type(v) is int for v in p)
+
+    # odd parity: j, l, o, p, r are odd, a..i stay even
+    p = coefficient_profile((1, 0, 0), (0, 0, 0))
+    assert [v % 2 for v in p] == [0] * 9 + [1] * 5
 
 
 def test_profile_triples_equal_sigma_coeffs():
+    # each term's three profile values are twice its coefficient vector,
+    # for pairs of either sign and either parity
     rng = random.Random(3)
-    for _ in range(20):
-        lam = WeightFW(*(rng.randint(0, 7) for _ in range(3)))
-        mu = WeightFW(*(rng.randint(0, 7) for _ in range(3)))
+    for _ in range(60):
+        lam = WeightFW(*(rng.randint(-4, 7) for _ in range(3)))
+        mu = WeightFW(*(rng.randint(-4, 7) for _ in range(3)))
         profile = coefficient_profile(lam, mu)
         for term in TERMS:
             el = weyl.evaluate_word(term.word)
-            assert tuple(F(v) for v in profile.triple(term)) == sigma_coeffs(el, lam, mu).coeffs()
+            doubled = tuple(2 * c for c in sigma_coeffs(el, lam, mu).coeffs())
+            assert tuple(getattr(profile, f) for f in term.fields) == doubled, (lam, mu, term.letter)
 
 
 def test_alternation_set_examples():
@@ -219,10 +228,15 @@ def test_parity_biconditional_on_action():
 
 
 def test_sign_table_matches_group():
+    # the dispatch reads each term's sign and the profile positions of its
+    # three variables from one table
+    assert list(_TERM_SLOTS) == [t.letter for t in TERMS]
     for term in TERMS:
         el = weyl.evaluate_word(term.word)
-        assert TERM_SIGNS[term.letter] == weyl.sign(el)
-        assert TERM_SIGNS[term.letter] == (-1) ** weyl.length(el)
+        sign, positions = _TERM_SLOTS[term.letter]
+        assert sign == weyl.sign(el) == (-1) ** weyl.length(el)
+        assert tuple(PROFILE_FIELDS[i] for i in positions) == term.fields
+        assert TERMS[LETTER_INDEX[term.letter]] == term
 
 
 def _mask_fields(mask):
@@ -240,7 +254,7 @@ def test_case_table_shape():
             assert not (set(pos) & set(neg))
             assert set(pos) | set(neg) <= set(PROFILE_FIELDS)
             assert (_mask_fields(nonneg), _mask_fields(care & ~nonneg)) == (set(pos), set(neg))
-        assert set(letters) <= set(TERM_BY_LETTER)
+        assert set(letters) <= set(LETTER_INDEX)
     # the one case with alternative sign patterns carries four of them
     multi = [(i + 1, patterns, letters) for i, (patterns, letters) in enumerate(CASES) if len(patterns) > 1]
     assert multi == [(43, CASES[42][0], "AC")]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sp6q.partition import kpf, kpf_q, kpf_q_oracle
+from sp6q.partition import KPF_MAX_HEIGHT, kpf, kpf_q, kpf_q_oracle
 from sp6q.qpoly import QPoly, eval_at_one
 from sp6q.root_system import _POSITIVE_ROOTS
 
@@ -47,6 +47,17 @@ def test_rejects_non_integers():
         for fn in (kpf_q, kpf_q_oracle):
             with pytest.raises(TypeError):
                 fn(bad, 0, 0)
+
+
+def test_height_bound():
+    # the bound admits the identity term of m_q((60,60,60), 0), height 660;
+    # above it a nonnegative vector is refused, a negative one is still zero
+    assert KPF_MAX_HEIGHT >= 660
+    assert kpf_q(KPF_MAX_HEIGHT, 0, 0) == QPoly((0,) * KPF_MAX_HEIGHT + (1,))
+    for bad in ((KPF_MAX_HEIGHT + 1, 0, 0), (0, 10**23, 0)):
+        with pytest.raises(ValueError):
+            kpf_q(*bad)
+    assert kpf_q(10**23, -1, 0) == QPoly()
 
 
 def test_oracle_equivalence_small_box():
