@@ -25,9 +25,11 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
+from itertools import islice
+from math import isqrt
 from typing import Iterable
 
 import numpy as np
@@ -241,9 +243,7 @@ def filter_pipeline() -> PipelineResult:
     final = [s for s in stage2 if _stage3_ok(s)]
 
     def as_letter_sets(masks):
-        out = [_mask_to_letters(m) for m in masks]
-        out.sort(key=letters_sort_key)
-        return out
+        return sorted(map(_mask_to_letters, masks), key=letters_sort_key)
 
     return PipelineResult(as_letter_sets(stage1), as_letter_sets(stage2), as_letter_sets(final))
 
@@ -277,36 +277,63 @@ class SweepEntry:
     mu: WeightFW
 
 
-# Peak bytes of one slice (one m) per point of its (n, k, x, y, z) grid,
-# rounded up from the 98 that tracemalloc measures on 10x10 and 20x3 boxes.
-SLICE_BYTES_PER_POINT = 13 * 8
-SWEEP_BUDGET_BYTES = 1 << 30  # for all slices held at once
+# Pairs in one block; every sweep array is sized by this, never by the box.
+SWEEP_BLOCK_PAIRS = 1 << 18
+# Most (lam, mu) pairs of either parity in a box, a bound on the time: 20x20
+# has 21^6, about 8.6e7, and 30x30 about 8.9e8; 40x40 is refused.
+SWEEP_MAX_PAIRS = 10**9
+
+
+def _blocks(lam_max: int, mu_max: int):
+    """Blocks (lam start, lam stop, mu start, mu stop) of lexicographic triple indices, one at a time:
+    square, or where a side of the box is short, that side whole and the other up to 16 square sides."""
+    n_lam, n_mu = (lam_max + 1) ** 3, (mu_max + 1) ** 3
+    side = isqrt(SWEEP_BLOCK_PAIRS)
+    mu_step = min(n_mu, 16 * side, max(side, SWEEP_BLOCK_PAIRS // n_lam))
+    lam_step = min(16 * side, SWEEP_BLOCK_PAIRS // mu_step)
+    for l in range(0, n_lam, lam_step):
+        for u in range(0, n_mu, mu_step):
+            yield l, min(l + lam_step, n_lam), u, min(u + mu_step, n_mu)
 
 
 def check_sweep_box(lam_max: int, mu_max: int, jobs: int | None = None) -> int:
-    """Slices to run at once; ValueError for a negative bound, jobs below 1 or slices over the budget."""
+    """Threads to run; ValueError for a negative bound, jobs below 1 or a box over SWEEP_MAX_PAIRS."""
     if lam_max < 0 or mu_max < 0:
         raise ValueError(f"sweep bounds must be nonnegative, got {lam_max} and {mu_max}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs or os.cpu_count() or 1, lam_max + 1)
-    need = workers * (lam_max + 1) ** 2 * (mu_max + 1) ** 3 * SLICE_BYTES_PER_POINT
-    if need > SWEEP_BUDGET_BYTES:
-        raise ValueError(f"a {lam_max}x{mu_max} sweep needs {need >> 20} MiB with {workers} slice(s) at once, "
-                         f"over the {SWEEP_BUDGET_BYTES >> 20} MiB budget")
-    return workers
+    pairs = (lam_max + 1) ** 3 * (mu_max + 1) ** 3
+    if pairs > SWEEP_MAX_PAIRS:
+        raise ValueError(f"a {lam_max}x{mu_max} sweep has {pairs:.2e} pairs, over the bound of {SWEEP_MAX_PAIRS:.0e}")
+    cores = os.cpu_count() or 1
+    blocks = len(list(islice(_blocks(lam_max, mu_max), cores)))  # counted up to the cores
+    return min(jobs or cores, blocks)
 
 
-def _sweep_one_m(m: int, lam_max: int, mu_max: int, rows: np.ndarray, covered: np.ndarray):
-    grid = np.indices((lam_max + 1,) * 2 + (mu_max + 1,) * 3).reshape(5, -1)  # (n, k, x, y, z)
-    grid = grid[:, (m + grid[1] + grid[2] + grid[4]) % 2 == 0]
-    vals = rows[:, 1:6] @ grid  # doubled profile variables, one row each
-    vals += m * rows[:, :1] + rows[:, 6:]
-    # Every value is even here, so its sign alone decides: a..i are
-    # integers for all pairs, and j..r exactly when m + k + x + z is even.
-    signs = (1 << np.arange(14, dtype=np.uint16)) @ (vals >= 0)  # field_mask of the nonnegative ones
-    uniq, first = np.unique(covered[signs], return_index=True)
-    return {int(u): (m, *map(int, grid[:, i])) for u, i in zip(uniq, first)}
+def _sweep_share(share: int, workers: int, lam_max: int, mu_max: int, rows: np.ndarray) -> dict:
+    """Term mask -> first witness (m, n, k, x, y, z) over blocks share, share + workers, ... of the box."""
+    best = {}
+    for l0, l1, u0, u1 in islice(_blocks(lam_max, mu_max), share, None, workers):
+        lam = np.array(np.unravel_index(np.arange(l0, l1), (lam_max + 1,) * 3))  # columns (m, n, k)
+        mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
+        # a doubled profile variable is its lam part (with the constant) plus its mu part
+        neg_lam = -(rows[:, :3] @ lam + rows[:, 6:])
+        mu_part = rows[:, 3:6] @ mu
+        # m + k and x + z of one parity: every value is then even, so its sign alone decides
+        for parity in (0, 1):
+            li = np.flatnonzero((lam[0] + lam[2]) % 2 == parity)
+            mi = np.flatnonzero((mu[0] + mu[2]) % 2 == parity)
+            signs = np.zeros((len(li), len(mi)), np.uint16)  # field_mask of the nonnegative variables
+            for f in reversed(range(14)):
+                signs <<= 1
+                signs |= mu_part[f, mi] >= neg_lam[f, li, None]
+            uniq, first = np.unique(signs, return_index=True)
+            for s, i in zip(uniq.tolist(), first.tolist()):
+                a, b = divmod(i, len(mi))
+                terms = covered_terms()[s]
+                witness = (*lam[:, li[a]].tolist(), *mu[:, mi[b]].tolist())
+                best[terms] = min(best.get(terms, witness), witness)
+    return best
 
 
 def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[SweepEntry]:
@@ -315,27 +342,23 @@ def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[Swe
 
     Returns each distinct set once, with its lexicographically first
     witness (ordering (m, n, k, x, y, z)); entries are listed in order of
-    first appearance.  Workers split the outer coordinate; merging keeps
-    the lexicographically smallest witness, so the result is independent
-    of the worker count.  check_sweep_box bounds the memory.
+    first appearance.  Each worker takes every workers-th block of the box;
+    merging keeps the smallest witness, so the result does not depend on
+    the blocks or the workers.  check_sweep_box bounds the box and workers.
     """
     workers = check_sweep_box(lam_max, mu_max, jobs)
     rows = np.array(sigma_table().profile_rows, dtype=np.int64)
-    covered = np.array(covered_terms(), dtype=np.int64)
-    one_m = partial(_sweep_one_m, lam_max=lam_max, mu_max=mu_max, rows=rows, covered=covered)
-    if workers == 1:  # here: a worker thread's own malloc arena would hold a second peak
-        parts = [one_m(m) for m in range(lam_max + 1)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_m, range(lam_max + 1)))
-    # slices are in order of m: taken last to first, each set keeps its smallest witness
-    merged = {mask: witness for part in reversed(parts) for mask, witness in part.items()}
-    entries = [
-        SweepEntry(AlternationSet.from_letters(_mask_to_letters(mask)), WeightFW(*w[:3]), WeightFW(*w[3:]))
-        for mask, w in merged.items()
+    one_share = partial(_sweep_share, workers=workers, lam_max=lam_max, mu_max=mu_max, rows=rows)
+    best: dict[int, tuple[int, ...]] = {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # one worker runs here: a worker thread's own malloc arena would hold a second peak
+        for share in (map if workers == 1 else pool.map)(one_share, range(workers)):
+            for terms, witness in share.items():
+                best[terms] = min(best.get(terms, witness), witness)
+    return [
+        SweepEntry(AlternationSet.from_letters(_mask_to_letters(terms)), WeightFW(*w[:3]), WeightFW(*w[3:]))
+        for terms, w in sorted(best.items(), key=lambda item: item[1])
     ]
-    entries.sort(key=lambda e: (e.lam.coeffs(), e.mu.coeffs()))
-    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -409,26 +432,20 @@ class CensusReport:
     def add(self, name: str, passed: bool, detail: str):
         self.checks.append(CheckResult(name, passed, detail))
 
+    def add_family(self, name: str, got: list[AlternationSet], want: list[AlternationSet], detail: str):
+        """Pass when got and want hold the same sets; else list up to five extra and missing ones."""
+        gs, ws = set(a.indices for a in got), set(a.indices for a in want)
+        extra = [str(AlternationSet(s)) for s in sorted(gs - ws, key=lambda x: (len(x), sorted(x)))]
+        missing = [str(AlternationSet(s)) for s in sorted(ws - gs, key=lambda x: (len(x), sorted(x)))]
+        diff = f"extra={extra[:5]} missing={missing[:5]}" if gs != ws else ""
+        self.add(name, not diff and len(got) == len(want), diff or detail)
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks
-            ],
-        }
-
-
-def _family_diff(got: list[AlternationSet], want: list[AlternationSet]) -> str:
-    gs, ws = set(a.indices for a in got), set(a.indices for a in want)
-    if gs == ws:
-        return ""
-    extra = [str(AlternationSet(s)) for s in sorted(gs - ws, key=lambda x: (len(x), sorted(x)))]
-    missing = [str(AlternationSet(s)) for s in sorted(ws - gs, key=lambda x: (len(x), sorted(x)))]
-    return f"extra={extra[:5]} missing={missing[:5]}"
+        return {"all_passed": self.all_passed, "checks": [asdict(c) for c in self.checks]}
 
 
 def verify_census(
@@ -452,19 +469,9 @@ def verify_census(
     report = CensusReport()
 
     pipeline = filter_pipeline()
-    for stage, got_letters in (
-        ("stage1", pipeline.stage1),
-        ("stage2", pipeline.stage2),
-        ("final", pipeline.final),
-    ):
-        want = families[stage]
-        got = [AlternationSet.from_letters(s) for s in got_letters]
-        diff = _family_diff(got, want)
-        report.add(
-            f"pipeline-{stage}",
-            not diff and len(got) == len(want),
-            diff or f"{len(got)} sets",
-        )
+    for stage, want in families.items():
+        got = [AlternationSet.from_letters(s) for s in getattr(pipeline, stage)]
+        report.add_family(f"pipeline-{stage}", got, want, f"{len(got)} sets")
 
     bad = []
     for want_set, lam, mu in witnesses:
@@ -477,18 +484,9 @@ def verify_census(
         "; ".join(bad) if bad else f"{len(witnesses)} rows reproduced",
     )
 
-    entries = sweep_census(lam_max, mu_max, jobs=jobs)
-    sweep_family = [e.altset for e in entries]
-    want_final = families["final"]
-    diff = _family_diff(sweep_family, want_final)
-    report.add(
-        "sweep-family",
-        not diff and len(sweep_family) == len(want_final),
-        diff or f"{len(sweep_family)} sets from sweep({lam_max},{mu_max})",
-    )
-
-    pipe_family = pipeline.final_alternation_sets()
-    diff = _family_diff(sweep_family, pipe_family)
-    report.add("pipeline-vs-sweep", not diff, diff or "families agree")
+    sweep_family = [e.altset for e in sweep_census(lam_max, mu_max, jobs=jobs)]
+    report.add_family("sweep-family", sweep_family, families["final"],
+                      f"{len(sweep_family)} sets from sweep({lam_max},{mu_max})")
+    report.add_family("pipeline-vs-sweep", sweep_family, pipeline.final_alternation_sets(), "families agree")
 
     return report

@@ -94,8 +94,10 @@ def _emit_json(payload, out_path=None):
 
 def _cmd_kpf(args) -> int:
     try:
+        # the oracle first: its bound is the lower one, so it refuses before any work
+        reference = partition.kpf_q_oracle(*args.alpha) if args.oracle else None
         value = partition.kpf_q(*args.alpha)
-    except ValueError as exc:  # height above partition.KPF_MAX_HEIGHT
+    except ValueError as exc:  # height above partition.KPF_MAX_HEIGHT or KPF_ORACLE_MAX_HEIGHT
         _usage_error(str(exc))
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -106,7 +108,6 @@ def _cmd_kpf(args) -> int:
     }
     lines = [str(value)]
     if args.oracle:
-        reference = partition.kpf_q_oracle(*args.alpha)
         payload["oracle"] = reference.to_json()
         lines.append(str(reference))
         if reference != value:
@@ -265,11 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
         "and weight q-multiplicities for sp6(C).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    jobs_help = f"worker count (default: all cores); refused if its slices need over {census.SWEEP_BUDGET_BYTES >> 20} MiB"
+    jobs_help = (f"worker threads (default and upper limit: all cores); a box of over "
+                 f"{census.SWEEP_MAX_PAIRS:.0e} (lam, mu) pairs is refused")
 
     p_kpf = sub.add_parser("kpf", help="q-partition function of m*a1 + n*a2 + k*a3")
     p_kpf.add_argument("--alpha", type=_parse_triple, required=True, metavar="m,n,k", help=f"m+n+k at most {partition.KPF_MAX_HEIGHT}")
-    p_kpf.add_argument("--oracle", action="store_true", help="also run the brute-force oracle and compare")
+    p_kpf.add_argument("--oracle", action="store_true", help=f"also run the brute-force oracle and compare; m+n+k at most {partition.KPF_ORACLE_MAX_HEIGHT}")
     p_kpf.add_argument("--json", action="store_true")
 
     p_mult = sub.add_parser("mult", help="weight q-multiplicity m_q(lam, mu)")

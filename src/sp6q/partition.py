@@ -36,6 +36,10 @@ AlphaTriple = tuple[int, int, int]
 # 660, the identity term of m_q((60,60,60), 0); the slowest vectors of this
 # height, such as (210, 315, 175), take about 21 s on a 2-core host.
 KPF_MAX_HEIGHT = 700
+# Largest m+n+k kpf_q_oracle accepts; its time grows about as the seventh
+# power.  At this height (25, 25, 25) takes about 6 s and the slowest
+# vectors, such as (30, 30, 15), about 17 s on a 2-core host.
+KPF_ORACLE_MAX_HEIGHT = 75
 
 
 def _check_int(*vals):
@@ -114,11 +118,15 @@ def kpf_q_oracle(m: int, n: int, k: int) -> QPoly:
 
     Recursively chooses a multiplicity for each of the nine positive roots
     in turn, bounded coordinate-wise by what remains of (m, n, k), and
-    tallies q^(number of parts) whenever the remainder reaches zero.
+    tallies q^(number of parts) whenever the remainder reaches zero.  A
+    nonnegative vector with m+n+k above KPF_ORACLE_MAX_HEIGHT raises
+    ValueError.
     """
     _check_int(m, n, k)
     if m < 0 or n < 0 or k < 0:
         return QPoly()
+    if m + n + k > KPF_ORACLE_MAX_HEIGHT:
+        raise ValueError(f"kpf_q_oracle height m+n+k = {m + n + k} exceeds the bound {KPF_ORACLE_MAX_HEIGHT}")
     coeffs = [0] * (m + n + k + 1)
     roots = _ORACLE_ROOTS
     last = len(roots) - 1

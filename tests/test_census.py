@@ -4,17 +4,14 @@ import os
 import pathlib
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from sp6q import weyl
+from sp6q import census, weyl
 from sp6q.census import (
     CONTRADICTION_RULES,
     LETTERS,
-    SLICE_BYTES_PER_POINT,
-    SWEEP_BUDGET_BYTES,
+    SWEEP_MAX_PAIRS,
     AlternationSet,
-    _sweep_one_m,
     check_sweep_box,
     _stage1_ok,
     _stage2_ok,
@@ -26,7 +23,7 @@ from sp6q.census import (
     type1_excluded,
     verify_census,
 )
-from sp6q.multiplicity import LETTER_INDEX, TERMS, alternation_set, covered_terms, sigma_table
+from sp6q.multiplicity import LETTER_INDEX, TERMS, alternation_set
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -127,42 +124,59 @@ def test_sweep_matches_exact_membership_small_box():
         assert alternation_set(lam, mu).indices == aset.indices
 
 
-@pytest.mark.parametrize("lam_max, mu_max", [(3, 3), (2, 4), (4, 1)])
-def test_sweep_matches_brute_force_first_witnesses(lam_max, mu_max):
+def _first_witnesses(lam_max, mu_max):
     # every even-parity pair of the box in lexicographic (m, n, k, x, y, z)
-    # order: the sweep returns exactly the sets met, each with the first
-    # pair that produces it, in order of first appearance
+    # order: each set met, with the first pair that produces it, in order
     first = {}
     for v in itertools.product(*[range(lam_max + 1)] * 3, *[range(mu_max + 1)] * 3):
         if (v[0] + v[2] + v[3] + v[5]) % 2 == 0:
             first.setdefault(alternation_set(v[:3], v[3:]).indices, v)
-    got = [(e.altset.indices, e.lam.coeffs() + e.mu.coeffs()) for e in sweep_census(lam_max, mu_max)]
-    assert got == list(first.items())
+    return list(first.items())
 
 
-def test_sweep_slice_stays_within_its_estimate():
-    # numpy reports its buffers to tracemalloc, so the traced peak of one
-    # slice is what the budget check must bound
-    rows = np.array(sigma_table().profile_rows, dtype=np.int64)
-    covered = np.array(covered_terms(), dtype=np.int64)
-    for lam_max, mu_max in ((6, 6), (9, 3), (2, 8)):
+def _sweep_witnesses(lam_max, mu_max, jobs=None):
+    return [(e.altset.indices, e.lam.coeffs() + e.mu.coeffs()) for e in sweep_census(lam_max, mu_max, jobs)]
+
+
+@pytest.mark.parametrize("lam_max, mu_max", [(3, 3), (2, 4), (4, 1), (0, 3), (3, 0)])
+def test_sweep_matches_brute_force_first_witnesses(lam_max, mu_max):
+    # the sweep returns exactly the sets met, each with its first pair
+    assert _sweep_witnesses(lam_max, mu_max) == _first_witnesses(lam_max, mu_max)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_small_blocks_match_brute_force(monkeypatch, jobs):
+    # 7-pair blocks cut both the lam and the mu range; merging keeps the
+    # smallest witness, so the result does not change
+    monkeypatch.setattr(census, "SWEEP_BLOCK_PAIRS", 7)
+    for lam_max, mu_max in ((2, 2), (0, 3), (3, 0)):
+        assert _sweep_witnesses(lam_max, mu_max, jobs) == _first_witnesses(lam_max, mu_max)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_peak_memory_is_bounded(jobs):
+    # numpy reports its buffers to tracemalloc; every sweep array is sized
+    # by SWEEP_BLOCK_PAIRS, so one bound holds for square and flat boxes
+    sweep_census(0, 0)  # build the cached tables outside the trace
+    for lam_max, mu_max in ((10, 10), (20, 3), (0, 40), (40, 0)):
         tracemalloc.start()
         try:
-            _sweep_one_m(1, lam_max, mu_max, rows, covered)
+            sweep_census(lam_max, mu_max, jobs=jobs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (lam_max + 1) ** 2 * (mu_max + 1) ** 3 * SLICE_BYTES_PER_POINT, (lam_max, mu_max, peak)
+        assert peak < 8 << 20, (lam_max, mu_max, peak)
 
 
 def test_sweep_box_budget():
-    # every box the suite, the benchmark and the documented baselines run
-    # is accepted; a box past the budget is refused before any work
-    # (jobs default to all cores and are capped by the number of slices)
-    assert check_sweep_box(10, 10) == min(os.cpu_count() or 1, 11)
-    assert check_sweep_box(10, 10, 64) == 11 and check_sweep_box(0, 0) == 1
-    assert check_sweep_box(20, 20, 1) == 1 and check_sweep_box(20, 20, 2) == 2
-    assert 41**5 * SLICE_BYTES_PER_POINT > SWEEP_BUDGET_BYTES
+    # the pair cap accepts every box the suite, the benchmark and the
+    # documented baselines run (20x20 at most) and refuses 40x40 before
+    # any work; threads are capped by the cores and by the blocks
+    cores = os.cpu_count() or 1
+    assert 21**6 <= SWEEP_MAX_PAIRS < 41**6
+    assert check_sweep_box(10, 10) == check_sweep_box(10, 10, 64) == min(cores, len(list(census._blocks(10, 10))))
+    assert check_sweep_box(0, 0) == check_sweep_box(0, 0, 64) == 1
+    assert check_sweep_box(20, 20, 1) == 1 and check_sweep_box(20, 20, 2) == min(2, cores)
     for lam_max, mu_max, jobs in ((1000, 1000, 1), (40, 40, 1), (-1, 0, 1), (2, 2, 0)):
         with pytest.raises(ValueError):
             check_sweep_box(lam_max, mu_max, jobs)

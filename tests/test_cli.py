@@ -174,8 +174,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["census", "pipeline", "--out", str(tmp_path / "missing" / "x.json")],
         ["mult", "--lam", "0,0,0", "--mu", "-4,-4,-4", "--method", "both"],
         ["mult", "--lam", "0,0,0", "--mu", "-4,-4,-4", "--method", "cases"],
-        # above the kpf_q height bound and the sweep memory budget
+        # above the kpf_q and kpf_q_oracle height bounds and the sweep pair cap
         ["kpf", "--alpha", "99999999999999999999999,0,0"],
+        ["kpf", "--alpha", "200,300,200", "--oracle"],
         ["mult", "--lam", "99999999999999999999998,0,0", "--mu", "0,0,0"],
         ["census", "sweep", "--lam-max", "1000", "--mu-max", "1000"],
     ):
@@ -197,17 +198,28 @@ def test_verify_reads_fixtures_before_pipeline(monkeypatch, capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oracle_bound_checked_before_any_work(monkeypatch, capsys):
+    def no_kpf_q(*alpha):
+        raise AssertionError("kpf_q ran before the oracle bound was checked")
+
+    monkeypatch.setattr(partition, "kpf_q", no_kpf_q)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kpf", "--alpha", "200,300,200", "--oracle"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # A small argv grammar: each command with its flags, every flag usually
 # present with a drawn value, plus at most one stray token, in any order.
 # Now and then a coordinate or a box bound is far above what kpf_q or
-# the sweep budget accepts.
+# the sweep pair cap accepts, and --jobs is far above the core count.
 _HUGE = 10**23
 _COORD = st.integers(-6, 26).map(lambda v: _HUGE if v == 26 else v)
 _TRIPLE = st.integers(0, 3).flatmap(  # malformed one time in four
     lambda k: st.tuples(_COORD, _COORD, _COORD).map(lambda t: "%d,%d,%d" % t) if k
     else st.sampled_from(["1,2", "a,b,c", "1,,2", "1,2,3,4", "", "1.5,0,0", "-"])
 )
-_SMALL = st.integers(-1, 2).map(str)
+_JOBS = st.integers(-1, 3).map(lambda v: str(64 if v == 3 else v))
 _BOUND = st.integers(-1, 3).map(lambda v: str(_HUGE if v == 3 else v))
 _MISSING_DIR = str(pathlib.Path(__file__).parent / "no-such-fixtures")
 _GRAMMAR = {
@@ -220,12 +232,12 @@ _GRAMMAR = {
         ("--json", None),
     ],
     "altset": [("--lam", _TRIPLE), ("--mu", _TRIPLE), ("--json", None)],
-    "census sweep": [("--lam-max", _BOUND), ("--mu-max", _BOUND), ("--jobs", _SMALL), ("--json", None)],
+    "census sweep": [("--lam-max", _BOUND), ("--mu-max", _BOUND), ("--jobs", _JOBS), ("--json", None)],
     "census verify": [
         ("--fixtures", st.just(_MISSING_DIR)),
         ("--lam-max", _BOUND),
         ("--mu-max", _BOUND),
-        ("--jobs", _SMALL),
+        ("--jobs", _JOBS),
         ("--json", None),
     ],
 }

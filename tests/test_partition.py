@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sp6q.partition import KPF_MAX_HEIGHT, kpf, kpf_q, kpf_q_oracle
+from sp6q.partition import KPF_MAX_HEIGHT, KPF_ORACLE_MAX_HEIGHT, kpf, kpf_q, kpf_q_oracle
 from sp6q.qpoly import QPoly, eval_at_one
 from sp6q.root_system import _POSITIVE_ROOTS
 
@@ -58,6 +58,18 @@ def test_height_bound():
         with pytest.raises(ValueError):
             kpf_q(*bad)
     assert kpf_q(10**23, -1, 0) == QPoly()
+
+
+def test_oracle_height_bound():
+    # the bound admits every oracle call of the suite and the benchmark,
+    # (25, 25, 25) at most; above it a nonnegative vector is refused
+    # before any enumeration, and a negative one is still zero
+    assert 75 <= KPF_ORACLE_MAX_HEIGHT < KPF_MAX_HEIGHT
+    assert kpf_q_oracle(KPF_ORACLE_MAX_HEIGHT, 0, 0) == kpf_q(KPF_ORACLE_MAX_HEIGHT, 0, 0)
+    for bad in ((KPF_ORACLE_MAX_HEIGHT + 1, 0, 0), (200, 300, 200), (0, 10**23, 0)):
+        with pytest.raises(ValueError):
+            kpf_q_oracle(*bad)
+    assert kpf_q_oracle(10**23, -1, 0) == QPoly()
 
 
 def test_oracle_equivalence_small_box():
