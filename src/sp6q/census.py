@@ -153,21 +153,25 @@ def _bits(mask: int):
 
 
 @lru_cache(maxsize=1)
-def _forced_table() -> tuple[int, ...]:
-    """field_mask of the variables each of the 2^17 subsets of TERMS forces nonnegative."""
-    forced = [0]
+def _forced_table() -> np.ndarray:
+    """field_mask of the variables each of the 2^17 subsets of TERMS forces nonnegative, as uint16."""
+    forced = np.zeros(1, np.uint16)
     for term in TERM_MASKS:  # the subsets with this term: those before it, each with it added
-        forced += [f | term for f in forced]
-    return tuple(forced)
+        forced = np.concatenate((forced, forced | term))
+    forced.flags.writeable = False
+    return forced
 
 
 # In every stage a subset clashes when a term it leaves out has all three
 # variables in the pool known nonnegative: covered_terms()[pool] & ~subset.
 
-def _stage1_ok(subset: int) -> bool:
+def _stage1_survivors() -> np.ndarray:
+    """Whether each of the 2^17 subsets passes stage 1, as a boolean array indexed by subset."""
     # A direct clash: the members alone force every variable of an absent
     # term nonnegative, while its absence requires one of them negative.
-    return not covered_terms()[_forced_table()[subset]] & ~subset
+    covered = np.array(covered_terms(), np.uint32)
+    subsets = np.arange(1 << 17, dtype=np.uint32)
+    return covered[_forced_table()] & ~subsets == 0
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +187,7 @@ def _stage2_derived_mask(forced: int) -> int:
 def _stage2_ok(subset: int) -> bool:
     # Derived clash: variables forced nonnegative one implication step away
     # from the members cover an absent term; or p and r are both forced.
-    forced = _forced_table()[subset]
+    forced = int(_forced_table()[subset])
     if forced & _PR_MASK == _PR_MASK:
         return False
     return not covered_terms()[_stage2_derived_mask(forced)] & ~subset
@@ -206,7 +210,7 @@ def _closure_mask(forced: int) -> int:
 
 def _stage3_ok(subset: int) -> bool:
     # Full catalog closure of the forced set, hard clashes included.
-    forced = _closure_mask(_forced_table()[subset])
+    forced = _closure_mask(int(_forced_table()[subset]))
     for clash in _HARD_BITS:
         if forced & clash == clash:
             return False
@@ -238,7 +242,7 @@ class PipelineResult:
 
 def filter_pipeline() -> PipelineResult:
     """Run the three filter stages over all 2^17 candidate subsets."""
-    stage1 = [s for s in range(1 << 17) if _stage1_ok(s)]
+    stage1 = np.flatnonzero(_stage1_survivors()).tolist()
     stage2 = [s for s in stage1 if _stage2_ok(s)]
     final = [s for s in stage2 if _stage3_ok(s)]
 
@@ -279,35 +283,44 @@ class SweepEntry:
 
 # Pairs in one block; every sweep array is sized by this, never by the box.
 SWEEP_BLOCK_PAIRS = 1 << 18
-# Most (lam, mu) pairs of either parity in a box, a bound on the time: 20x20
-# has 21^6, about 8.6e7, and 30x30 about 8.9e8; 40x40 is refused.
+# Most (lam, mu) pairs a box may be charged, a bound on the time.  Each block
+# counts as a full SWEEP_BLOCK_PAIRS block, since a block of a flat box, with
+# few triples on one side, costs about as much as a full one: 20x20 is charged
+# about 9.5e7 and 30x30 about 9.1e8; 40x40 and 999x0 are refused.
 SWEEP_MAX_PAIRS = 10**9
 
 
-def _blocks(lam_max: int, mu_max: int):
-    """Blocks (lam start, lam stop, mu start, mu stop) of lexicographic triple indices, one at a time:
-    square, or where a side of the box is short, that side whole and the other up to 16 square sides."""
+def _block_steps(lam_max: int, mu_max: int) -> tuple[int, int, int, int]:
+    """Triples (n_lam, n_mu) and block sides (lam_step, mu_step): square blocks,
+    or where a side of the box is short, that side whole and the other up to 16 square sides."""
     n_lam, n_mu = (lam_max + 1) ** 3, (mu_max + 1) ** 3
     side = isqrt(SWEEP_BLOCK_PAIRS)
     mu_step = min(n_mu, 16 * side, max(side, SWEEP_BLOCK_PAIRS // n_lam))
     lam_step = min(16 * side, SWEEP_BLOCK_PAIRS // mu_step)
+    return n_lam, n_mu, lam_step, mu_step
+
+
+def _blocks(lam_max: int, mu_max: int):
+    """Blocks (lam start, lam stop, mu start, mu stop) of lexicographic triple indices, one at a time."""
+    n_lam, n_mu, lam_step, mu_step = _block_steps(lam_max, mu_max)
     for l in range(0, n_lam, lam_step):
         for u in range(0, n_mu, mu_step):
             yield l, min(l + lam_step, n_lam), u, min(u + mu_step, n_mu)
 
 
 def check_sweep_box(lam_max: int, mu_max: int, jobs: int | None = None) -> int:
-    """Threads to run; ValueError for a negative bound, jobs below 1 or a box over SWEEP_MAX_PAIRS."""
+    """Threads to run; ValueError for a negative bound, jobs below 1 or a box charged over SWEEP_MAX_PAIRS."""
     if lam_max < 0 or mu_max < 0:
         raise ValueError(f"sweep bounds must be nonnegative, got {lam_max} and {mu_max}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    pairs = (lam_max + 1) ** 3 * (mu_max + 1) ** 3
-    if pairs > SWEEP_MAX_PAIRS:
-        raise ValueError(f"a {lam_max}x{mu_max} sweep has {pairs:.2e} pairs, over the bound of {SWEEP_MAX_PAIRS:.0e}")
+    n_lam, n_mu, lam_step, mu_step = _block_steps(lam_max, mu_max)
+    blocks = -(-n_lam // lam_step) * -(-n_mu // mu_step)
+    if blocks * SWEEP_BLOCK_PAIRS > SWEEP_MAX_PAIRS:
+        raise ValueError(f"a {lam_max}x{mu_max} sweep has {blocks} blocks, charged {blocks * SWEEP_BLOCK_PAIRS:.2e} pairs, "
+                         f"over the bound of {SWEEP_MAX_PAIRS:.0e}")
     cores = os.cpu_count() or 1
-    blocks = len(list(islice(_blocks(lam_max, mu_max), cores)))  # counted up to the cores
-    return min(jobs or cores, blocks)
+    return min(jobs or cores, cores, blocks)
 
 
 def _sweep_share(share: int, workers: int, lam_max: int, mu_max: int, rows: np.ndarray) -> dict:

@@ -266,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         "and weight q-multiplicities for sp6(C).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    jobs_help = (f"worker threads (default and upper limit: all cores); a box of over "
-                 f"{census.SWEEP_MAX_PAIRS:.0e} (lam, mu) pairs is refused")
+    jobs_help = (f"worker threads (default and upper limit: all cores); a box charged over "
+                 f"{census.SWEEP_MAX_PAIRS:.0e} (lam, mu) pairs, each block of "
+                 f"{census.SWEEP_BLOCK_PAIRS} counted in full, is refused")
 
     p_kpf = sub.add_parser("kpf", help="q-partition function of m*a1 + n*a2 + k*a3")
     p_kpf.add_argument("--alpha", type=_parse_triple, required=True, metavar="m,n,k", help=f"m+n+k at most {partition.KPF_MAX_HEIGHT}")

@@ -8,9 +8,11 @@ positive roots.  Two independent implementations are provided:
     by the multiplicities (d, e, f, g, h, i) of the six composite roots
     a1+a2, a2+a3, a1+a2+a3, a1+2a2+a3, 2a1+2a2+a3 and 2a2+a3; the
     simple-root multiplicities are then forced, and the number of parts
-    used is m+n+k - d - e - 2f - 3g - 4h - 2i.  Four loops run over
-    (h, g, f, i); the d and e sums are done in closed form with
-    difference arrays.
+    used is m+n+k - d - e - 2f - 3g - 4h - 2i.  Three loops run over
+    (g, f, i) with h = 0, and the d and e sums are done in closed form
+    with difference arrays.  The decompositions with h >= 1 are q times
+    those of mu minus the highest root 2a1+2a2+a3, which one cached
+    recursive call supplies: K(v) = K_{h=0}(v) + q K(v - (2,2,1)).
 
   - kpf_q_oracle: exhaustive enumeration of all nine multiplicities,
     sharing nothing with kpf_q beyond the root list.  It is the
@@ -53,21 +55,30 @@ def _check_int(*vals):
 def kpf_q(m: int, n: int, k: int) -> QPoly:
     """q-analog of the partition function by the nested-sum formula.
 
-    Four loops choose the multiplicities (h, g, f, i); the loop bounds make
-    every admissible choice appear exactly once.  With A = n-2h-2g-f-2i,
-    C = k-h-g-f-i and b0 = m+n+k-2f-3g-4h-2i, the remaining d and e
-    loops would add 1 to every exponent in [b0-d-min(A-d, C), b0-d] for
-    d = 0..min(m-2h-g-f, A).  Those intervals are summed in closed form:
+    The decompositions that do not use the highest root (h = 0) come from
+    three loops over the multiplicities (g, f, i); the loop bounds make
+    every admissible choice appear exactly once.  With A = n-2g-f-2i,
+    C = k-g-f-i and b0 = m+n+k-2f-3g-2i, the remaining d and e loops would
+    add 1 to every exponent in [b0-d-min(A-d, C), b0-d] for
+    d = 0..min(m-g-f, A).  Those intervals are summed in closed form:
     the upper ends form one contiguous run, the lower ends form one run
-    while d <= A-C and stay at b0-A after that, so each (h, g, f, i)
-    costs a few updates of a second-order and a first-order difference
-    array, and two prefix sums at the end give the coefficients.
+    while d <= A-C and stay at b0-A after that, so each (g, f, i) costs a
+    few updates of a second-order and a first-order difference array, and
+    two prefix sums give the coefficients.  The decompositions with h >= 1
+    are one highest root plus any decomposition of the rest, so
+    q * kpf_q(m-2, n-2, k-1) is added through the same cache.  Each link
+    lowers the height by 5, so the recursion is at most
+    KPF_MAX_HEIGHT // 5 = 140 calls deep.  A cold vector does the same
+    loop work as a fourth loop over h would, and leaves every link of its
+    chain cached.
 
-    Values are memoized; the alternating sums evaluate the same small
-    vectors over and over.  Arguments must be Python ints: bool and numpy
-    integers are rejected, since with typed=True an np.int64 key would
-    be a separate cache entry for the same vector.  A nonnegative vector
-    with m+n+k above KPF_MAX_HEIGHT raises ValueError.
+    Values are memoized, and this cache is the only memo: cache_clear()
+    makes every vector cold again.  The alternating sums evaluate the same
+    vectors, and vectors one highest root apart, over and over.  Arguments
+    must be Python ints: bool and numpy integers are rejected, since with
+    typed=True an np.int64 key would be a separate cache entry for the
+    same vector.  A nonnegative vector with m+n+k above KPF_MAX_HEIGHT
+    raises ValueError.
     """
     _check_int(m, n, k)
     if m < 0 or n < 0 or k < 0:
@@ -78,34 +89,37 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     # second-order and first-order differences of the coefficients
     diff2 = [0] * (total + 3)
     diff1 = [0] * (total + 1)
-    for h in range(min(m // 2, n // 2, k) + 1):
-        mh, nh, kh, bh = m - 2 * h, n - 2 * h, k - h, total - 4 * h
-        for g in range(min(mh, nh // 2, kh) + 1):
-            mg, ng, kg, bg = mh - g, nh - 2 * g, kh - g, bh - 3 * g
-            for f in range(min(mg, ng, kg) + 1):
-                mf, nf, kf, bf = mg - f, ng - f, kg - f, bg - 2 * f
-                for i in range(min(nf // 2, kf) + 1):
-                    a = nf - 2 * i
-                    c = kf - i
-                    b0 = bf - 2 * i
-                    dmax = mf if mf < a else a
-                    # upper ends b0-d, d = 0..dmax
-                    diff2[b0 + 1 - dmax] -= 1
-                    diff2[b0 + 2] += 1
-                    if a < c:
-                        # every lower end is b0-a
-                        diff1[b0 - a] += dmax + 1
-                    elif a - c >= dmax:
-                        # every lower end is b0-c-d
-                        diff2[b0 - c - dmax] += 1
-                        diff2[b0 - c + 1] -= 1
-                    else:
-                        # b0-c-d for d <= a-c, then b0-a for the rest
-                        diff2[b0 - a] += 1
-                        diff2[b0 - c + 1] -= 1
-                        diff1[b0 - a] += dmax - a + c
+    for g in range(min(m, n // 2, k) + 1):
+        mg, ng, kg, bg = m - g, n - 2 * g, k - g, total - 3 * g
+        for f in range(min(mg, ng, kg) + 1):
+            mf, nf, kf, bf = mg - f, ng - f, kg - f, bg - 2 * f
+            for i in range(min(nf // 2, kf) + 1):
+                a = nf - 2 * i
+                c = kf - i
+                b0 = bf - 2 * i
+                dmax = mf if mf < a else a
+                # upper ends b0-d, d = 0..dmax
+                diff2[b0 + 1 - dmax] -= 1
+                diff2[b0 + 2] += 1
+                if a < c:
+                    # every lower end is b0-a
+                    diff1[b0 - a] += dmax + 1
+                elif a - c >= dmax:
+                    # every lower end is b0-c-d
+                    diff2[b0 - c - dmax] += 1
+                    diff2[b0 - c + 1] -= 1
+                else:
+                    # b0-c-d for d <= a-c, then b0-a for the rest
+                    diff2[b0 - a] += 1
+                    diff2[b0 - c + 1] -= 1
+                    diff1[b0 - a] += dmax - a + c
     # map stops at the end of diff1, so exponents above total are dropped
-    return QPoly(tuple(accumulate(map(add, accumulate(diff2), diff1))))
+    coeffs = list(accumulate(map(add, accumulate(diff2), diff1)))
+    if m >= 2 and n >= 2 and k >= 1:
+        # the decompositions with h >= 1: one 2a1+2a2+a3 plus any decomposition of the rest
+        for e, c in enumerate(kpf_q(m - 2, n - 2, k - 1).coeffs, 1):
+            coeffs[e] += c
+    return QPoly(tuple(coeffs))
 
 
 # Enumeration order for the oracle: largest coefficient sum first, so that

@@ -4,6 +4,7 @@ import os
 import pathlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sp6q import census, weyl
@@ -13,7 +14,7 @@ from sp6q.census import (
     SWEEP_MAX_PAIRS,
     AlternationSet,
     check_sweep_box,
-    _stage1_ok,
+    _stage1_survivors,
     _stage2_ok,
     filter_pipeline,
     letters_sort_key,
@@ -76,13 +77,13 @@ def test_direct_clash_rejects_identity_with_s2s1():
     # term would have to contribute too
     a = 1 << LETTERS.index("A")
     f = 1 << LETTERS.index("F")
-    assert not _stage1_ok(a | f)
+    assert not _stage1_survivors()[a | f]
 
 
 def test_stage2_independent_of_stage1():
     # running the derived-clash filter over the whole candidate space and
     # intersecting with stage-1 survivors gives exactly the stage-2 family
-    stage1 = {s for s in range(1 << 17) if _stage1_ok(s)}
+    stage1 = set(np.flatnonzero(_stage1_survivors()).tolist())
     stage2_direct = {s for s in range(1 << 17) if _stage2_ok(s)}
     result = filter_pipeline()
     stage2_masks = {
@@ -169,21 +170,39 @@ def test_sweep_peak_memory_is_bounded(jobs):
 
 
 def test_sweep_box_budget():
-    # the pair cap accepts every box the suite, the benchmark and the
-    # documented baselines run (20x20 at most) and refuses 40x40 before
-    # any work; threads are capped by the cores and by the blocks
+    # each block is charged as a full SWEEP_BLOCK_PAIRS block: the cap
+    # accepts every box the suite, the benchmark and the documented
+    # baselines run (20x20 at most) and long flat boxes up to 200, and
+    # refuses 40x40 and 999x0 before any work; threads are capped by the
+    # cores and by the blocks
     cores = os.cpu_count() or 1
     assert 21**6 <= SWEEP_MAX_PAIRS < 41**6
     assert check_sweep_box(10, 10) == check_sweep_box(10, 10, 64) == min(cores, len(list(census._blocks(10, 10))))
     assert check_sweep_box(0, 0) == check_sweep_box(0, 0, 64) == 1
     assert check_sweep_box(20, 20, 1) == 1 and check_sweep_box(20, 20, 2) == min(2, cores)
-    for lam_max, mu_max, jobs in ((1000, 1000, 1), (40, 40, 1), (-1, 0, 1), (2, 2, 0)):
+    for lam_max, mu_max in ((30, 30), (200, 0), (0, 200)):
+        assert check_sweep_box(lam_max, mu_max, 1) == 1
+    for lam_max, mu_max, jobs in ((1000, 1000, 1), (40, 40, 1), (999, 0, 1), (0, 999, 1), (-1, 0, 1), (2, 2, 0)):
         with pytest.raises(ValueError):
             check_sweep_box(lam_max, mu_max, jobs)
         with pytest.raises(ValueError):
             sweep_census(lam_max, mu_max, jobs=jobs)
         with pytest.raises(ValueError):
             verify_census(lam_max=lam_max, mu_max=mu_max, jobs=jobs)
+
+
+@pytest.mark.parametrize("block_pairs", [7, census.SWEEP_BLOCK_PAIRS])
+def test_sweep_charge_is_the_blocks_enumerated(monkeypatch, block_pairs):
+    # the charge, worked out from the block steps, is exactly one full
+    # block per block that _blocks yields, for square, flat and tall boxes
+    monkeypatch.setattr(census, "SWEEP_BLOCK_PAIRS", block_pairs)
+    for lam_max, mu_max in ((0, 0), (2, 2), (3, 0), (0, 3), (4, 1), (10, 10), (20, 3), (0, 40), (40, 0)):
+        charge = len(list(census._blocks(lam_max, mu_max))) * block_pairs
+        monkeypatch.setattr(census, "SWEEP_MAX_PAIRS", charge)
+        check_sweep_box(lam_max, mu_max)
+        monkeypatch.setattr(census, "SWEEP_MAX_PAIRS", charge - 1)
+        with pytest.raises(ValueError):
+            check_sweep_box(lam_max, mu_max)
 
 
 def test_sweep_jobs_deterministic():

@@ -179,6 +179,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["kpf", "--alpha", "200,300,200", "--oracle"],
         ["mult", "--lam", "99999999999999999999998,0,0", "--mu", "0,0,0"],
         ["census", "sweep", "--lam-max", "1000", "--mu-max", "1000"],
+        ["census", "sweep", "--lam-max", "40", "--mu-max", "40"],
+        ["census", "sweep", "--lam-max", "999", "--mu-max", "0"],
+        ["census", "verify", "--lam-max", "999", "--mu-max", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

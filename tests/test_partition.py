@@ -86,6 +86,21 @@ def test_oracle_equivalence_random_sample():
         assert kpf_q(m, n, k) == kpf_q_oracle(m, n, k), (m, n, k)
 
 
+def test_highest_root_peel_fills_the_chain():
+    # kpf_q(v) adds q * kpf_q(v - (2,2,1)) through its own cache: a cold
+    # (2h, 2h, h) misses once for each vector of the chain down to (0,0,0),
+    # never for a negative one, and leaves the next link cached
+    h = 6
+    kpf_q.cache_clear()
+    try:
+        kpf_q(2 * h, 2 * h, h)
+        assert kpf_q.cache_info().misses == h + 1
+        kpf_q(2 * h - 2, 2 * h - 2, h - 1)
+        assert kpf_q.cache_info().misses == h + 1 and kpf_q.cache_info().hits == 1
+    finally:
+        kpf_q.cache_clear()
+
+
 @given(st.integers(-6, 10), st.integers(-6, 10), st.integers(-6, 10))
 @settings(max_examples=120, deadline=None)
 def test_total_and_zero_on_negatives(m, n, k):
@@ -136,7 +151,7 @@ def test_denominator_expansion():
     assert len(_denominator_terms()) == 286
 
 
-@pytest.mark.parametrize("box", [(8, 8, 8), (4, 16, 4), (12, 4, 12)])
+@pytest.mark.parametrize("box", [(8, 8, 8), (4, 16, 4), (12, 4, 12), (12, 12, 6)])
 def test_generating_function_identity(box):
     # sum_v kpf_q(v) x^v = prod_alpha 1/(1 - q x^alpha): multiplying back by
     # the denominator must leave 1 at v = 0 and 0 everywhere else
