@@ -8,7 +8,10 @@ Two independent routes establish the same family of 46 sets:
      whose combined constraints are contradictory can never arise.  The
      filter runs in three stages (direct clashes, one-step derived
      clashes, full closure under the contradiction catalog), shrinking
-     2^17 = 131072 candidates to 1124, then 150, then 46.
+     2^17 = 131072 candidates to 1124, then 150, then 46.  Each stage is
+     one array lookup, over the previous survivors, into a (pool, clash)
+     table over the 2^14 forced sign patterns, built from rules read as
+     mask pairs (pre nonnegative forces post nonnegative).
 
   2. An empirical sweep of alternation sets over a box of weight pairs.
 
@@ -37,7 +40,6 @@ import numpy as np
 from . import weyl
 from .multiplicity import (  # symbolic_sigma_rows is re-exported for callers of this module
     LETTER_INDEX,
-    PROFILE_FIELDS,
     TERM_MASKS,
     TERMS,
     AlternationSet,
@@ -48,9 +50,6 @@ from .multiplicity import (  # symbolic_sigma_rows is re-exported for callers of
     symbolic_sigma_rows,
 )
 from .root_system import WeightFW
-
-LETTERS = "".join(t.letter for t in TERMS)
-
 
 # Catalog of variable-sign combinations that no pair of dominant integral
 # weights can realize: 47 two-variable rules and 6 three-variable rules.
@@ -123,33 +122,21 @@ _STAGE2_DERIVED = {
     "o": "jl", "p": "cjlo", "r": "ijlo",
 }
 
-_PR_MASK = field_mask("pr")
-_AF_MASK = field_mask("af")
-_J_BIT = field_mask("j")
-_STAGE2_MAP_BITS = {PROFILE_FIELDS.index(v): field_mask(ws) for v, ws in _STAGE2_DERIVED.items()}
-
 
 def _atoms(rule, negative: bool) -> int:
     return field_mask(v for v, isneg in rule if isneg == negative)
 
 
-# The catalog as read by the closure stage:
-#   pair rule (x<0 and y>=0) impossible  <=>  y>=0 forces x>=0;
-#   triple rule (x<0 and y>=0 and z>=0)  <=>  y,z>=0 force x>=0;
-#   the one all-nonnegative pair (p>=0 and r>=0) is a hard clash.
-_HARD_BITS = [_atoms(r, False) for r in CONTRADICTION_RULES if not _atoms(r, True)]
-_CONJ_BITS = [(_atoms(r, False), _atoms(r, True)) for r in CONTRADICTION_RULES if len(r) == 3]
-_IMPLIES_BITS = {
-    b: field_mask(x for r in CONTRADICTION_RULES if len(r) == 2 and (y, False) in r for x, isneg in r if isneg)
-    for b, y in enumerate(PROFILE_FIELDS)
-}
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# Every rule as a pair of masks (pre, post): the variables of pre being
+# nonnegative force those of post nonnegative.  A catalog rule "x < 0 with
+# y (and z) >= 0 is impossible" reads (yz, x); the one rule with no negative
+# atom, p >= 0 with r >= 0, is a hard clash instead.
+_CATALOG_RULES = tuple((_atoms(r, False), _atoms(r, True)) for r in CONTRADICTION_RULES if _atoms(r, True))
+_HARD_BITS = tuple(_atoms(r, False) for r in CONTRADICTION_RULES if not _atoms(r, True))
+_STAGE2_RULES = (
+    *((field_mask(v), field_mask(ws)) for v, ws in _STAGE2_DERIVED.items()),
+    (field_mask("af"), field_mask("j")),
+)
 
 
 @lru_cache(maxsize=1)
@@ -162,63 +149,52 @@ def _forced_table() -> np.ndarray:
     return forced
 
 
-# In every stage a subset clashes when a term it leaves out has all three
-# variables in the pool known nonnegative: covered_terms()[pool] & ~subset.
-
-def _stage1_survivors() -> np.ndarray:
-    """Whether each of the 2^17 subsets passes stage 1, as a boolean array indexed by subset."""
-    # A direct clash: the members alone force every variable of an absent
-    # term nonnegative, while its absence requires one of them negative.
-    covered = np.array(covered_terms(), np.uint32)
-    subsets = np.arange(1 << 17, dtype=np.uint32)
-    return covered[_forced_table()] & ~subsets == 0
+def _step(pool: np.ndarray, rules) -> np.ndarray:
+    """For each sign pattern of pool, the union of post over the rules whose pre it contains."""
+    out = np.zeros_like(pool)
+    for pre, post in rules:
+        out[pool & pre == pre] |= post
+    return out
 
 
-@lru_cache(maxsize=None)
-def _stage2_derived_mask(forced: int) -> int:
-    derived = 0
-    for b in _bits(forced):
-        derived |= _STAGE2_MAP_BITS[b]
-    if forced & _AF_MASK == _AF_MASK:
-        derived |= _J_BIT
-    return derived
+def _clash(pool: np.ndarray) -> np.ndarray:
+    """Whether each sign pattern of pool holds all the variables of a hard clash."""
+    return np.logical_or.reduce([pool & hard == hard for hard in _HARD_BITS])
 
 
-def _stage2_ok(subset: int) -> bool:
-    # Derived clash: variables forced nonnegative one implication step away
-    # from the members cover an absent term; or p and r are both forced.
-    forced = int(_forced_table()[subset])
-    if forced & _PR_MASK == _PR_MASK:
-        return False
-    return not covered_terms()[_stage2_derived_mask(forced)] & ~subset
+@lru_cache(maxsize=1)
+def _stage_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(pool, clash) of each filter stage over the 2^14 forced sign patterns, built once, read-only.
+
+    pool[f] holds the variables the stage knows nonnegative when the members
+    force f: stage 1 f itself; stage 2 one step of _STAGE2_RULES from f,
+    without f; stage 3 the closure of f under the catalog.  clash[f] marks a
+    hard clash: none in stage 1, in f in stage 2, in the closure in stage 3.
+    """
+    patterns = np.arange(1 << 14, dtype=np.uint16)
+    closure = patterns
+    while not np.array_equal(grown := closure | _step(closure, _CATALOG_RULES), closure):
+        closure = grown
+    tables = (
+        (patterns, np.zeros(1 << 14, bool)),
+        (_step(patterns, _STAGE2_RULES), _clash(patterns)),
+        (closure, _clash(closure)),
+    )
+    for table in tables:
+        for array in table:
+            array.flags.writeable = False
+    return tables
 
 
-@lru_cache(maxsize=None)
-def _closure_mask(forced: int) -> int:
-    out = forced
-    while True:
-        new = out
-        for b in _bits(out):
-            new |= _IMPLIES_BITS[b]
-        for pre, post in _CONJ_BITS:
-            if new & pre == pre:
-                new |= post
-        if new == out:
-            return out
-        out = new
-
-
-def _stage3_ok(subset: int) -> bool:
-    # Full catalog closure of the forced set, hard clashes included.
-    forced = _closure_mask(int(_forced_table()[subset]))
-    for clash in _HARD_BITS:
-        if forced & clash == clash:
-            return False
-    return not covered_terms()[forced] & ~subset
+def _passes(subsets: np.ndarray, pool: np.ndarray, clash: np.ndarray) -> np.ndarray:
+    """Whether each subset passes one stage: its forced pattern f does not clash, and no term
+    it leaves out (one of whose variables must be negative) has all three in pool[f]."""
+    forced = _forced_table()[subsets]
+    return ~clash[forced] & (covered_terms()[pool[forced]] & ~subsets == 0)
 
 
 def _mask_to_letters(subset: int) -> frozenset[str]:
-    return frozenset(LETTERS[i] for i in range(17) if subset >> i & 1)
+    return frozenset(TERMS[i].letter for i in range(17) if subset >> i & 1)
 
 
 def letters_sort_key(letters: Iterable[str]) -> tuple:
@@ -241,15 +217,14 @@ class PipelineResult:
 
 
 def filter_pipeline() -> PipelineResult:
-    """Run the three filter stages over all 2^17 candidate subsets."""
-    stage1 = np.flatnonzero(_stage1_survivors()).tolist()
-    stage2 = [s for s in stage1 if _stage2_ok(s)]
-    final = [s for s in stage2 if _stage3_ok(s)]
-
-    def as_letter_sets(masks):
-        return sorted(map(_mask_to_letters, masks), key=letters_sort_key)
-
-    return PipelineResult(as_letter_sets(stage1), as_letter_sets(stage2), as_letter_sets(final))
+    """Run the three filter stages over all 2^17 candidate subsets, each
+    stage over the survivors of the one before."""
+    subsets = np.arange(1 << 17, dtype=np.uint32)
+    families = []
+    for pool, clash in _stage_tables():
+        subsets = subsets[_passes(subsets, pool, clash)]
+        families.append(sorted(map(_mask_to_letters, subsets.tolist()), key=letters_sort_key))
+    return PipelineResult(*families)
 
 
 def type1_excluded() -> list[weyl.WeylElement]:
@@ -341,9 +316,8 @@ def _sweep_share(share: int, workers: int, lam_max: int, mu_max: int, rows: np.n
                 signs <<= 1
                 signs |= mu_part[f, mi] >= neg_lam[f, li, None]
             uniq, first = np.unique(signs, return_index=True)
-            for s, i in zip(uniq.tolist(), first.tolist()):
+            for terms, i in zip(covered_terms()[uniq].tolist(), first.tolist()):
                 a, b = divmod(i, len(mi))
-                terms = covered_terms()[s]
                 witness = (*lam[:, li[a]].tolist(), *mu[:, mi[b]].tolist())
                 best[terms] = min(best.get(terms, witness), witness)
     return best

@@ -54,13 +54,6 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(EXIT_USAGE)
 
 
-def _check_box(args):
-    try:
-        census.check_sweep_box(args.lam_max, args.mu_max, args.jobs)
-    except ValueError as exc:
-        _usage_error(str(exc))
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -206,9 +199,11 @@ def _cmd_census_pipeline(args, argv) -> int:
 
 
 def _cmd_census_sweep(args, argv) -> int:
-    _check_box(args)
     t0 = time.perf_counter()
-    entries = census.sweep_census(args.lam_max, args.mu_max, jobs=args.jobs)
+    try:
+        entries = census.sweep_census(args.lam_max, args.mu_max, jobs=args.jobs)
+    except ValueError as exc:  # a box or --jobs that census.check_sweep_box refuses, before any work
+        _usage_error(str(exc))
     elapsed = time.perf_counter() - t0
     body = {
         "lam_max": args.lam_max,
@@ -235,13 +230,12 @@ def _cmd_census_sweep(args, argv) -> int:
 
 
 def _cmd_census_verify(args, argv) -> int:
-    _check_box(args)
     t0 = time.perf_counter()
     try:
         report = census.verify_census(
             fixtures_dir=args.fixtures, lam_max=args.lam_max, mu_max=args.mu_max, jobs=args.jobs
         )
-    except census.FixtureError as exc:
+    except ValueError as exc:  # a refused box or --jobs, or a census.FixtureError, before any work
         _usage_error(str(exc))
     elapsed = time.perf_counter() - t0
     body = report.to_json()

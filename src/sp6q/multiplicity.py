@@ -40,6 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from . import weyl
 from .partition import kpf_q
 from .qpoly import QPoly, add_signed, eval_at_one
@@ -88,14 +90,19 @@ TERM_MASKS = tuple(field_mask(t.fields) for t in TERMS)
 
 
 @lru_cache(maxsize=1)
-def covered_terms() -> tuple[int, ...]:
-    """Term mask of every sign pattern, built once.
+def covered_terms() -> np.ndarray:
+    """Term mask of every sign pattern, built once, as a read-only uint32 array.
 
     Entry s, for a 14-bit field_mask s, has bit i set exactly when all
     three variables of TERMS[i] lie in s: the terms that contribute when
     the variables of s are the nonnegative ones.
     """
-    return tuple(sum(1 << i for i, term in enumerate(TERM_MASKS) if s & term == term) for s in range(1 << 14))
+    patterns = np.arange(1 << 14)
+    covered = np.zeros(1 << 14, np.uint32)
+    for i, term in enumerate(TERM_MASKS):
+        covered[patterns & term == term] |= 1 << i
+    covered.flags.writeable = False
+    return covered
 
 
 def _as_weight(w) -> WeightFW:

@@ -9,13 +9,16 @@ import pytest
 
 from sp6q import census, weyl
 from sp6q.census import (
+    _CATALOG_RULES,
+    _STAGE2_DERIVED,
     CONTRADICTION_RULES,
-    LETTERS,
     SWEEP_MAX_PAIRS,
     AlternationSet,
     check_sweep_box,
-    _stage1_survivors,
-    _stage2_ok,
+    _forced_table,
+    _passes,
+    _stage_tables,
+    _step,
     filter_pipeline,
     letters_sort_key,
     load_family_fixture,
@@ -24,9 +27,10 @@ from sp6q.census import (
     type1_excluded,
     verify_census,
 )
-from sp6q.multiplicity import LETTER_INDEX, TERMS, alternation_set
+from sp6q.multiplicity import LETTER_INDEX, PROFILE_FIELDS, TERMS, alternation_set, covered_terms, field_mask
 
 DATA = pathlib.Path(__file__).parent / "data"
+SUBSETS = np.arange(1 << 17, dtype=np.uint32)
 
 
 def test_type1_excluded_matches_fixture():
@@ -75,21 +79,69 @@ def test_pipeline_counts_and_fixtures():
 def test_direct_clash_rejects_identity_with_s2s1():
     # members {A, F} force b, d, j nonnegative, so the absent first-letter
     # term would have to contribute too
-    a = 1 << LETTERS.index("A")
-    f = 1 << LETTERS.index("F")
-    assert not _stage1_survivors()[a | f]
+    a = 1 << LETTER_INDEX["A"]
+    f = 1 << LETTER_INDEX["F"]
+    assert not _passes(SUBSETS, *_stage_tables()[0])[a | f]
 
 
 def test_stage2_independent_of_stage1():
     # running the derived-clash filter over the whole candidate space and
     # intersecting with stage-1 survivors gives exactly the stage-2 family
-    stage1 = set(np.flatnonzero(_stage1_survivors()).tolist())
-    stage2_direct = {s for s in range(1 << 17) if _stage2_ok(s)}
+    stage1, stage2_direct = (
+        set(np.flatnonzero(_passes(SUBSETS, pool, clash)).tolist()) for pool, clash in _stage_tables()[:2]
+    )
     result = filter_pipeline()
     stage2_masks = {
-        sum(1 << LETTERS.index(L) for L in letters) for letters in result.stage2
+        sum(1 << LETTER_INDEX[L] for L in letters) for letters in result.stage2
     }
     assert stage1 & stage2_direct == stage2_masks
+
+
+def _python_closure(pattern, rules):
+    while True:
+        grown = pattern
+        for pre, post in rules:
+            if grown & pre == pre:
+                grown |= post
+        if grown == pattern:
+            return pattern
+        pattern = grown
+
+
+def test_stage_tables_over_every_sign_pattern():
+    patterns = np.arange(1 << 14)
+    (pool1, clash1), (pool2, clash2), (pool3, clash3) = _stage_tables()
+    # every catalog rule with a negative atom forces exactly that one variable
+    assert len(_CATALOG_RULES) == 52 and all(post and post & post - 1 == 0 for _pre, post in _CATALOG_RULES)
+    assert (pool1 == patterns).all() and not clash1.any()
+    # stage 3: the closure contains its pattern, is closed under the catalog,
+    # is idempotent, and is the least such set, as a plain-Python closure
+    # read straight from CONTRADICTION_RULES finds
+    assert (pool3 & patterns == patterns).all()
+    assert (_step(pool3, _CATALOG_RULES) & ~pool3 == 0).all()
+    assert (pool3[pool3] == pool3).all()
+    rules = [
+        (field_mask(v for v, neg in r if not neg), field_mask(v for v, neg in r if neg)) for r in CONTRADICTION_RULES
+    ]
+    assert pool3.tolist() == [_python_closure(f, rules) for f in range(1 << 14)]
+    # stage 2: the union of _STAGE2_DERIVED over the forced variables, plus
+    # j when a and f are both forced; the forced set itself is left out
+    want = []
+    for f in range(1 << 14):
+        forced = {v for b, v in enumerate(PROFILE_FIELDS) if f >> b & 1}
+        derived = {w for v in forced for w in _STAGE2_DERIVED[v]} | ({"j"} if {"a", "f"} <= forced else set())
+        want.append(field_mask(derived))
+    assert pool2.tolist() == want
+    # p and r both nonnegative is a hard clash: in the forced set at stage 2,
+    # in its closure at stage 3
+    pr = field_mask("pr")
+    assert (clash2 == (patterns & pr == pr)).all() and (clash3 == (pool3 & pr == pr)).all()
+
+
+def test_cached_tables_are_read_only():
+    for table in (covered_terms(), _forced_table(), *(array for pair in _stage_tables() for array in pair)):
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_fixture_families_are_canonically_ordered():

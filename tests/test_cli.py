@@ -115,6 +115,21 @@ def test_census_sweep_json_digest_stable(capsys):
     assert p1 == p2
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["census", "pipeline"], "1aeb48807b76aff3fe340d0e3b41e05d7659aa484588363693535197280da756"),
+    (["census", "sweep", "--lam-max", "10", "--mu-max", "10", "--jobs", "1"],
+     "29a31c9c81c443126885c81b5f58cfd069880da1ada95854721f85eebc7dc3f7"),
+    (["census", "sweep", "--lam-max", "10", "--mu-max", "10", "--jobs", "2"],
+     "29a31c9c81c443126885c81b5f58cfd069880da1ada95854721f85eebc7dc3f7"),
+    (["census", "verify"], "22f2859767850f15e4ee5decb48c2d7db27fabe7f96bbd521718dff69bd0ed9e"),
+], ids=["pipeline", "sweep-jobs-1", "sweep-jobs-2", "verify"])
+def test_census_result_digests_are_pinned(capsys, argv, digest):
+    # the same outputs across refactors: each census result, as its manifest digest
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["manifest"]["result_digest"] == digest
+
+
 def test_census_pipeline_json_stage_filter(capsys, tmp_path):
     out_file = tmp_path / "pipeline.json"
     code, _out, _ = run(
@@ -235,6 +250,11 @@ _GRAMMAR = {
         ("--json", None),
     ],
     "altset": [("--lam", _TRIPLE), ("--mu", _TRIPLE), ("--json", None)],
+    "census pipeline": [
+        ("--stage", st.integers(-1, 4).map(str)),
+        ("--out", st.just(str(pathlib.Path(_MISSING_DIR) / "pipeline.json"))),
+        ("--json", None),
+    ],
     "census sweep": [("--lam-max", _BOUND), ("--mu-max", _BOUND), ("--jobs", _JOBS), ("--json", None)],
     "census verify": [
         ("--fixtures", st.just(_MISSING_DIR)),

@@ -4,6 +4,7 @@ import pathlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -271,6 +272,17 @@ def test_case_letters_follow_from_the_nonnegative_part():
         for pos, _neg in patterns:
             assert letters == "".join(t.letter for t in TERMS if set(t.fields) <= set(pos)), (pos, letters)
             assert covered[field_mask(pos)] == sum(1 << LETTER_INDEX[L] for L in letters), (pos, letters)
+
+
+def test_covered_terms_matches_each_pattern():
+    # the vectorized table against a per-pattern evaluation of the rule:
+    # a term is covered when its three variables lie in the pattern
+    want = []
+    for s in range(1 << 14):
+        nonneg = {v for b, v in enumerate(PROFILE_FIELDS) if s >> b & 1}
+        want.append(sum(1 << i for i, t in enumerate(TERMS) if set(t.fields) <= nonneg))
+    covered = covered_terms()
+    assert covered.dtype == np.uint32 and covered.tolist() == want
 
 
 def test_field_mask_and_signs():
