@@ -6,6 +6,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sp6q
 from sp6q import census, cli, partition
 from sp6q.qpoly import QPoly
 
@@ -214,6 +215,99 @@ def test_verify_reads_fixtures_before_pipeline(monkeypatch, capsys, tmp_path):
         cli.main(["census", "verify", "--fixtures", str(tmp_path / "missing")])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+_KPF_Q = ["0", "1", "2", "4", "2", "1"]
+_KPF_TEXT = "q + 2*q^2 + 4*q^3 + 2*q^4 + q^5\n"
+_MULT_Q = [str(c) for c in (0, 0, 0, 0, 1, 0, 3, 1, 6, 3, 8, 4, 8, 4, 6, 3, 3, 1, 1)]
+_MULT_TEXT = "q^4 + 3*q^6 + q^7 + 6*q^8 + 3*q^9 + 8*q^10 + 4*q^11 + 8*q^12 + 4*q^13 + 6*q^14 + 3*q^15 + 3*q^16 + q^17 + q^18\n"
+_SWEEP_1 = [  # (set, lam, mu) of census sweep --lam-max 1 --mu-max 1
+    (["1"], [0, 0, 0], [0, 0, 0]),
+    ([], [0, 0, 0], [0, 1, 0]),
+    (["1", "s2"], [0, 0, 1], [1, 0, 0]),
+    (["1", "s1", "s2", "s3", "s3*s1"], [0, 1, 0], [0, 0, 0]),
+    (["1", "s1", "s2"], [0, 1, 1], [0, 0, 1]),
+    (["1", "s1", "s2", "s3", "s2*s1", "s3*s1"], [0, 1, 1], [1, 0, 0]),
+    (["1", "s2", "s3"], [1, 1, 0], [1, 0, 0]),
+]
+_MISSING_AT_2 = (
+    "extra=[] missing=['{1, s2, s3, s2*s3}', '{1, s2, s3, s3*s2}', '{1, s2, s3, s2*s3, s3*s2}', "
+    "'{1, s1, s2, s3, s3*s1, s3*s2}', '{1, s1, s2, s1*s2, s2*s1, s1*s2*s1}']"
+)
+
+
+def _census_payload(argv, params, digest, result):
+    """A census JSON payload as printed, less its manifest's elapsed_seconds."""
+    manifest = {"command": argv, "parameters": params, "result_digest": digest, "tool": "sp6q",
+                "version": sp6q.__version__}
+    return {"command": " ".join(argv[:2]), "manifest": manifest, "result": result, "schema_version": "1"}
+
+
+_PIPELINE_3 = ["census", "pipeline", "--stage", "3", "--json"]
+_SWEEP_1_JSON = ["census", "sweep", "--lam-max", "1", "--mu-max", "1", "--json"]
+# (argv, exit code, stdout, stderr); a dict stands for a JSON stdout
+_GOLDEN = [
+    (["kpf", "--alpha", "2,2,1"], 0, _KPF_TEXT, ""),
+    (["kpf", "--alpha", "2,2,1", "--json"], 0,
+     {"alpha": [2, 2, 1], "command": "kpf", "kpf": 10, "kpf_q": _KPF_Q, "schema_version": "1"}, ""),
+    (["kpf", "--alpha", "2,2,1", "--oracle"], 0, _KPF_TEXT * 2, ""),
+    (["kpf", "--alpha", "2,2,1", "--oracle", "--json"], 0,
+     {"alpha": [2, 2, 1], "command": "kpf", "kpf": 10, "kpf_q": _KPF_Q, "oracle": _KPF_Q, "schema_version": "1"},
+     ""),
+    (["mult", "--lam", "2,0,0", "--mu", "0,0,0"], 0, "q + q^3 + q^5\n", ""),
+    (["mult", "--lam", "4,2,0", "--mu", "0,0,0", "--at-one"], 0, "52\n", ""),
+    (["mult", "--lam", "4,2,0", "--mu", "0,0,0", "--method", "both"], 0, _MULT_TEXT * 2, ""),
+    (["mult", "--lam", "4,2,0", "--mu", "0,0,0", "--method", "both", "--json"], 0,
+     {"command": "mult", "lam": [4, 2, 0], "method": "both", "mu": [0, 0, 0], "mult": 52,
+      "mult_q": {"cases": _MULT_Q, "direct": _MULT_Q}, "schema_version": "1"}, ""),
+    (["mult", "--lam", "1,0,0", "--mu", "0,0,0"], 0, "0\n",
+     "note: weight difference is outside the root lattice; multiplicity is 0\n"),
+    (["altset", "--lam", "2,1,0", "--mu", "0,0,0"], 0, "{1, s1, s2, s3, s2*s3, s3*s1}\n", ""),
+    (["altset", "--lam", "2,1,0", "--mu", "0,0,0", "--json"], 0,
+     {"command": "altset", "lam": [2, 1, 0], "mu": [0, 0, 0], "schema_version": "1",
+      "set": ["1", "s1", "s2", "s3", "s2*s3", "s3*s1"]}, ""),
+    (["census", "pipeline"], 0, "131072 -> 1124 -> 150 -> 46\n", ""),
+    (_PIPELINE_3, 0, _census_payload(
+        _PIPELINE_3, {"stage": 3}, "635976d648329fa69d5d8507927fcb7f1e391e359c8727e48e4b98878accba9a",
+        {"counts": {"candidates": 131072, "final": 46, "stage1": 1124, "stage2": 150},
+         "families": {"final": [a.to_json() for a in census.load_family_fixture("final")]}}), ""),
+    (["census", "sweep", "--lam-max", "1", "--mu-max", "1"], 0,
+     "7 distinct alternation sets\n"
+     "{1}                                                                    lam=(0, 0, 0) mu=(0, 0, 0)\n"
+     "{}                                                                     lam=(0, 0, 0) mu=(0, 1, 0)\n"
+     "{1, s2}                                                                lam=(0, 0, 1) mu=(1, 0, 0)\n"
+     "{1, s1, s2, s3, s3*s1}                                                 lam=(0, 1, 0) mu=(0, 0, 0)\n"
+     "{1, s1, s2}                                                            lam=(0, 1, 1) mu=(0, 0, 1)\n"
+     "{1, s1, s2, s3, s2*s1, s3*s1}                                          lam=(0, 1, 1) mu=(1, 0, 0)\n"
+     "{1, s2, s3}                                                            lam=(1, 1, 0) mu=(1, 0, 0)\n", ""),
+    (_SWEEP_1_JSON, 0, _census_payload(
+        _SWEEP_1_JSON, {"lam_max": 1, "mu_max": 1},
+        "1231281806df32dd001e80052236ee729b754fa6c917b99377b003b70fe205ae",
+        {"distinct_sets": 7, "lam_max": 1, "mu_max": 1,
+         "entries": [{"set": s, "lam": lam, "mu": mu} for s, lam, mu in _SWEEP_1]}), ""),
+    (["census", "verify", "--lam-max", "2", "--mu-max", "2"], 4,
+     "[PASS] pipeline-stage1: 1124 sets\n"
+     "[PASS] pipeline-stage2: 150 sets\n"
+     "[PASS] pipeline-final: 46 sets\n"
+     "[PASS] witness-rows: 46 rows reproduced\n"
+     f"[FAIL] sweep-family: {_MISSING_AT_2}\n"
+     f"[FAIL] pipeline-vs-sweep: {_MISSING_AT_2}\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", _GOLDEN, ids=[" ".join(g[0]) for g in _GOLDEN])
+def test_every_command_output_is_pinned(capsys, argv, code, stdout, stderr):
+    got_code, out, err = run(capsys, *argv)
+    assert (got_code, err) == (code, stderr)
+    if isinstance(stdout, dict):  # the exact JSON text, whatever the run's timing
+        payload = json.loads(out)
+        elapsed = payload.get("manifest", {}).pop("elapsed_seconds", None)
+        assert payload == stdout
+        if elapsed is not None:
+            payload["manifest"]["elapsed_seconds"] = elapsed
+        assert out == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    else:
+        assert out == stdout
 
 
 def test_oracle_bound_checked_before_any_work(monkeypatch, capsys):
