@@ -12,7 +12,7 @@ JSON output is schema-stable ("schema_version"); census results carry a
 run manifest whose digest covers everything except timing.
 
 Exit codes: 0 success, 2 usage error, 3 internal cross-check failure,
-4 fixture mismatch.
+4 fixture mismatch, 141 stdout closed by its reader (as in `sp6q ... | head`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CROSSCHECK = 3
 EXIT_FIXTURE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command that SIGPIPE killed
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
@@ -54,27 +56,26 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(EXIT_USAGE)
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _digest(result) -> str:
-    return hashlib.sha256(_canonical_json(result).encode("utf-8")).hexdigest()
-
-
 def _manifest(args_list, params, result, elapsed) -> dict:
+    canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
     return {
         "tool": "sp6q",
         "version": __version__,
         "command": args_list,
         "parameters": params,
         "elapsed_seconds": round(elapsed, 3),
-        "result_digest": _digest(result),
+        "result_digest": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
     }
 
 
-def _emit_json(payload, out_path=None):
-    text = json.dumps(payload, indent=1, sort_keys=True)
+def _emit(args, payload, text, code=EXIT_OK) -> int:
+    """Print one command's result and return its exit code: the JSON payload
+    with its schema header under --json or --out (into that file), otherwise the text."""
+    out_path = getattr(args, "out", None)  # only the census commands have --out
+    if args.json or out_path:
+        command = f"census {args.census_command}" if args.command == "census" else args.command
+        payload = {"schema_version": SCHEMA_VERSION, "command": command, **payload}
+        text = json.dumps(payload, indent=1, sort_keys=True)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -83,9 +84,10 @@ def _emit_json(payload, out_path=None):
             _usage_error(f"cannot write --out file: {exc}")
     else:
         print(text)
+    return code
 
 
-def _cmd_kpf(args) -> int:
+def _cmd_kpf(args, _argv) -> int:
     try:
         # the oracle first: its bound is the lower one, so it refuses before any work
         reference = partition.kpf_q_oracle(*args.alpha) if args.oracle else None
@@ -93,42 +95,31 @@ def _cmd_kpf(args) -> int:
     except ValueError as exc:  # height above partition.KPF_MAX_HEIGHT or KPF_ORACLE_MAX_HEIGHT
         _usage_error(str(exc))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "kpf",
         "alpha": list(args.alpha),
         "kpf_q": value.to_json(),
         "kpf": eval_at_one(value),
     }
-    lines = [str(value)]
-    if args.oracle:
-        payload["oracle"] = reference.to_json()
-        lines.append(str(reference))
-        if reference != value:
-            print(f"cross-check failed: formula {value} != oracle {reference}", file=sys.stderr)
-            return EXIT_CROSSCHECK
-    if args.json:
-        _emit_json(payload)
-    else:
-        print("\n".join(lines))
-    return EXIT_OK
+    if not args.oracle:
+        return _emit(args, payload, str(value))
+    if reference != value:
+        print(f"cross-check failed: formula {value} != oracle {reference}", file=sys.stderr)
+        return EXIT_CROSSCHECK
+    payload["oracle"] = reference.to_json()
+    return _emit(args, payload, f"{value}\n{reference}")
 
 
-def _cmd_mult(args) -> int:
+def _cmd_mult(args, _argv) -> int:
     lam, mu = WeightFW(*args.lam), WeightFW(*args.mu)
     if args.method != "direct" and not (lam.is_dominant() and mu.is_dominant()):
         _usage_error(f"--method {args.method} needs dominant --lam and --mu (the 45 cases hold only there)")
-    results = {}
+    methods = ("direct", "cases") if args.method == "both" else (args.method,)
+    routes = {"direct": multiplicity.mult_q_direct, "cases": multiplicity.mult_q_cases}
     try:
-        if args.method in ("direct", "both"):
-            results["direct"] = multiplicity.mult_q_direct(lam, mu)
-        if args.method in ("cases", "both"):
-            results["cases"] = multiplicity.mult_q_cases(lam, mu)
+        results = {name: routes[name](lam, mu) for name in methods}
     except ValueError as exc:  # a term above partition.KPF_MAX_HEIGHT
         _usage_error(str(exc))
-    shown = results.get("direct", results.get("cases"))
+    shown = results[methods[0]]
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "mult",
         "lam": list(args.lam),
         "mu": list(args.mu),
         "method": args.method,
@@ -143,114 +134,74 @@ def _cmd_mult(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CROSSCHECK
-    if args.json:
-        _emit_json(payload)
-    elif args.at_one:
-        print(eval_at_one(shown))
-    else:
-        for name in ("direct", "cases"):
-            if name in results:
-                print(str(results[name]))
-    return EXIT_OK
+    text = str(eval_at_one(shown)) if args.at_one else "\n".join(map(str, results.values()))
+    return _emit(args, payload, text)
 
 
-def _cmd_altset(args) -> int:
+def _cmd_altset(args, _argv) -> int:
     aset = multiplicity.alternation_set(WeightFW(*args.lam), WeightFW(*args.mu))
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "altset",
-                "lam": list(args.lam),
-                "mu": list(args.mu),
-                "set": aset.to_json(),
-            }
-        )
-    else:
-        print(str(aset))
-    return EXIT_OK
+    payload = {
+        "lam": list(args.lam),
+        "mu": list(args.mu),
+        "set": aset.to_json(),
+    }
+    return _emit(args, payload, str(aset))
+
+
+def _census(args, argv, params, compute, render) -> int:
+    """Time compute() and print render(its result) -> (body, text, code),
+    with the body in the census envelope beside its run manifest."""
+    t0 = time.perf_counter()
+    try:
+        result = compute()
+    except ValueError as exc:  # a census.check_sweep_box refusal or a census.FixtureError, both before any work
+        _usage_error(str(exc))
+    elapsed = time.perf_counter() - t0
+    body, text, code = render(result)
+    return _emit(args, {"result": body, "manifest": _manifest(argv, params, body, elapsed)}, text, code)
 
 
 def _cmd_census_pipeline(args, argv) -> int:
-    t0 = time.perf_counter()
-    result = census.filter_pipeline()
-    elapsed = time.perf_counter() - t0
-    families = {
-        "stage1": [census.AlternationSet.from_letters(s).to_json() for s in result.stage1],
-        "stage2": [census.AlternationSet.from_letters(s).to_json() for s in result.stage2],
-        "final": [census.AlternationSet.from_letters(s).to_json() for s in result.final],
-    }
-    if args.stage:
-        key = {1: "stage1", 2: "stage2", 3: "final"}[args.stage]
-        families = {key: families[key]}
-    counts = result.counts
-    body = {"counts": {"candidates": 1 << 17, "stage1": counts[0], "stage2": counts[1], "final": counts[2]}, "families": families}
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "census pipeline",
-        "result": body,
-        "manifest": _manifest(argv, {"stage": args.stage}, body, elapsed),
-    }
-    if args.json or args.out:
-        _emit_json(payload, args.out)
-    else:
-        print(f"{1 << 17} -> {counts[0]} -> {counts[1]} -> {counts[2]}")
-    return EXIT_OK
+    def render(result):
+        names = ("stage1", "stage2", "final")
+        families = {
+            name: [census.AlternationSet.from_letters(s).to_json() for s in getattr(result, name)]
+            for stage, name in enumerate(names, 1)
+            if args.stage in (None, stage)
+        }
+        counts = {"candidates": 1 << 17, **dict(zip(names, result.counts))}
+        text = " -> ".join(map(str, counts.values()))
+        return {"counts": counts, "families": families}, text, EXIT_OK
+
+    return _census(args, argv, {"stage": args.stage}, census.filter_pipeline, render)
 
 
 def _cmd_census_sweep(args, argv) -> int:
-    t0 = time.perf_counter()
-    try:
-        entries = census.sweep_census(args.lam_max, args.mu_max, jobs=args.jobs)
-    except ValueError as exc:  # a box or --jobs that census.check_sweep_box refuses, before any work
-        _usage_error(str(exc))
-    elapsed = time.perf_counter() - t0
-    body = {
-        "lam_max": args.lam_max,
-        "mu_max": args.mu_max,
-        "distinct_sets": len(entries),
-        "entries": [
-            {"set": e.altset.to_json(), "lam": list(e.lam.coeffs()), "mu": list(e.mu.coeffs())}
-            for e in entries
-        ],
-    }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "census sweep",
-        "result": body,
-        "manifest": _manifest(argv, {"lam_max": args.lam_max, "mu_max": args.mu_max}, body, elapsed),
-    }
-    if args.json or args.out:
-        _emit_json(payload, args.out)
-    else:
-        print(f"{len(entries)} distinct alternation sets")
-        for e in entries:
-            print(f"{str(e.altset):<70} lam={e.lam.coeffs()} mu={e.mu.coeffs()}")
-    return EXIT_OK
+    box = {"lam_max": args.lam_max, "mu_max": args.mu_max}
+
+    def render(entries):
+        body = {
+            **box,
+            "distinct_sets": len(entries),
+            "entries": [
+                {"set": e.altset.to_json(), "lam": list(e.lam.coeffs()), "mu": list(e.mu.coeffs())}
+                for e in entries
+            ],
+        }
+        lines = [f"{len(entries)} distinct alternation sets"]
+        lines += [f"{str(e.altset):<70} lam={e.lam.coeffs()} mu={e.mu.coeffs()}" for e in entries]
+        return body, "\n".join(lines), EXIT_OK
+
+    return _census(args, argv, box, lambda: census.sweep_census(**box, jobs=args.jobs), render)
 
 
 def _cmd_census_verify(args, argv) -> int:
-    t0 = time.perf_counter()
-    try:
-        report = census.verify_census(
-            fixtures_dir=args.fixtures, lam_max=args.lam_max, mu_max=args.mu_max, jobs=args.jobs
-        )
-    except ValueError as exc:  # a refused box or --jobs, or a census.FixtureError, before any work
-        _usage_error(str(exc))
-    elapsed = time.perf_counter() - t0
-    body = report.to_json()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "census verify",
-        "result": body,
-        "manifest": _manifest(argv, {"lam_max": args.lam_max, "mu_max": args.mu_max}, body, elapsed),
-    }
-    if args.json or args.out:
-        _emit_json(payload, args.out)
-    else:
-        for c in report.checks:
-            print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-    return EXIT_OK if report.all_passed else EXIT_FIXTURE
+    def render(report):
+        lines = [f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.checks]
+        return report.to_json(), "\n".join(lines), EXIT_OK if report.all_passed else EXIT_FIXTURE
+
+    box = {"lam_max": args.lam_max, "mu_max": args.mu_max}
+    return _census(args, argv, box, lambda: census.verify_census(args.fixtures, **box, jobs=args.jobs), render)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kpf.add_argument("--alpha", type=_parse_triple, required=True, metavar="m,n,k", help=f"m+n+k at most {partition.KPF_MAX_HEIGHT}")
     p_kpf.add_argument("--oracle", action="store_true", help=f"also run the brute-force oracle and compare; m+n+k at most {partition.KPF_ORACLE_MAX_HEIGHT}")
     p_kpf.add_argument("--json", action="store_true")
+    p_kpf.set_defaults(run=_cmd_kpf)
 
     p_mult = sub.add_parser("mult", help="weight q-multiplicity m_q(lam, mu)")
     p_mult.add_argument("--lam", type=_parse_triple, required=True, metavar="m,n,k")
@@ -275,11 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mult.add_argument("--method", choices=("direct", "cases", "both"), default="direct", help="cases and both need dominant weights")
     p_mult.add_argument("--at-one", action="store_true", help="print the plain multiplicity")
     p_mult.add_argument("--json", action="store_true")
+    p_mult.set_defaults(run=_cmd_mult)
 
     p_alt = sub.add_parser("altset", help="Weyl alternation set of (lam, mu)")
     p_alt.add_argument("--lam", type=_parse_triple, required=True, metavar="m,n,k")
     p_alt.add_argument("--mu", type=_parse_triple, required=True, metavar="x,y,z")
     p_alt.add_argument("--json", action="store_true")
+    p_alt.set_defaults(run=_cmd_altset)
 
     p_census = sub.add_parser("census", help="alternation-set classification")
     csub = p_census.add_subparsers(dest="census_command", required=True)
@@ -288,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--stage", type=int, choices=(1, 2, 3), help="restrict JSON family output to one stage")
     p_pipe.add_argument("--out", metavar="FILE.json")
     p_pipe.add_argument("--json", action="store_true")
+    p_pipe.set_defaults(run=_cmd_census_pipeline)
 
     p_sweep = csub.add_parser("sweep", help="enumerate alternation sets over a weight box")
     p_sweep.add_argument("--lam-max", type=int, required=True)
@@ -295,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p_sweep.add_argument("--out", metavar="FILE.json")
     p_sweep.add_argument("--json", action="store_true")
+    p_sweep.set_defaults(run=_cmd_census_sweep)
 
     p_verify = csub.add_parser("verify", help="diff pipeline and sweep against the shipped fixtures")
     p_verify.add_argument("--fixtures", metavar="DIR", default=None,
@@ -304,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p_verify.add_argument("--out", metavar="FILE.json")
     p_verify.add_argument("--json", action="store_true")
+    p_verify.set_defaults(run=_cmd_census_verify)
 
     return parser
 
@@ -330,23 +287,17 @@ def _normalize_argv(argv):
 
 def main(argv=None) -> int:
     argv = _normalize_argv(list(sys.argv[1:] if argv is None else argv))
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "kpf":
-        return _cmd_kpf(args)
-    if args.command == "mult":
-        return _cmd_mult(args)
-    if args.command == "altset":
-        return _cmd_altset(args)
-    if args.command == "census":
-        if args.census_command == "pipeline":
-            return _cmd_census_pipeline(args, argv)
-        if args.census_command == "sweep":
-            return _cmd_census_sweep(args, argv)
-        if args.census_command == "verify":
-            return _cmd_census_verify(args, argv)
-    parser.error("unknown command")
-    return EXIT_USAGE
+    args = build_parser().parse_args(argv)
+    try:
+        code = args.run(args, argv)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull so the flush at exit cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

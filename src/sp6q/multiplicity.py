@@ -244,9 +244,6 @@ class AlternationSet:
     def names(self) -> list[str]:
         return [weyl.name(e) for e in self.elements()]
 
-    def sort_key(self) -> tuple:
-        return (len(self.indices), tuple(sorted(self.indices)))
-
     def __contains__(self, el: weyl.WeylElement) -> bool:
         return weyl.canonical_index(el) in self.indices
 

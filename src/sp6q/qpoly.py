@@ -31,17 +31,6 @@ class QPoly:
     def __sub__(self, other: "QPoly") -> "QPoly":
         return add_signed(self, -1, other)
 
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, e: int) -> int:
-        return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
-
-    def support(self) -> list[int]:
-        """Exponents with nonzero coefficient, ascending."""
-        return [e for e, c in enumerate(self.coeffs) if c]
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

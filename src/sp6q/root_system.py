@@ -68,9 +68,6 @@ class AlphaVector:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs())
 
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs())
-
     def __add__(self, other: "AlphaVector") -> "AlphaVector":
         return AlphaVector(self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3)
 
@@ -95,15 +92,6 @@ class EpsVector:
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.e1, self.e2, self.e3)
-
-
-def alpha(i: int) -> AlphaVector:
-    """The i-th simple root (i in 1..3) in alpha coordinates."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"simple-root index must be 1, 2 or 3, got {i}")
-    c = [Fraction(0)] * 3
-    c[i - 1] = Fraction(1)
-    return AlphaVector(*c)
 
 
 # The nine positive roots, in the fixed canonical order used everywhere in

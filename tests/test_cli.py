@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +313,28 @@ def test_every_command_output_is_pinned(capsys, argv, code, stdout, stderr):
         assert out == stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["kpf", "--alpha", "2,2,1"],
+    ["census", "pipeline", "--json"],
+    ["census", "sweep", "--lam-max", "2", "--mu-max", "2"],
+], ids=" ".join)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # the pipe's read end is closed before the command starts, so every write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from sp6q.cli import main; sys.exit(main())", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == ""  # no traceback, no "Exception ignored" from the flush at exit
+
+
 def test_oracle_bound_checked_before_any_work(monkeypatch, capsys):
     def no_kpf_q(*alpha):
         raise AssertionError("kpf_q ran before the oracle bound was checked")
@@ -349,12 +374,19 @@ _GRAMMAR = {
         ("--out", st.just(str(pathlib.Path(_MISSING_DIR) / "pipeline.json"))),
         ("--json", None),
     ],
-    "census sweep": [("--lam-max", _BOUND), ("--mu-max", _BOUND), ("--jobs", _JOBS), ("--json", None)],
+    "census sweep": [
+        ("--lam-max", _BOUND),
+        ("--mu-max", _BOUND),
+        ("--jobs", _JOBS),
+        ("--out", st.just(str(pathlib.Path(_MISSING_DIR) / "sweep.json"))),
+        ("--json", None),
+    ],
     "census verify": [
         ("--fixtures", st.just(_MISSING_DIR)),
         ("--lam-max", _BOUND),
         ("--mu-max", _BOUND),
         ("--jobs", _JOBS),
+        ("--out", st.just(str(pathlib.Path(_MISSING_DIR) / "verify.json"))),
         ("--json", None),
     ],
 }

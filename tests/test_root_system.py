@@ -7,7 +7,6 @@ from sp6q.root_system import (
     AlphaVector,
     EpsVector,
     WeightFW,
-    alpha,
     alpha_to_eps,
     eps_to_alpha,
     fw_to_alpha,
@@ -22,9 +21,9 @@ def test_positive_roots_canonical():
     roots = positive_roots()
     assert len(roots) == 9
     assert AlphaVector(F(2), F(2), F(1)) in roots  # the highest root
-    assert roots[0] == alpha(1)
+    assert roots[0] == AlphaVector(1, 0, 0)
     for r in roots:
-        assert r.is_integral() and r.is_nonnegative()
+        assert r.is_integral() and all(c >= 0 for c in r.coeffs())
 
 
 def test_positive_roots_sum_is_twice_rho():
@@ -54,15 +53,10 @@ def test_rho():
 
 
 def test_basis_change_examples():
-    assert alpha_to_eps(alpha(1)) == EpsVector(F(1), F(-1), F(0))
-    assert alpha_to_eps(alpha(3)) == EpsVector(F(0), F(0), F(2))
+    assert alpha_to_eps(AlphaVector(1, 0, 0)) == EpsVector(F(1), F(-1), F(0))
+    assert alpha_to_eps(AlphaVector(0, 0, 1)) == EpsVector(F(0), F(0), F(2))
     assert alpha_to_eps(AlphaVector(F(0), F(0), F(0))) == EpsVector(F(0), F(0), F(0))
     assert alpha_to_eps(rho_alpha()) == EpsVector(F(3), F(2), F(1))
-
-
-def test_alpha_index_validation():
-    with pytest.raises(ValueError):
-        alpha(4)
 
 
 weights = st.builds(

@@ -6,24 +6,25 @@ from fractions import Fraction
 import pytest
 
 from sp6q import weyl
-from sp6q.root_system import AlphaVector, alpha, positive_roots
+from sp6q.root_system import AlphaVector, positive_roots
 
 F = Fraction
 DATA = pathlib.Path(__file__).parent / "data"
+A1, A2, A3 = AlphaVector(1, 0, 0), AlphaVector(0, 1, 0), AlphaVector(0, 0, 1)  # the simple roots
 
 
 def test_generator_actions_on_simple_roots():
     # the defining action of the three reflections on the simple roots
     s1, s2, s3 = (weyl.generator(i) for i in (1, 2, 3))
-    assert weyl.apply(s1, alpha(1)) == -alpha(1)
-    assert weyl.apply(s1, alpha(2)) == alpha(1) + alpha(2)
-    assert weyl.apply(s1, alpha(3)) == alpha(3)
-    assert weyl.apply(s2, alpha(1)) == alpha(1) + alpha(2)
-    assert weyl.apply(s2, alpha(2)) == -alpha(2)
-    assert weyl.apply(s2, alpha(3)) == alpha(2) + alpha(2) + alpha(3)
-    assert weyl.apply(s3, alpha(1)) == alpha(1)
-    assert weyl.apply(s3, alpha(2)) == alpha(2) + alpha(3)
-    assert weyl.apply(s3, alpha(3)) == -alpha(3)
+    assert weyl.apply(s1, A1) == -A1
+    assert weyl.apply(s1, A2) == A1 + A2
+    assert weyl.apply(s1, A3) == A3
+    assert weyl.apply(s2, A1) == A1 + A2
+    assert weyl.apply(s2, A2) == -A2
+    assert weyl.apply(s2, A3) == A2 + A2 + A3
+    assert weyl.apply(s3, A1) == A1
+    assert weyl.apply(s3, A2) == A2 + A3
+    assert weyl.apply(s3, A3) == -A3
 
 
 def test_generators_are_involutions():
@@ -33,7 +34,7 @@ def test_generators_are_involutions():
 
 
 def test_identity_acts_trivially():
-    for v in (alpha(1), alpha(2) + alpha(3), AlphaVector(F(3), F(5), F(3))):
+    for v in (A1, A2 + A3, AlphaVector(F(3), F(5), F(3))):
         assert weyl.apply(weyl.IDENTITY, v) == v
 
 
@@ -90,7 +91,7 @@ def test_sign_equals_determinant():
 
 def test_apply_is_homomorphism():
     group = weyl.enumerate_group()
-    vecs = [alpha(1), alpha(2) + alpha(3), AlphaVector(F(3), F(5), F(3))]
+    vecs = [A1, A2 + A3, AlphaVector(F(3), F(5), F(3))]
     for s in group[::7]:
         for t in group[::5]:
             st = weyl.compose(s, t)
