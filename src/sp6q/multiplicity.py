@@ -12,17 +12,23 @@ the six weight coordinates (m, n, k) and (x, y, z), captured here by the
 fourteen substitution variables a..i, j, l, o, p, r of CoefficientProfile,
 held doubled so that every value is an integer.
 Every such expression, for all 48 elements, is a row of one table,
-sigma_table, derived once from the Weyl action.  When m + k + x + z is
-even, each of the 17 terms contributes exactly when its three variables
-are nonnegative; covered_terms tabulates that rule once for every sign
-pattern.
+sigma_table, derived once from the Weyl action.  sigma moves lam + rho
+and not mu, so each row is a lam part minus one doubled alpha coordinate
+of mu; sigma_table checks this and holds every row split that way, and a
+weight pair is evaluated from its three alpha coordinates of mu and four
+multiply-adds per row.  When m + k + x + z is even, each of the 17 terms
+contributes exactly when its three variables are nonnegative;
+covered_terms tabulates that rule once for every sign pattern.
 
 Two independent evaluation routes are implemented:
 
   - mult_q_direct: the alternating sum itself;
   - mult_q_cases: a closed dispatch over 45 sign-pattern cases (plus a
     final zero case), each mapping to a fixed signed combination of the
-    seventeen term polynomials A_q..Q_q.
+    seventeen term polynomials A_q..Q_q.  case_table holds the first
+    matching case of every sign pattern, so the dispatch is one lookup.
+
+Both routes add their signed terms in one qpoly.signed_sum.
 
 A third route, mult_freudenthal, computes the plain multiplicity by the
 Freudenthal recursion over the weight system and shares no code with the
@@ -44,7 +50,7 @@ import numpy as np
 
 from . import weyl
 from .partition import kpf_q
-from .qpoly import QPoly, add_signed, eval_at_one
+from .qpoly import QPoly, eval_at_one, signed_sum
 from .root_system import AlphaVector, WeightFW, fw_to_alpha, rho_alpha
 
 PROFILE_FIELDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "l", "o", "p", "r")
@@ -109,11 +115,16 @@ def _as_weight(w) -> WeightFW:
     return w if isinstance(w, WeightFW) else WeightFW(*w)
 
 
+def _coords(w) -> tuple[int, int, int]:
+    """The three coordinates of a WeightFW or a 3-sequence, without building a WeightFW."""
+    return w.coeffs() if isinstance(w, WeightFW) else w
+
+
 def root_lattice_parity(lam, mu) -> bool:
     """True iff sigma(lam) - mu lies in the root lattice for every sigma,
     which happens exactly when m + k + x + z is even."""
-    lam, mu = _as_weight(lam), _as_weight(mu)
-    return (lam.m + lam.k + mu.m + mu.k) % 2 == 0
+    (m, _n, k), (x, _y, z) = _coords(lam), _coords(mu)
+    return (m + k + x + z) % 2 == 0
 
 
 def sigma_coeffs(s: weyl.WeylElement, lam, mu) -> AlphaVector:
@@ -131,6 +142,12 @@ class SigmaTable(NamedTuple):
     coordinate, doubled so that every entry is an integer.  Elements share
     rows: 48 elements x 3 coordinates use 26 distinct rows, and the 17
     contributing elements use 14 of them, one per profile variable.
+
+    sigma acts on lam + rho only, so the mu part of a row in alpha
+    coordinate i is minus the doubled i-th alpha coordinate of mu, the same
+    for every row of that coordinate.  Each row is also held split: its lam
+    part (cm, cn, ck, c1) and its coordinate i, so that a pair costs three
+    dot products for alpha(mu) and then four multiply-adds per row.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -140,14 +157,20 @@ class SigmaTable(NamedTuple):
     profile: tuple[int, ...]
     # canonical index of each TERMS element
     terms: tuple[int, ...]
-    # the rows of the profile variables, read by coefficient_profile and the sweep
+    # the rows of the profile variables, read by the sweep
     profile_rows: tuple[tuple[int, ...], ...]
+    # doubled alpha coordinates of mu: row i holds the coefficients of (x, y, z)
+    mu_alpha: tuple[tuple[int, int, int], ...]
+    # each row split as (cm, cn, ck, c1, i): its value is cm*m + cn*n + ck*k + c1
+    # minus doubled alpha coordinate i of mu
+    split: tuple[tuple[int, int, int, int, int], ...]
+    # the split rows of the profile variables, read by coefficient_profile
+    profile_split: tuple[tuple[int, int, int, int, int], ...]
 
 
-@lru_cache(maxsize=1)
-def sigma_table() -> SigmaTable:
-    """Derive the affine table once from the Weyl action."""
-    fundamental = [fw_to_alpha(WeightFW(*unit)) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+def _affine_rows(fundamental: list[AlphaVector]):
+    """The distinct doubled rows of sigma(lam+rho) - rho - mu and each element's
+    (canonical index, sign, row ids), from the Weyl action on the fundamental weights."""
     rho = rho_alpha()
     minus_mu = [-w for w in fundamental]
     row_ids: dict[tuple[int, ...], int] = {}
@@ -159,6 +182,24 @@ def sigma_table() -> SigmaTable:
             for i in range(3)
         )
         elements.append((idx, weyl.sign(el), ids))
+    return tuple(row_ids), tuple(elements)
+
+
+@lru_cache(maxsize=1)
+def sigma_table() -> SigmaTable:
+    """Derive the affine table once from the Weyl action."""
+    fundamental = [fw_to_alpha(WeightFW(*unit)) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    rows, elements = _affine_rows(fundamental)
+    # doubled alpha_i(mu) = mu_alpha[i] . (x, y, z); every row of coordinate i
+    # must carry minus it as its mu part
+    mu_alpha = tuple(tuple(int(2 * w.coeffs()[i]) for w in fundamental) for i in range(3))
+    coordinate: dict[int, int] = {}
+    for _idx, _sign, ids in elements:
+        for i, row in enumerate(ids):
+            if rows[row][3:6] != tuple(-c for c in mu_alpha[i]):
+                raise RuntimeError(f"affine row {rows[row]} has a mu part other than minus doubled alpha_{i + 1}(mu)")
+            coordinate[row] = i
+    split = tuple((*rows[r][:3], rows[r][6], coordinate[r]) for r in range(len(rows)))
     terms = tuple(weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS)
     profile: dict[str, int] = {}
     for term, idx in zip(TERMS, terms):
@@ -166,14 +207,15 @@ def sigma_table() -> SigmaTable:
         for field, row in zip(term.fields, ids):
             if profile.setdefault(field, row) != row:
                 raise RuntimeError(f"profile variable {field} names two rows of the affine table")
-    rows = tuple(row_ids)
     # Redundancy identities that hold for every weight pair: a-b and e-f
     # both equal m+1, d-e and b-c both equal n+1 (rows are doubled).
     diffs = [tuple(x - y for x, y in zip(rows[profile[u]], rows[profile[v]])) for u, v in ("ab", "ef", "de", "bc")]
     if diffs != [(2, 0, 0, 0, 0, 0, 2)] * 2 + [(0, 2, 0, 0, 0, 0, 2)] * 2:
         raise RuntimeError("profile rows violate a-b = e-f = m+1 or d-e = b-c = n+1")
     ids = tuple(profile[f] for f in PROFILE_FIELDS)
-    return SigmaTable(rows, tuple(elements), ids, terms, tuple(rows[r] for r in ids))
+    return SigmaTable(
+        rows, elements, ids, terms, tuple(rows[r] for r in ids), mu_alpha, split, tuple(split[r] for r in ids)
+    )
 
 
 @lru_cache(maxsize=1)
@@ -192,15 +234,12 @@ def symbolic_sigma_rows():
     )
 
 
-def _doubled_rows(lam, mu, rows) -> list[int]:
-    """Each doubled affine row evaluated at the weight pair."""
-    lam, mu = _as_weight(lam), _as_weight(mu)
-    m, n, k = lam.coeffs()
-    x, y, z = mu.coeffs()
-    return [
-        cm * m + cn * n + ck * k + cx * x + cy * y + cz * z + c1
-        for cm, cn, ck, cx, cy, cz, c1 in rows
-    ]
+def _doubled_rows(lam, mu, split) -> list[int]:
+    """Each split row of sigma_table evaluated at the weight pair: its lam part
+    minus the doubled alpha coordinate of mu, computed once for all rows."""
+    (m, n, k), (x, y, z) = _coords(lam), _coords(mu)
+    alpha = [cx * x + cy * y + cz * z for cx, cy, cz in sigma_table().mu_alpha]
+    return [cm * m + cn * n + ck * k + c1 - alpha[i] for cm, cn, ck, c1, i in split]
 
 
 class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELDS])):
@@ -219,7 +258,7 @@ class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELD
 
 def coefficient_profile(lam, mu) -> CoefficientProfile:
     """The profile rows of sigma_table evaluated at the pair, unhalved."""
-    return CoefficientProfile._make(_doubled_rows(lam, mu, sigma_table().profile_rows))
+    return CoefficientProfile._make(_doubled_rows(lam, mu, sigma_table().profile_split))
 
 
 @dataclass(frozen=True)
@@ -265,7 +304,7 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
     even and nonnegative.  All 48 elements are scanned for every pair.
     """
     table = sigma_table()
-    half = [d // 2 if d >= 0 and d % 2 == 0 else None for d in _doubled_rows(lam, mu, table.rows)]
+    half = [d >> 1 if d >= 0 and not d & 1 else None for d in _doubled_rows(lam, mu, table.split)]
     out = []
     for idx, sign, (r1, r2, r3) in table.elements:
         v1, v2, v3 = half[r1], half[r2], half[r3]
@@ -287,10 +326,7 @@ def alternation_set(lam, mu) -> AlternationSet:
 
 def mult_q_direct(lam, mu) -> QPoly:
     """The alternating sum over the alternation set."""
-    out = QPoly()
-    for _idx, sign, v in _nonzero_terms(lam, mu):
-        out = add_signed(out, sign, kpf_q(*v))
-    return out
+    return signed_sum((sign, kpf_q(*v)) for _idx, sign, v in _nonzero_terms(lam, mu))
 
 
 # Sign-pattern dispatch table.  Each entry is one case: a tuple of
@@ -300,7 +336,10 @@ def mult_q_direct(lam, mu) -> QPoly:
 # The patterns are compiled once to field_mask pairs (_CASE_MASKS).
 # Cases are tried in order and the first match wins; no match means the
 # multiplicity is zero.  Term signs are (-1)^length of the associated
-# group element.
+# group element.  Case 38 leaves i unconstrained, a deviation from the
+# paper's table (see README): with i negative no case matches the sign
+# pattern adegijl, which dominant pairs realize (first at lam = (8,0,0),
+# mu = (0,0,2)) and whose terms are exactly A, C, D and G.
 CASES: tuple[tuple[tuple[tuple[str, str], ...], str], ...] = (
     ((("abcdefghijlor", "p"),), "ABCDEFGHIJKLNOQ"),
     ((("abcdefghijlop", "r"),), "ABCDEFGHIJKLMNP"),
@@ -339,7 +378,7 @@ CASES: tuple[tuple[tuple[tuple[str, str], ...], str], ...] = (
     ((("adegjlo", "bchipr"),), "ACDGI"),
     ((("abdefj", "cghilopr"),), "ABCF"),
     ((("abdjl", "cefghiopr"),), "ABDH"),
-    ((("adegjl", "bchiopr"),), "ACDG"),
+    ((("adegjl", "bchopr"),), "ACDG"),
     ((("adejlo", "bcghipr"),), "ACDI"),
     ((("abdej", "cfghilopr"),), "ABC"),
     ((("adejl", "bcghiopr"),), "ACD"),
@@ -376,9 +415,35 @@ def matching_cases(profile: CoefficientProfile) -> list[int]:
     return [number for number, _letters in _matching(profile)]
 
 
+# term letters by case number; number 0 is unused and OTHERWISE_CASE has none
+_CASE_LETTERS = ("", *(letters for _patterns, letters in CASES), "")
+
+
+@lru_cache(maxsize=1)
+def case_table() -> bytes:
+    """First matching case number of every sign pattern, built once, read-only.
+
+    Byte s, for a 14-bit field_mask s, is the number of the first case
+    whose sign pattern s satisfies, or OTHERWISE_CASE when none does.
+    """
+    table = bytearray([OTHERWISE_CASE]) * (1 << 14)
+    for number, _letters, alternatives in reversed(_CASE_MASKS):  # earlier cases overwrite later ones
+        for care, nonneg in alternatives:
+            # the patterns s with s & care == nonneg: nonneg plus each subset of the free bits
+            free = care ^ ((1 << 14) - 1)
+            sub = free
+            while True:
+                table[nonneg | sub] = number
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+    return bytes(table)
+
+
 def match_case(profile: CoefficientProfile) -> tuple[int, str]:
     """First matching case number and its term letters ('' for the zero case)."""
-    return next(_matching(profile), (OTHERWISE_CASE, ""))
+    number = case_table()[profile.signs()]
+    return number, _CASE_LETTERS[number]
 
 
 def mult_q_cases(lam, mu) -> QPoly:
@@ -393,12 +458,11 @@ def mult_q_cases(lam, mu) -> QPoly:
         return QPoly()
     profile = coefficient_profile(lam, mu)
     _number, letters = match_case(profile)
-    out = QPoly()
-    for letter in letters:
-        sign, (u, v, w) = _TERM_SLOTS[letter]
-        # even under the parity condition, so halving is exact
-        out = add_signed(out, sign, kpf_q(profile[u] >> 1, profile[v] >> 1, profile[w] >> 1))
-    return out
+    # even under the parity condition, so halving is exact
+    return signed_sum(
+        (sign, kpf_q(profile[u] >> 1, profile[v] >> 1, profile[w] >> 1))
+        for sign, (u, v, w) in map(_TERM_SLOTS.__getitem__, letters)
+    )
 
 
 def mult(lam, mu) -> int:

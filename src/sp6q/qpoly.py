@@ -5,11 +5,17 @@ q-multiplicity.  Only the ring operations the alternating sum needs are
 provided: addition, subtraction, and evaluation at q = 1.  The
 representation is dense (coefficient index = exponent) with trailing
 zeros trimmed, so the zero polynomial is uniquely the empty tuple.
+
+signed_sum is the one summation loop: it adds any number of signed terms
+into one coefficient list and builds one QPoly, so an alternating sum of
+n terms makes one polynomial, not n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -55,17 +61,26 @@ class QPoly:
         return [str(c) for c in self.coeffs]
 
 
+_SIGNED = {1: add, -1: sub}
+
+
+def signed_sum(terms: Iterable[tuple[int, QPoly]]) -> QPoly:
+    """The sum of s*r over the (s, r) pairs, each s = +1 or -1, as one QPoly."""
+    out: list[int] = []
+    for s, r in terms:
+        op = _SIGNED.get(s)
+        if op is None:
+            raise ValueError(f"sign must be +1 or -1, got {s}")
+        c = r.coeffs
+        if len(c) > len(out):
+            out += [0] * (len(c) - len(out))
+        out[:len(c)] = map(op, out, c)
+    return QPoly(tuple(out))
+
+
 def add_signed(p: QPoly, s: int, r: QPoly) -> QPoly:
     """p + s*r for s = +1 or -1."""
-    if s not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {s}")
-    n = max(len(p.coeffs), len(r.coeffs))
-    out = [0] * n
-    for e, c in enumerate(p.coeffs):
-        out[e] += c
-    for e, c in enumerate(r.coeffs):
-        out[e] += s * c
-    return QPoly(tuple(out))
+    return signed_sum(((1, p), (s, r)))
 
 
 def eval_at_one(p: QPoly) -> int:

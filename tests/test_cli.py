@@ -263,6 +263,7 @@ _GOLDEN = [
     (["mult", "--lam", "4,2,0", "--mu", "0,0,0", "--method", "both", "--json"], 0,
      {"command": "mult", "lam": [4, 2, 0], "method": "both", "mu": [0, 0, 0], "mult": 52,
       "mult_q": {"cases": _MULT_Q, "direct": _MULT_Q}, "schema_version": "1"}, ""),
+    (["mult", "--lam", "8,0,0", "--mu", "0,0,2", "--method", "both"], 0, "q^7 + q^9 + q^11\n" * 2, ""),
     (["mult", "--lam", "1,0,0", "--mu", "0,0,0"], 0, "0\n",
      "note: weight difference is outside the root lattice; multiplicity is 0\n"),
     (["altset", "--lam", "2,1,0", "--mu", "0,0,0"], 0, "{1, s1, s2, s3, s2*s3, s3*s1}\n", ""),

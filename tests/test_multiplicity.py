@@ -8,16 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sp6q import weyl
+from sp6q import multiplicity, weyl
 from sp6q.multiplicity import (
     CASES,
     LETTER_INDEX,
+    OTHERWISE_CASE,
     PROFILE_FIELDS,
     TERMS,
     AlternationSet,
+    CoefficientProfile,
     _CASE_MASKS,
     _TERM_SLOTS,
+    _doubled_rows,
+    _matching,
     alternation_set,
+    case_table,
     coefficient_profile,
     covered_terms,
     field_mask,
@@ -70,6 +75,35 @@ def test_sigma_table_shares_rows():
     assert table.terms == tuple(weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS)
     assert {r for idx, _sign, ids in table.elements if idx in table.terms for r in ids} == set(table.profile)
     assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
+
+
+def test_split_rows_equal_the_full_rows():
+    # lam part minus doubled alpha(mu), four terms a row, against the
+    # seven-term rows, for WeightFW and tuple inputs of either sign and parity
+    table = sigma_table()
+    rng = random.Random(13)
+    pairs = [((8, 0, 0), (0, 0, 2)), ((1, 0, 0), (0, 0, 0)), ((-3, -3, -3), (-3, -3, -3))]
+    pairs += [(tuple(rng.randint(-6, 8) for _ in range(3)), tuple(rng.randint(-6, 8) for _ in range(3))) for _ in range(200)]
+    assert {(lam[0] + lam[2] + mu[0] + mu[2]) % 2 for lam, mu in pairs} == {0, 1}
+    for lam, mu in pairs:
+        want = [sum(c * v for c, v in zip(row, (*lam, *mu, 1))) for row in table.rows]
+        assert _doubled_rows(lam, mu, table.split) == want, (lam, mu)
+        assert _doubled_rows(WeightFW(*lam), WeightFW(*mu), table.split) == want, (lam, mu)
+    assert table.profile_split == tuple(table.split[r] for r in table.profile)
+
+
+def test_sigma_table_rejects_a_corrupted_mu_part(monkeypatch):
+    derive = multiplicity._affine_rows
+
+    def corrupted(fundamental):
+        rows, elements = derive(fundamental)
+        first = rows[0]
+        return (first[:3] + (first[3] + 1,) + first[4:],) + rows[1:], elements
+
+    assert sigma_table.__wrapped__() == sigma_table()
+    monkeypatch.setattr(multiplicity, "_affine_rows", corrupted)
+    with pytest.raises(RuntimeError, match="mu part"):
+        sigma_table.__wrapped__()
 
 
 def test_sigma_coeffs_match_fixture_rows_numerically():
@@ -298,6 +332,39 @@ def test_field_mask_and_signs():
         mu = tuple(rng.randint(-4, 6) for _ in range(3))
         p = coefficient_profile(lam, mu)
         assert _mask_fields(p.signs()) == {f for f in PROFILE_FIELDS if getattr(p, f) >= 0}
+
+
+def _profile_with_signs(s):
+    return CoefficientProfile._make(0 if s >> i & 1 else -1 for i in range(14))
+
+
+def test_case_table_is_the_first_match():
+    table = case_table()
+    assert isinstance(table, bytes) and len(table) == 1 << 14
+    with pytest.raises(TypeError):
+        table[0] = 1
+    for s in range(1 << 14):
+        profile = _profile_with_signs(s)
+        number = next((n for n, _letters in _matching(profile)), OTHERWISE_CASE)
+        assert table[s] == number, s
+        assert match_case(profile) == (number, CASES[number - 1][1] if number != OTHERWISE_CASE else ""), s
+
+
+def test_every_realized_sign_pattern_dispatches_to_its_covered_terms():
+    # the 74 sign patterns of even-parity pairs in [0,16]^6, each with its
+    # lexicographically first witness; the first matching case must carry
+    # exactly the terms whose three variables the pattern makes nonnegative
+    witnesses = json.loads((DATA / "sign_pattern_witnesses.json").read_text())
+    assert len(witnesses) == len({w["signs"] for w in witnesses}) == 74
+    covered = covered_terms()
+    for w in witnesses:
+        lam, mu, s = tuple(w["lam"]), tuple(w["mu"]), w["signs"]
+        assert field_mask(w["nonnegative"]) == s
+        assert min(lam + mu) >= 0 and max(lam + mu) <= 16 and root_lattice_parity(lam, mu)
+        assert coefficient_profile(lam, mu).signs() == s, w
+        want = "".join(t.letter for i, t in enumerate(TERMS) if int(covered[s]) >> i & 1)
+        assert match_case(coefficient_profile(lam, mu))[1] == want, w
+        assert mult_q_cases(lam, mu) == mult_q_direct(lam, mu), w
 
 
 def test_case_term_sets_are_the_nonempty_families():

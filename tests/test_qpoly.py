@@ -1,6 +1,7 @@
+import pytest
 from hypothesis import given, strategies as st
 
-from sp6q.qpoly import QPoly, add_signed, eval_at_one
+from sp6q.qpoly import QPoly, add_signed, eval_at_one, signed_sum
 
 
 def test_add_example():
@@ -93,3 +94,26 @@ def test_eval_at_one_additive(p, r):
 def test_zero_is_identity(p):
     assert p + QPoly() == p
     assert p - QPoly() == p
+
+
+signed_terms = st.lists(
+    st.tuples(st.sampled_from((1, -1)), st.builds(QPoly, st.lists(st.integers(-50, 50), max_size=8).map(tuple))),
+    max_size=6,
+)
+
+
+@given(signed_terms)
+def test_signed_sum_adds_coefficientwise(terms):
+    # terms of different lengths, cancelling to a shorter or the zero polynomial
+    n = max((len(r.coeffs) for _s, r in terms), default=0)
+    want = [sum(s * r.coeffs[e] for s, r in terms if e < len(r.coeffs)) for e in range(n)]
+    got = signed_sum(terms)
+    assert got == QPoly(tuple(want))
+    assert not got.coeffs or got.coeffs[-1] != 0
+
+
+def test_signed_sum_rejects_other_signs():
+    with pytest.raises(ValueError):
+        signed_sum([(1, QPoly((1,))), (2, QPoly((1,)))])
+    with pytest.raises(ValueError):
+        add_signed(QPoly(), 0, QPoly((1,)))
