@@ -8,11 +8,11 @@ positive roots.  Two independent implementations are provided:
     by the multiplicities (d, e, f, g, h, i) of the six composite roots
     a1+a2, a2+a3, a1+a2+a3, a1+2a2+a3, 2a1+2a2+a3 and 2a2+a3; the
     simple-root multiplicities are then forced, and the number of parts
-    used is m+n+k - d - e - 2f - 3g - 4h - 2i.  Three loops run over
-    (g, f, i) with h = 0, and the d and e sums are done in closed form
-    with difference arrays.  The decompositions with h >= 1 are q times
-    those of mu minus the highest root 2a1+2a2+a3, which one cached
-    recursive call supplies: K(v) = K_{h=0}(v) + q K(v - (2,2,1)).
+    used is m+n+k - d - e - 2f - 3g - 4h - 2i.  Two loops count those
+    with g = h = 0, K_0.  For the two dominant roots gamma = a1+2a2+a3
+    and theta = 2a1+2a2+a3, prod_alpha 1/(1 - q x^alpha) times
+    (1 - q x^gamma)(1 - q x^theta) is the generating function of K_0, so
+    K(v) = K_0(v) + q K(v-gamma) + q K(v-theta) - q^2 K(v-gamma-theta).
 
   - kpf_q_oracle: exhaustive enumeration of all nine multiplicities,
     sharing nothing with kpf_q beyond the root list.  It is the
@@ -27,21 +27,21 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import add
+from operator import add, sub
 
 from .qpoly import QPoly
 from .root_system import _POSITIVE_ROOTS
 
-AlphaTriple = tuple[int, int, int]
-
 # Largest m+n+k kpf_q accepts; its time grows as the fourth power.  Above
 # 660, the identity term of m_q((60,60,60), 0); the slowest vectors of this
-# height, such as (210, 315, 175), take about 21 s on a 2-core host.
+# height, such as (210, 315, 175), take 16-18 s and 100 MB on a 2-core host.
 KPF_MAX_HEIGHT = 700
 # Largest m+n+k kpf_q_oracle accepts; its time grows about as the seventh
 # power.  At this height (25, 25, 25) takes about 6 s and the slowest
 # vectors, such as (30, 30, 15), about 17 s on a 2-core host.
 KPF_ORACLE_MAX_HEIGHT = 75
+# The recursive terms of kpf_q's identity as (dm, dn, dk, q-shift, add or sub).
+_PEELS = ((1, 2, 1, 1, add), (2, 2, 1, 1, add), (3, 4, 2, 2, sub))
 
 
 def _check_int(*vals):
@@ -55,30 +55,27 @@ def _check_int(*vals):
 def kpf_q(m: int, n: int, k: int) -> QPoly:
     """q-analog of the partition function by the nested-sum formula.
 
-    The decompositions that do not use the highest root (h = 0) come from
-    three loops over the multiplicities (g, f, i); the loop bounds make
-    every admissible choice appear exactly once.  With A = n-2g-f-2i,
-    C = k-g-f-i and b0 = m+n+k-2f-3g-2i, the remaining d and e loops would
-    add 1 to every exponent in [b0-d-min(A-d, C), b0-d] for
-    d = 0..min(m-g-f, A).  Those intervals are summed in closed form:
-    the upper ends form one contiguous run, the lower ends form one run
-    while d <= A-C and stay at b0-A after that, so each (g, f, i) costs a
-    few updates of a second-order and a first-order difference array, and
-    two prefix sums give the coefficients.  The decompositions with h >= 1
-    are one highest root plus any decomposition of the rest, so
-    q * kpf_q(m-2, n-2, k-1) is added through the same cache.  Each link
-    lowers the height by 5, so the recursion is at most
-    KPF_MAX_HEIGHT // 5 = 140 calls deep.  A cold vector does the same
-    loop work as a fourth loop over h would, and leaves every link of its
-    chain cached.
+    Two loops over (f, i) count the decompositions with g = h = 0, each
+    admissible choice once.  With A = n-f-2i, C = k-f-i and
+    b0 = m+n+k-2f-2i, the d and e loops would add 1 to every exponent in
+    [b0-d-min(A-d, C), b0-d] for d = 0..min(m-f, A).  In closed form the
+    upper ends form one run and the lower ends one run while d <= A-C and
+    b0-A after that, so each (f, i) costs a few updates of a second-order
+    and a first-order difference array; two prefix sums give the
+    coefficients.  The identity's other terms come through the same cache,
+    each at least 4 lower: at most KPF_MAX_HEIGHT // 4 = 175 calls deep.
 
-    Values are memoized, and this cache is the only memo: cache_clear()
-    makes every vector cold again.  The alternating sums evaluate the same
-    vectors, and vectors one highest root apart, over and over.  Arguments
-    must be Python ints: bool and numpy integers are rejected, since with
-    typed=True an np.int64 key would be a separate cache entry for the
-    same vector.  A nonnegative vector with m+n+k above KPF_MAX_HEIGHT
-    raises ValueError.
+    A whole q-character asks for no vector outside its own terms: if
+    v = sigma(lam+rho) - rho - mu >= gamma, then v - gamma is the term of
+    (lam, mu + gamma), and mu + gamma is dominant (gamma = omega2) and at
+    most sigma(lam+rho) - rho <= lam; likewise for theta = 2 omega1.  A cold
+    isolated vector instead caches every nonnegative v - j theta - l gamma:
+    (210, 315, 175) leaves about 9,800 entries and peaks near 100 MB.
+
+    This cache is the only memo: cache_clear() makes every vector cold.
+    Arguments must be Python ints: bool is not a coordinate, and with
+    typed=True an np.int64 would key a second entry for the same vector.
+    A nonnegative vector with m+n+k above KPF_MAX_HEIGHT raises ValueError.
     """
     _check_int(m, n, k)
     if m < 0 or n < 0 or k < 0:
@@ -89,36 +86,39 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     # second-order and first-order differences of the coefficients
     diff2 = [0] * (total + 3)
     diff1 = [0] * (total + 1)
-    for g in range(min(m, n // 2, k) + 1):
-        mg, ng, kg, bg = m - g, n - 2 * g, k - g, total - 3 * g
-        for f in range(min(mg, ng, kg) + 1):
-            mf, nf, kf, bf = mg - f, ng - f, kg - f, bg - 2 * f
-            for i in range(min(nf // 2, kf) + 1):
-                a = nf - 2 * i
-                c = kf - i
-                b0 = bf - 2 * i
-                dmax = mf if mf < a else a
-                # upper ends b0-d, d = 0..dmax
-                diff2[b0 + 1 - dmax] -= 1
-                diff2[b0 + 2] += 1
-                if a < c:
-                    # every lower end is b0-a
-                    diff1[b0 - a] += dmax + 1
-                elif a - c >= dmax:
-                    # every lower end is b0-c-d
-                    diff2[b0 - c - dmax] += 1
-                    diff2[b0 - c + 1] -= 1
-                else:
-                    # b0-c-d for d <= a-c, then b0-a for the rest
-                    diff2[b0 - a] += 1
-                    diff2[b0 - c + 1] -= 1
-                    diff1[b0 - a] += dmax - a + c
+    for f in range(min(m, n, k) + 1):
+        mf, nf, kf, bf = m - f, n - f, k - f, total - 2 * f
+        ones = flat = 0
+        for i in range(min(nf // 2, kf) + 1):
+            a = nf - 2 * i
+            c = kf - i
+            b0 = bf - 2 * i
+            dmax = mf if mf < a else a
+            # upper ends b0-d, d = 0..dmax
+            diff2[b0 + 1 - dmax] -= 1
+            diff2[b0 + 2] += 1
+            if a < c:
+                # every lower end is b0-a
+                flat += dmax + 1
+            elif a - c >= dmax:
+                # every lower end is b0-c-d
+                diff2[b0 - c - dmax] += 1
+                diff2[b0 - c + 1] -= 1
+            else:
+                # b0-c-d for d <= a-c, then b0-a for the rest
+                ones += 1
+                diff2[b0 - c + 1] -= 1
+                flat += dmax - a + c
+        # b0 - a is m + k - f for every i, so those updates are made once
+        diff2[m + k - f] += ones
+        diff1[m + k - f] += flat
     # map stops at the end of diff1, so exponents above total are dropped
     coeffs = list(accumulate(map(add, accumulate(diff2), diff1)))
-    if m >= 2 and n >= 2 and k >= 1:
-        # the decompositions with h >= 1: one 2a1+2a2+a3 plus any decomposition of the rest
-        for e, c in enumerate(kpf_q(m - 2, n - 2, k - 1).coeffs, 1):
-            coeffs[e] += c
+    # the decompositions with g + h >= 1, through the same cache
+    for dm, dn, dk, shift, op in _PEELS:
+        if m >= dm and n >= dn and k >= dk:
+            r = kpf_q(m - dm, n - dn, k - dk).coeffs
+            coeffs[shift:shift + len(r)] = map(op, coeffs[shift:], r)
     return QPoly(tuple(coeffs))
 
 

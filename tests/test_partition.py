@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sp6q.multiplicity import _nonzero_terms, mult_q_direct
 from sp6q.partition import KPF_MAX_HEIGHT, KPF_ORACLE_MAX_HEIGHT, kpf, kpf_q, kpf_q_oracle
 from sp6q.qpoly import QPoly, eval_at_one
 from sp6q.root_system import _POSITIVE_ROOTS
@@ -86,19 +88,80 @@ def test_oracle_equivalence_random_sample():
         assert kpf_q(m, n, k) == kpf_q_oracle(m, n, k), (m, n, k)
 
 
-def test_highest_root_peel_fills_the_chain():
-    # kpf_q(v) adds q * kpf_q(v - (2,2,1)) through its own cache: a cold
-    # (2h, 2h, h) misses once for each vector of the chain down to (0,0,0),
-    # never for a negative one, and leaves the next link cached
-    h = 6
+# The two dominant positive roots, which kpf_q peels through its cache.
+_GAMMA, _THETA = (1, 2, 1), (2, 2, 1)
+
+
+def _minus(v, root):
+    return tuple(a - b for a, b in zip(v, root))
+
+
+def test_dominant_root_peel_fills_the_lattice():
+    # kpf_q(v) adds q K(v - gamma) + q K(v - theta) - q^2 K(v - gamma - theta)
+    # through its own cache: a cold v misses once for each nonnegative
+    # v - j theta - l gamma, never for a negative one, and leaves them cached
+    v = (12, 12, 6)
+    lattice = [w for w in (tuple(a - j * t - l * g for a, t, g in zip(v, _THETA, _GAMMA))
+                           for j, l in product(range(13), repeat=2)) if min(w) >= 0]
+    assert len(lattice) == 28
     kpf_q.cache_clear()
     try:
-        kpf_q(2 * h, 2 * h, h)
-        assert kpf_q.cache_info().misses == h + 1
-        kpf_q(2 * h - 2, 2 * h - 2, h - 1)
-        assert kpf_q.cache_info().misses == h + 1 and kpf_q.cache_info().hits == 1
+        kpf_q(*v)
+        assert kpf_q.cache_info().misses == kpf_q.cache_info().currsize == len(lattice)
+        for w in lattice:
+            kpf_q(*w)
+        assert kpf_q.cache_info().misses == len(lattice)
     finally:
         kpf_q.cache_clear()
+
+
+def test_whole_character_misses_only_its_own_terms():
+    # for dominant mu <= lam, mu + gamma and mu + theta are dominant, and
+    # v - gamma >= 0 for a term v of (lam, mu) is the term of (lam, mu + gamma)
+    # with the same sigma: the term vectors of a whole character are closed
+    # under subtracting gamma and theta, so a cold character misses exactly
+    # once per term vector
+    lam = (4, 4, 4)
+    mus = list(product(range(sum(lam) + 1), repeat=3))
+    terms = {v for mu in mus for _idx, _sign, v in _nonzero_terms(lam, mu)}
+    closure, todo = set(), list(terms)
+    while todo:
+        v = todo.pop()
+        if min(v) >= 0 and v not in closure:
+            closure.add(v)
+            todo += [_minus(v, _GAMMA), _minus(v, _THETA)]
+    assert closure == terms
+    kpf_q.cache_clear()
+    try:
+        for mu in mus:
+            mult_q_direct(lam, mu)
+        assert kpf_q.cache_info().misses == kpf_q.cache_info().currsize == len(terms)
+        for v in terms:
+            kpf_q(*v)
+        assert kpf_q.cache_info().misses == len(terms)
+    finally:
+        kpf_q.cache_clear()
+
+
+# SHA-256 of repr([kpf_q(*v).coeffs ...]) over the box [0,13]^3 in product
+# order and over the seeded sample below, computed with the formula that
+# peeled only the highest root, K(v) = K_{h=0}(v) + q K(v - (2,2,1)).
+_BOX_DIGEST = "4c13a0d7e396cc78ef2b91eda9c0f9f1c9c6d40b82c9b6747a974ab4d9439324"
+_SAMPLE_DIGEST = "52eecdb3857a2e89a005b37e2ed1d046e8d13beffe9f268b8e8740f1a1a368c2"
+
+
+def _digest(vectors):
+    return hashlib.sha256(repr([kpf_q(*v).coeffs for v in vectors]).encode()).hexdigest()
+
+
+def test_values_pinned_beyond_the_oracle():
+    # the oracle stops at height 75; these pin every value on [0,13]^3 and
+    # twelve vectors of height 157 to 271
+    rng = random.Random(12)
+    sample = [(rng.randint(30, 90), rng.randint(50, 150), rng.randint(20, 75)) for _ in range(12)]
+    assert max(map(sum, sample)) == 271
+    assert _digest(product(range(14), repeat=3)) == _BOX_DIGEST
+    assert _digest(sample) == _SAMPLE_DIGEST
 
 
 @given(st.integers(-6, 10), st.integers(-6, 10), st.integers(-6, 10))
