@@ -5,14 +5,13 @@ and weight q-multiplicities."""
 __version__ = "0.1.0"
 
 from .qpoly import QPoly
-from .root_system import AlphaVector, EpsVector, WeightFW
+from .root_system import AlphaVector, WeightFW
 from .weyl import WeylElement
 
 __all__ = [
     "__version__",
     "QPoly",
     "AlphaVector",
-    "EpsVector",
     "WeightFW",
     "WeylElement",
 ]

@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -51,9 +52,10 @@ import numpy as np
 from . import weyl
 from .partition import kpf_q
 from .qpoly import QPoly, eval_at_one, signed_sum
-from .root_system import AlphaVector, WeightFW, fw_to_alpha, rho_alpha
+from .root_system import FUNDAMENTAL_EPS, RHO_EPS, AlphaVector, WeightFW, doubled_alpha
 
 PROFILE_FIELDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "l", "o", "p", "r")
+_BITS = tuple(1 << i for i in range(len(PROFILE_FIELDS)))  # bit i marks PROFILE_FIELDS[i]
 
 
 def field_mask(fields: Iterable[str]) -> int:
@@ -111,10 +113,6 @@ def covered_terms() -> np.ndarray:
     return covered
 
 
-def _as_weight(w) -> WeightFW:
-    return w if isinstance(w, WeightFW) else WeightFW(*w)
-
-
 def _coords(w) -> tuple[int, int, int]:
     """The three coordinates of a WeightFW or a 3-sequence, without building a WeightFW."""
     return w.coeffs() if isinstance(w, WeightFW) else w
@@ -127,12 +125,17 @@ def root_lattice_parity(lam, mu) -> bool:
     return (m + k + x + z) % 2 == 0
 
 
+def _weight_eps(w) -> tuple[int, int, int]:
+    """Ambient coordinates of a weight, from FUNDAMENTAL_EPS."""
+    m, n, k = _coords(w)
+    return tuple(m * a + n * b + k * c for a, b, c in zip(*FUNDAMENTAL_EPS))
+
+
 def sigma_coeffs(s: weyl.WeylElement, lam, mu) -> AlphaVector:
-    """Alpha coordinates of sigma(lam + rho) - rho - mu."""
-    lam, mu = _as_weight(lam), _as_weight(mu)
-    rho = rho_alpha()
-    moved = weyl.apply(s, fw_to_alpha(lam) + rho)
-    return moved - rho - fw_to_alpha(mu)
+    """Alpha coordinates of sigma(lam + rho) - rho - mu, computed in ambient
+    integers and converted once; independent of sigma_table."""
+    moved = weyl.apply(s, tuple(a + r for a, r in zip(_weight_eps(lam), RHO_EPS)))
+    return AlphaVector(*doubled_alpha(tuple(a - r - b for a, r, b in zip(moved, RHO_EPS, _weight_eps(mu)))))
 
 
 class SigmaTable(NamedTuple):
@@ -168,19 +171,16 @@ class SigmaTable(NamedTuple):
     profile_split: tuple[tuple[int, int, int, int, int], ...]
 
 
-def _affine_rows(fundamental: list[AlphaVector]):
+def _affine_rows():
     """The distinct doubled rows of sigma(lam+rho) - rho - mu and each element's
     (canonical index, sign, row ids), from the Weyl action on the fundamental weights."""
-    rho = rho_alpha()
-    minus_mu = [-w for w in fundamental]
+    minus_mu = [tuple(-c for c in doubled_alpha(w)) for w in FUNDAMENTAL_EPS]
     row_ids: dict[tuple[int, ...], int] = {}
     elements = []
     for idx, el in enumerate(weyl.enumerate_group()):
-        columns = [weyl.apply(el, w) for w in fundamental] + minus_mu + [weyl.apply(el, rho) - rho]
-        ids = tuple(
-            row_ids.setdefault(tuple(int(2 * col.coeffs()[i]) for col in columns), len(row_ids))
-            for i in range(3)
-        )
+        moved_rho = tuple(a - r for a, r in zip(weyl.apply(el, RHO_EPS), RHO_EPS))
+        columns = [doubled_alpha(weyl.apply(el, w)) for w in FUNDAMENTAL_EPS] + minus_mu + [doubled_alpha(moved_rho)]
+        ids = tuple(row_ids.setdefault(row, len(row_ids)) for row in zip(*columns))
         elements.append((idx, weyl.sign(el), ids))
     return tuple(row_ids), tuple(elements)
 
@@ -188,11 +188,10 @@ def _affine_rows(fundamental: list[AlphaVector]):
 @lru_cache(maxsize=1)
 def sigma_table() -> SigmaTable:
     """Derive the affine table once from the Weyl action."""
-    fundamental = [fw_to_alpha(WeightFW(*unit)) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    rows, elements = _affine_rows(fundamental)
+    rows, elements = _affine_rows()
     # doubled alpha_i(mu) = mu_alpha[i] . (x, y, z); every row of coordinate i
     # must carry minus it as its mu part
-    mu_alpha = tuple(tuple(int(2 * w.coeffs()[i]) for w in fundamental) for i in range(3))
+    mu_alpha = tuple(zip(*map(doubled_alpha, FUNDAMENTAL_EPS)))
     coordinate: dict[int, int] = {}
     for _idx, _sign, ids in elements:
         for i, row in enumerate(ids):
@@ -253,7 +252,7 @@ class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELD
 
     def signs(self) -> int:
         """field_mask of the variables that are >= 0."""
-        return sum(1 << i for i, v in enumerate(self) if v >= 0)
+        return sum(compress(_BITS, [v >= 0 for v in self]))
 
 
 def coefficient_profile(lam, mu) -> CoefficientProfile:
@@ -477,8 +476,8 @@ def mult(lam, mu) -> int:
 # shares no code with the partition-function path above.
 # ---------------------------------------------------------------------------
 
-def _fw_to_eps(w: WeightFW) -> tuple[int, int, int]:
-    m, n, k = w.coeffs()
+def _fw_to_eps(w) -> tuple[int, int, int]:
+    m, n, k = w
     return (m + n + k, n + k, k)
 
 
@@ -520,8 +519,8 @@ def mult_freudenthal(lam, mu) -> int:
     """Multiplicity of mu in the irreducible of highest weight lam, by the
     Freudenthal recursion.  Requires lam dominant; mu may be any integral
     weight (its dominant conjugate is looked up)."""
-    lam, mu = _as_weight(lam), _as_weight(mu)
-    if not lam.is_dominant():
+    lam, mu = _coords(lam), _coords(mu)
+    if min(lam) < 0:
         raise ValueError(f"highest weight must be dominant, got {lam}")
     lam_eps = _fw_to_eps(lam)
     mu_eps = _dominant_conjugate(_fw_to_eps(mu))

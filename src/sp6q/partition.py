@@ -30,7 +30,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from .qpoly import QPoly
-from .root_system import _POSITIVE_ROOTS
+from .root_system import POSITIVE_ROOTS
 
 # Largest m+n+k kpf_q accepts; its time grows as the fourth power.  Above
 # 660, the identity term of m_q((60,60,60), 0); the slowest vectors of this
@@ -124,7 +124,7 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
 
 # Enumeration order for the oracle: largest coefficient sum first, so that
 # the remaining-vector bound prunes as early as possible.
-_ORACLE_ROOTS = tuple(sorted(_POSITIVE_ROOTS, key=lambda r: -sum(r)))
+_ORACLE_ROOTS = tuple(sorted(POSITIVE_ROOTS, key=lambda r: -sum(r)))
 
 
 def kpf_q_oracle(m: int, n: int, k: int) -> QPoly:

@@ -4,26 +4,25 @@ Three coordinate systems are used throughout the package:
 
   - fundamental-weight coordinates (m, n, k): integers, the natural
     parametrization of dominant integral weights;
-  - simple-root (alpha) coordinates: rationals whose denominators divide 2,
-    since w1 = a1 + a2 + (1/2)a3 is half-integral in a3;
   - ambient (epsilon) coordinates: the standard basis of R^3, in which
-    a1 = e1 - e2, a2 = e2 - e3, a3 = 2*e3.  Every root and fundamental
-    weight is integral here, which keeps the Weyl action integer-only.
+    a1 = e1 - e2, a2 = e2 - e3, a3 = 2*e3 and w1, w2, w3 = e1, e1 + e2,
+    e1 + e2 + e3.  Every root and weight is an integer triple here, and
+    the Weyl group acts by signed permutations, so its action is
+    integer-only;
+  - simple-root (alpha) coordinates: half-integers, since
+    w1 = a1 + a2 + (1/2)a3 is half-integral in a3.  They are held
+    doubled, as integers: doubled_alpha is the one conversion, from
+    ambient coordinates.
 
-All arithmetic is exact (fractions.Fraction); nothing in this package
-touches floating point.
+All arithmetic is on integers; nothing in this package touches floating
+point.  AlphaVector.coeffs() is the one place that halves into
+fractions.Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-_TWO = Fraction(2)
-
-
-def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -49,55 +48,27 @@ class WeightFW:
 
 @dataclass(frozen=True)
 class AlphaVector:
-    """A lattice vector c1*a1 + c2*a2 + c3*a3 with denominators dividing 2."""
+    """A vector c1*a1 + c2*a2 + c3*a3 of the weight lattice, held as the
+    doubled integers d_i = 2*c_i."""
 
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3"):
-            v = _rat(getattr(self, name))
-            if _TWO % v.denominator != 0:
-                raise ValueError(f"coordinate {name}={v} has denominator not dividing 2")
-            object.__setattr__(self, name, v)
+    d1: int
+    d2: int
+    d3: int
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.c1, self.c2, self.c3)
+        """The true coordinates (c1, c2, c3), halved exactly."""
+        return (Fraction(self.d1, 2), Fraction(self.d2, 2), Fraction(self.d3, 2))
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs())
-
-    def __add__(self, other: "AlphaVector") -> "AlphaVector":
-        return AlphaVector(self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3)
-
-    def __sub__(self, other: "AlphaVector") -> "AlphaVector":
-        return AlphaVector(self.c1 - other.c1, self.c2 - other.c2, self.c3 - other.c3)
-
-    def __neg__(self) -> "AlphaVector":
-        return AlphaVector(-self.c1, -self.c2, -self.c3)
+        return not (self.d1 | self.d2 | self.d3) & 1
 
 
-@dataclass(frozen=True)
-class EpsVector:
-    """A vector in ambient coordinates e1, e2, e3."""
-
-    e1: Fraction
-    e2: Fraction
-    e3: Fraction
-
-    def __post_init__(self):
-        for name in ("e1", "e2", "e3"):
-            object.__setattr__(self, name, _rat(getattr(self, name)))
-
-    def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.e1, self.e2, self.e3)
-
-
-# The nine positive roots, in the fixed canonical order used everywhere in
-# this package (decomposition multiplicities, oracle, serialization):
+# The nine positive roots in alpha coordinates, in the fixed canonical
+# order used everywhere in this package (decomposition multiplicities,
+# oracle, serialization):
 #   a1, a2, a3, a1+a2, a2+a3, a1+a2+a3, a1+2a2+a3, 2a1+2a2+a3, 2a2+a3
-_POSITIVE_ROOTS = (
+# 2a1+2a2+a3, of coefficient sum 5, is the highest root.
+POSITIVE_ROOTS = (
     (1, 0, 0),
     (0, 1, 0),
     (0, 0, 1),
@@ -109,38 +80,13 @@ _POSITIVE_ROOTS = (
     (0, 2, 1),
 )
 
-
-def positive_roots() -> list[AlphaVector]:
-    """The nine positive roots in canonical order; the last of coefficient
-    sum 5 (2a1+2a2+a3) is the highest root."""
-    return [AlphaVector(*map(Fraction, r)) for r in _POSITIVE_ROOTS]
+# w1, w2, w3 and rho = w1 + w2 + w3 in ambient coordinates
+FUNDAMENTAL_EPS = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+RHO_EPS = (3, 2, 1)
 
 
-def fw_to_alpha(w: WeightFW) -> AlphaVector:
-    """Change of basis from fundamental weights to simple roots.
-
-    m*w1 + n*w2 + k*w3 = (m+n+k)a1 + (m+2n+2k)a2 + (m/2 + n + 3k/2)a3.
-    """
-    m, n, k = w.coeffs()
-    return AlphaVector(
-        Fraction(m + n + k),
-        Fraction(m + 2 * n + 2 * k),
-        Fraction(m, 2) + n + Fraction(3 * k, 2),
-    )
-
-
-def rho_alpha() -> AlphaVector:
-    """Half the sum of the positive roots: 3a1 + 5a2 + 3a3 = w1 + w2 + w3."""
-    return AlphaVector(Fraction(3), Fraction(5), Fraction(3))
-
-
-def alpha_to_eps(v: AlphaVector) -> EpsVector:
-    """Exact linear map via a1 = e1 - e2, a2 = e2 - e3, a3 = 2*e3."""
-    c1, c2, c3 = v.coeffs()
-    return EpsVector(c1, c2 - c1, 2 * c3 - c2)
-
-
-def eps_to_alpha(v: EpsVector) -> AlphaVector:
-    """Inverse of alpha_to_eps; total on rational inputs."""
-    e1, e2, e3 = v.coeffs()
-    return AlphaVector(e1, e1 + e2, (e1 + e2 + e3) / 2)
+def doubled_alpha(e) -> tuple[int, int, int]:
+    """Doubled alpha coordinates of the ambient triple e; the inverse of
+    a1 = e1 - e2, a2 = e2 - e3, a3 = 2*e3, times two."""
+    e1, e2, e3 = e
+    return (2 * e1, 2 * (e1 + e2), e1 + e2 + e3)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .root_system import AlphaVector, alpha_to_eps, eps_to_alpha, EpsVector, positive_roots
+from .root_system import POSITIVE_ROOTS
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,12 @@ def evaluate_word(letters) -> WeylElement:
     return acc
 
 
-def apply_eps_coeffs(s: WeylElement, v: tuple) -> tuple:
-    """Action on a coefficient triple in the ambient basis."""
+def apply(s: WeylElement, v: tuple) -> tuple:
+    """Linear action on an integer triple in the ambient basis."""
     out = [0, 0, 0]
     for i in range(3):
         out[s.perm[i]] += s.signs[i] * v[i]
     return tuple(out)
-
-
-def apply(s: WeylElement, v: AlphaVector) -> AlphaVector:
-    """Exact linear action on a vector in alpha coordinates."""
-    e = apply_eps_coeffs(s, alpha_to_eps(v).coeffs())
-    return eps_to_alpha(EpsVector(*e))
 
 
 def matrix(s: WeylElement) -> tuple[tuple[int, int, int], ...]:
@@ -151,14 +145,15 @@ def element_from_name(text: str) -> WeylElement:
     return evaluate_word(letters)
 
 
-_POS_EPS = tuple(alpha_to_eps(r).coeffs() for r in positive_roots())
+# the positive roots in the ambient basis: a1 = e1 - e2, a2 = e2 - e3, a3 = 2*e3
+_POS_EPS = tuple((c1, c2 - c1, 2 * c3 - c2) for c1, c2, c3 in POSITIVE_ROOTS)
 _NEG_EPS = frozenset(tuple(-c for c in e) for e in _POS_EPS)
 
 
 @lru_cache(maxsize=None)
 def length(s: WeylElement) -> int:
     """Coxeter length: the number of positive roots sent to negative roots."""
-    return sum(1 for e in _POS_EPS if apply_eps_coeffs(s, e) in _NEG_EPS)
+    return sum(1 for e in _POS_EPS if apply(s, e) in _NEG_EPS)
 
 
 def sign(s: WeylElement) -> int:

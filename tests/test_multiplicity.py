@@ -38,17 +38,23 @@ from sp6q.multiplicity import (
     symbolic_sigma_rows,
 )
 from sp6q.qpoly import QPoly
-from sp6q.root_system import AlphaVector, WeightFW, fw_to_alpha
+from sp6q.root_system import AlphaVector, WeightFW
 
 F = Fraction
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_sigma_coeffs_examples():
-    assert sigma_coeffs(weyl.IDENTITY, (1, 1, 1), (0, 0, 0)) == AlphaVector(F(3), F(5), F(3))
-    assert sigma_coeffs(weyl.generator(1), (0, 0, 0), (0, 0, 0)) == AlphaVector(F(-1), F(0), F(0))
+    # AlphaVector holds doubled integers; coeffs() gives the true coordinates
+    v = sigma_coeffs(weyl.IDENTITY, (1, 1, 1), (0, 0, 0))
+    assert v == AlphaVector(6, 10, 6)
+    assert v.coeffs() == (3, 5, 3) and v.is_integral()
+    assert sigma_coeffs(weyl.generator(1), (0, 0, 0), (0, 0, 0)) == AlphaVector(-2, 0, 0)
     el = weyl.evaluate_word((3, 2, 3, 2))
-    assert sigma_coeffs(el, (2, 0, 0), (0, 0, 0)) == AlphaVector(F(2), F(-2), F(-2))
+    assert sigma_coeffs(el, (2, 0, 0), (0, 0, 0)) == AlphaVector(4, -4, -4)
+    v = sigma_coeffs(weyl.IDENTITY, (1, 0, 0), (0, 0, 0))
+    assert v == AlphaVector(2, 2, 1)
+    assert v.coeffs() == (1, 1, F(1, 2)) and not v.is_integral()
 
 
 def _fixture_rows():
@@ -92,11 +98,22 @@ def test_split_rows_equal_the_full_rows():
     assert table.profile_split == tuple(table.split[r] for r in table.profile)
 
 
+def test_sigma_table_and_weyl_action_are_int_only():
+    # no Fraction (or any other number type) leaks into the table or the action
+    table = sigma_table()
+    assert all(type(c) is int for row in table.rows for c in row)
+    assert all(type(c) is int for row in table.split + table.mu_alpha for c in row)
+    for el in weyl.enumerate_group():
+        for v in ((1, 0, 0), (1, 1, 0), (1, 1, 1), (3, 2, 1), (-4, 7, -2)):
+            assert all(type(c) is int for c in weyl.apply(el, v))
+        assert all(type(c) is int for c in vars(sigma_coeffs(el, (1, 0, 3), (-2, 1, 0))).values())
+
+
 def test_sigma_table_rejects_a_corrupted_mu_part(monkeypatch):
     derive = multiplicity._affine_rows
 
-    def corrupted(fundamental):
-        rows, elements = derive(fundamental)
+    def corrupted():
+        rows, elements = derive()
         first = rows[0]
         return (first[:3] + (first[3] + 1,) + first[4:],) + rows[1:], elements
 
@@ -107,11 +124,14 @@ def test_sigma_table_rejects_a_corrupted_mu_part(monkeypatch):
 
 
 def test_sigma_coeffs_match_fixture_rows_numerically():
+    # weights of either sign and pairs of either parity, so that half-integral
+    # coordinates are exercised as often as integral ones
     fixture = _fixture_rows()
     rng = random.Random(11)
     group = weyl.enumerate_group()
-    for _ in range(200):
-        vals = tuple(rng.randint(0, 8) for _ in range(6))
+    samples = [tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(200)]
+    assert {(v[0] + v[2] + v[3] + v[5]) % 2 for v in samples} == {0, 1}
+    for vals in samples:
         lam, mu = WeightFW(*vals[:3]), WeightFW(*vals[3:])
         for el in group:
             rows = fixture[weyl.name(el)]
@@ -155,7 +175,8 @@ def test_profile_triples_equal_sigma_coeffs():
         profile = coefficient_profile(lam, mu)
         for term in TERMS:
             el = weyl.evaluate_word(term.word)
-            doubled = tuple(2 * c for c in sigma_coeffs(el, lam, mu).coeffs())
+            v = sigma_coeffs(el, lam, mu)
+            doubled = (v.d1, v.d2, v.d3)
             assert tuple(getattr(profile, f) for f in term.fields) == doubled, (lam, mu, term.letter)
 
 
@@ -228,7 +249,8 @@ def test_q_multiplicity_positive_and_monic():
             continue
         nonzero += 1
         assert all(c >= 0 for c in p.coeffs), (lam, mu, p)
-        assert len(p.coeffs) - 1 == sum(fw_to_alpha(lam - mu).coeffs()), (lam, mu, p)
+        # ht(lam - mu): the identity term sigma(lam+rho) - rho - mu is lam - mu
+        assert len(p.coeffs) - 1 == sum(sigma_coeffs(weyl.IDENTITY, lam, mu).coeffs()), (lam, mu, p)
         assert p.coeffs[-1] == 1, (lam, mu, p)
     assert nonzero == 3784
 
@@ -392,8 +414,9 @@ def test_freudenthal_examples():
 
 
 def test_freudenthal_rejects_non_dominant():
-    with pytest.raises(ValueError):
-        mult_freudenthal((-1, 0, 0), (0, 0, 0))
+    for lam in ((-1, 0, 0), WeightFW(0, 2, -1)):
+        with pytest.raises(ValueError, match="highest weight must be dominant"):
+            mult_freudenthal(lam, (0, 0, 0))
 
 
 def test_freudenthal_agrees_with_kostant_sample():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sp6q.multiplicity import _nonzero_terms, mult_q_direct
 from sp6q.partition import KPF_MAX_HEIGHT, KPF_ORACLE_MAX_HEIGHT, kpf, kpf_q, kpf_q_oracle
 from sp6q.qpoly import QPoly, eval_at_one
-from sp6q.root_system import _POSITIVE_ROOTS
+from sp6q.root_system import POSITIVE_ROOTS
 
 
 def test_formula_known_values():
@@ -211,7 +211,7 @@ def _denominator_terms():
 
 
 def test_denominator_expansion():
-    assert sorted(_ROOTS) == sorted(_POSITIVE_ROOTS)
+    assert sorted(_ROOTS) == sorted(POSITIVE_ROOTS)
     assert len(_denominator_terms()) == 286
 
 

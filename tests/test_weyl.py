@@ -1,30 +1,36 @@
 import json
 import pathlib
 from collections import Counter, deque
-from fractions import Fraction
 
 import pytest
 
 from sp6q import weyl
-from sp6q.root_system import AlphaVector, positive_roots
+from sp6q.root_system import POSITIVE_ROOTS, RHO_EPS, doubled_alpha
 
-F = Fraction
 DATA = pathlib.Path(__file__).parent / "data"
-A1, A2, A3 = AlphaVector(1, 0, 0), AlphaVector(0, 1, 0), AlphaVector(0, 0, 1)  # the simple roots
+A1, A2, A3 = (1, -1, 0), (0, 1, -1), (0, 0, 2)  # the simple roots, in the ambient basis
+
+
+def _add(*vs):
+    return tuple(map(sum, zip(*vs)))
+
+
+def _neg(v):
+    return tuple(-c for c in v)
 
 
 def test_generator_actions_on_simple_roots():
     # the defining action of the three reflections on the simple roots
     s1, s2, s3 = (weyl.generator(i) for i in (1, 2, 3))
-    assert weyl.apply(s1, A1) == -A1
-    assert weyl.apply(s1, A2) == A1 + A2
+    assert weyl.apply(s1, A1) == _neg(A1)
+    assert weyl.apply(s1, A2) == _add(A1, A2)
     assert weyl.apply(s1, A3) == A3
-    assert weyl.apply(s2, A1) == A1 + A2
-    assert weyl.apply(s2, A2) == -A2
-    assert weyl.apply(s2, A3) == A2 + A2 + A3
+    assert weyl.apply(s2, A1) == _add(A1, A2)
+    assert weyl.apply(s2, A2) == _neg(A2)
+    assert weyl.apply(s2, A3) == _add(A2, A2, A3)
     assert weyl.apply(s3, A1) == A1
-    assert weyl.apply(s3, A2) == A2 + A3
-    assert weyl.apply(s3, A3) == -A3
+    assert weyl.apply(s3, A2) == _add(A2, A3)
+    assert weyl.apply(s3, A3) == _neg(A3)
 
 
 def test_generators_are_involutions():
@@ -34,7 +40,7 @@ def test_generators_are_involutions():
 
 
 def test_identity_acts_trivially():
-    for v in (A1, A2 + A3, AlphaVector(F(3), F(5), F(3))):
+    for v in (A1, _add(A2, A3), RHO_EPS):
         assert weyl.apply(weyl.IDENTITY, v) == v
 
 
@@ -91,7 +97,7 @@ def test_sign_equals_determinant():
 
 def test_apply_is_homomorphism():
     group = weyl.enumerate_group()
-    vecs = [A1, A2 + A3, AlphaVector(F(3), F(5), F(3))]
+    vecs = [A1, _add(A2, A3), RHO_EPS]
     for s in group[::7]:
         for t in group[::5]:
             st = weyl.compose(s, t)
@@ -100,11 +106,13 @@ def test_apply_is_homomorphism():
 
 
 def test_apply_permutes_roots_up_to_sign():
-    roots = positive_roots()
-    pool = set(r.coeffs() for r in roots) | set((-r).coeffs() for r in roots)
+    # c1*a1 + c2*a2 + c3*a3 in the ambient basis, for each positive root
+    roots = [tuple(sum(c * a[i] for c, a in zip(r, (A1, A2, A3))) for i in range(3)) for r in POSITIVE_ROOTS]
+    assert [doubled_alpha(e) for e in roots] == [tuple(2 * c for c in r) for r in POSITIVE_ROOTS]
+    pool = set(roots) | {_neg(e) for e in roots}
+    assert len(pool) == 18
     for s in weyl.enumerate_group():
-        for r in roots:
-            assert weyl.apply(s, r).coeffs() in pool
+        assert {weyl.apply(s, e) for e in roots} | {_neg(weyl.apply(s, e)) for e in roots} == pool
 
 
 def test_cayley_distance_equals_length():
