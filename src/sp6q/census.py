@@ -234,14 +234,17 @@ def type1_excluded() -> list[weyl.WeylElement]:
     sigma(lam+rho) - rho - mu, as an affine expression in the six
     nonnegative weight coordinates, has every variable coefficient <= 0
     and a negative constant term, hence is negative for all dominant
-    integral weight pairs.
+    integral weight pairs.  Only the lam part (cm, cn, ck, c1) of a row
+    of sigma_table is read: its mu part is minus mu_alpha[i] . (x, y, z),
+    and every entry of mu_alpha is nonnegative ((2,2,2), (2,4,4),
+    (1,2,3)), so for dominant mu the mu part is never positive.
     """
     table = sigma_table()
     group = weyl.enumerate_group()
     return [
         group[idx]
         for idx, _sign, ids in table.elements
-        if any(all(c <= 0 for c in table.rows[r][:6]) and table.rows[r][6] < 0 for r in ids)
+        if any(all(c <= 0 for c in table.rows[r][:3]) and table.rows[r][3] < 0 for r in ids)
     ]
 
 
@@ -298,15 +301,17 @@ def check_sweep_box(lam_max: int, mu_max: int, jobs: int | None = None) -> int:
     return min(jobs or cores, cores, blocks)
 
 
-def _sweep_share(share: int, workers: int, lam_max: int, mu_max: int, rows: np.ndarray) -> dict:
+def _sweep_share(
+    share: int, workers: int, lam_max: int, mu_max: int, lam_rows: np.ndarray, mu_rows: np.ndarray
+) -> dict:
     """Term mask -> first witness (m, n, k, x, y, z) over blocks share, share + workers, ... of the box."""
     best = {}
     for l0, l1, u0, u1 in islice(_blocks(lam_max, mu_max), share, None, workers):
         lam = np.array(np.unravel_index(np.arange(l0, l1), (lam_max + 1,) * 3))  # columns (m, n, k)
         mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
-        # a doubled profile variable is its lam part (with the constant) plus its mu part
-        neg_lam = -(rows[:, :3] @ lam + rows[:, 6:])
-        mu_part = rows[:, 3:6] @ mu
+        # a doubled profile variable is its lam part (with the constant) minus a doubled alpha coordinate of mu
+        lam_part = lam_rows[:, :3] @ lam + lam_rows[:, 3:]
+        alpha = mu_rows @ mu
         # m + k and x + z of one parity: every value is then even, so its sign alone decides
         for parity in (0, 1):
             li = np.flatnonzero((lam[0] + lam[2]) % 2 == parity)
@@ -314,7 +319,7 @@ def _sweep_share(share: int, workers: int, lam_max: int, mu_max: int, rows: np.n
             signs = np.zeros((len(li), len(mi)), np.uint16)  # field_mask of the nonnegative variables
             for f in reversed(range(14)):
                 signs <<= 1
-                signs |= mu_part[f, mi] >= neg_lam[f, li, None]
+                signs |= lam_part[f, li, None] >= alpha[f, mi]
             uniq, first = np.unique(signs, return_index=True)
             for terms, i in zip(covered_terms()[uniq].tolist(), first.tolist()):
                 a, b = divmod(i, len(mi))
@@ -334,8 +339,12 @@ def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[Swe
     the blocks or the workers.  check_sweep_box bounds the box and workers.
     """
     workers = check_sweep_box(lam_max, mu_max, jobs)
-    rows = np.array(sigma_table().profile_rows, dtype=np.int64)
-    one_share = partial(_sweep_share, workers=workers, lam_max=lam_max, mu_max=mu_max, rows=rows)
+    table = sigma_table()
+    rows = np.array(table.rows[:14], dtype=np.int64)  # (cm, cn, ck, c1, i) of each profile variable
+    mu_rows = np.array(table.mu_alpha, dtype=np.int64)[rows[:, 4]]
+    one_share = partial(
+        _sweep_share, workers=workers, lam_max=lam_max, mu_max=mu_max, lam_rows=rows[:, :4], mu_rows=mu_rows
+    )
     best: dict[int, tuple[int, ...]] = {}
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # one worker runs here: a worker thread's own malloc arena would hold a second peak

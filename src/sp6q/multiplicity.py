@@ -14,11 +14,12 @@ held doubled so that every value is an integer.
 Every such expression, for all 48 elements, is a row of one table,
 sigma_table, derived once from the Weyl action.  sigma moves lam + rho
 and not mu, so each row is a lam part minus one doubled alpha coordinate
-of mu; sigma_table checks this and holds every row split that way, and a
-weight pair is evaluated from its three alpha coordinates of mu and four
-multiply-adds per row.  When m + k + x + z is even, each of the 17 terms
-contributes exactly when its three variables are nonnegative;
-covered_terms tabulates that rule once for every sign pattern.
+of mu; sigma_table checks this and stores every row in that one form,
+the profile variables' rows first, and a weight pair is evaluated from
+its three alpha coordinates of mu and four multiply-adds per row.  When
+m + k + x + z is even, each of the 17 terms contributes exactly when its
+three variables are nonnegative; covered_terms tabulates that rule once
+for every sign pattern.
 
 Two independent evaluation routes are implemented:
 
@@ -52,7 +53,7 @@ import numpy as np
 from . import weyl
 from .partition import kpf_q
 from .qpoly import QPoly, eval_at_one, signed_sum
-from .root_system import FUNDAMENTAL_EPS, RHO_EPS, AlphaVector, WeightFW, doubled_alpha
+from .root_system import FUNDAMENTAL_EPS, RHO_EPS, AlphaVector, doubled_alpha
 
 PROFILE_FIELDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "l", "o", "p", "r")
 _BITS = tuple(1 << i for i in range(len(PROFILE_FIELDS)))  # bit i marks PROFILE_FIELDS[i]
@@ -113,21 +114,16 @@ def covered_terms() -> np.ndarray:
     return covered
 
 
-def _coords(w) -> tuple[int, int, int]:
-    """The three coordinates of a WeightFW or a 3-sequence, without building a WeightFW."""
-    return w.coeffs() if isinstance(w, WeightFW) else w
-
-
 def root_lattice_parity(lam, mu) -> bool:
     """True iff sigma(lam) - mu lies in the root lattice for every sigma,
     which happens exactly when m + k + x + z is even."""
-    (m, _n, k), (x, _y, z) = _coords(lam), _coords(mu)
+    (m, _n, k), (x, _y, z) = lam, mu
     return (m + k + x + z) % 2 == 0
 
 
 def _weight_eps(w) -> tuple[int, int, int]:
     """Ambient coordinates of a weight, from FUNDAMENTAL_EPS."""
-    m, n, k = _coords(w)
+    m, n, k = w
     return tuple(m * a + n * b + k * c for a, b, c in zip(*FUNDAMENTAL_EPS))
 
 
@@ -141,39 +137,30 @@ def sigma_coeffs(s: weyl.WeylElement, lam, mu) -> AlphaVector:
 class SigmaTable(NamedTuple):
     """sigma(lam+rho) - rho - mu for all 48 elements, as doubled integers.
 
-    Each row holds the coefficients of (m, n, k, x, y, z, 1) in one alpha
-    coordinate, doubled so that every entry is an integer.  Elements share
-    rows: 48 elements x 3 coordinates use 26 distinct rows, and the 17
+    sigma acts on lam + rho only, so alpha coordinate i of the map is a
+    lam part minus the doubled i-th alpha coordinate of mu, the same mu
+    part for every element.  Each row is stored once in that form,
+    (cm, cn, ck, c1, i): its value at a pair is cm*m + cn*n + ck*k + c1
+    minus mu_alpha[i] . (x, y, z), so a pair costs three dot products for
+    alpha(mu) and then four multiply-adds per row.  Elements share rows:
+    48 elements x 3 coordinates use 26 distinct rows, and the 17
     contributing elements use 14 of them, one per profile variable.
-
-    sigma acts on lam + rho only, so the mu part of a row in alpha
-    coordinate i is minus the doubled i-th alpha coordinate of mu, the same
-    for every row of that coordinate.  Each row is also held split: its lam
-    part (cm, cn, ck, c1) and its coordinate i, so that a pair costs three
-    dot products for alpha(mu) and then four multiply-adds per row.
+    rows[f] is the row of PROFILE_FIELDS[f] for f < 14; the other 12 follow.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, int, int, int, int], ...]
     # (canonical index, sign, row ids of the three alpha coordinates)
     elements: tuple[tuple[int, int, tuple[int, int, int]], ...]
-    # row id of each profile variable, in PROFILE_FIELDS order
-    profile: tuple[int, ...]
     # canonical index of each TERMS element
     terms: tuple[int, ...]
-    # the rows of the profile variables, read by the sweep
-    profile_rows: tuple[tuple[int, ...], ...]
     # doubled alpha coordinates of mu: row i holds the coefficients of (x, y, z)
     mu_alpha: tuple[tuple[int, int, int], ...]
-    # each row split as (cm, cn, ck, c1, i): its value is cm*m + cn*n + ck*k + c1
-    # minus doubled alpha coordinate i of mu
-    split: tuple[tuple[int, int, int, int, int], ...]
-    # the split rows of the profile variables, read by coefficient_profile
-    profile_split: tuple[tuple[int, int, int, int, int], ...]
 
 
 def _affine_rows():
-    """The distinct doubled rows of sigma(lam+rho) - rho - mu and each element's
-    (canonical index, sign, row ids), from the Weyl action on the fundamental weights."""
+    """The distinct doubled rows, over (m, n, k, x, y, z, 1), of sigma(lam+rho) - rho - mu
+    and each element's (canonical index, sign, row ids), from the Weyl action on the
+    fundamental weights."""
     minus_mu = [tuple(-c for c in doubled_alpha(w)) for w in FUNDAMENTAL_EPS]
     row_ids: dict[tuple[int, ...], int] = {}
     elements = []
@@ -188,17 +175,16 @@ def _affine_rows():
 @lru_cache(maxsize=1)
 def sigma_table() -> SigmaTable:
     """Derive the affine table once from the Weyl action."""
-    rows, elements = _affine_rows()
+    affine, elements = _affine_rows()
     # doubled alpha_i(mu) = mu_alpha[i] . (x, y, z); every row of coordinate i
     # must carry minus it as its mu part
     mu_alpha = tuple(zip(*map(doubled_alpha, FUNDAMENTAL_EPS)))
     coordinate: dict[int, int] = {}
     for _idx, _sign, ids in elements:
         for i, row in enumerate(ids):
-            if rows[row][3:6] != tuple(-c for c in mu_alpha[i]):
-                raise RuntimeError(f"affine row {rows[row]} has a mu part other than minus doubled alpha_{i + 1}(mu)")
+            if affine[row][3:6] != tuple(-c for c in mu_alpha[i]):
+                raise RuntimeError(f"affine row {affine[row]} has a mu part other than minus doubled alpha_{i + 1}(mu)")
             coordinate[row] = i
-    split = tuple((*rows[r][:3], rows[r][6], coordinate[r]) for r in range(len(rows)))
     terms = tuple(weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS)
     profile: dict[str, int] = {}
     for term, idx in zip(TERMS, terms):
@@ -208,12 +194,18 @@ def sigma_table() -> SigmaTable:
                 raise RuntimeError(f"profile variable {field} names two rows of the affine table")
     # Redundancy identities that hold for every weight pair: a-b and e-f
     # both equal m+1, d-e and b-c both equal n+1 (rows are doubled).
-    diffs = [tuple(x - y for x, y in zip(rows[profile[u]], rows[profile[v]])) for u, v in ("ab", "ef", "de", "bc")]
+    diffs = [tuple(x - y for x, y in zip(affine[profile[u]], affine[profile[v]])) for u, v in ("ab", "ef", "de", "bc")]
     if diffs != [(2, 0, 0, 0, 0, 0, 2)] * 2 + [(0, 2, 0, 0, 0, 0, 2)] * 2:
         raise RuntimeError("profile rows violate a-b = e-f = m+1 or d-e = b-c = n+1")
-    ids = tuple(profile[f] for f in PROFILE_FIELDS)
+    # renumber: the profile rows first, in PROFILE_FIELDS order, then the rest in order of first use
+    order = [profile[f] for f in PROFILE_FIELDS]
+    order += [row for row in range(len(affine)) if row not in order]
+    new_id = {row: r for r, row in enumerate(order)}
     return SigmaTable(
-        rows, elements, ids, terms, tuple(rows[r] for r in ids), mu_alpha, split, tuple(split[r] for r in ids)
+        tuple((*affine[row][:3], affine[row][6], coordinate[row]) for row in order),
+        tuple((idx, sign, tuple(map(new_id.__getitem__, ids))) for idx, sign, ids in elements),
+        terms,
+        mu_alpha,
     )
 
 
@@ -223,22 +215,23 @@ def symbolic_sigma_rows():
 
     Each row holds the coefficients of (m, n, k, x, y, z, 1) in one alpha
     coordinate of sigma(lam+rho) - rho - mu, as exact rationals: the
-    rows of sigma_table, halved.
+    rows of sigma_table, halved, with their mu part written out.
     """
     table = sigma_table()
     group = weyl.enumerate_group()
-    return tuple(
-        (group[idx], tuple(tuple(Fraction(c, 2) for c in table.rows[r]) for r in ids))
-        for idx, _sign, ids in table.elements
-    )
+    affine = [
+        tuple(Fraction(c, 2) for c in (cm, cn, ck, *(-c for c in table.mu_alpha[i]), c1))
+        for cm, cn, ck, c1, i in table.rows
+    ]
+    return tuple((group[idx], tuple(affine[r] for r in ids)) for idx, _sign, ids in table.elements)
 
 
-def _doubled_rows(lam, mu, split) -> list[int]:
-    """Each split row of sigma_table evaluated at the weight pair: its lam part
+def _doubled_rows(lam, mu, rows) -> list[int]:
+    """Each row of sigma_table evaluated at the weight pair: its lam part
     minus the doubled alpha coordinate of mu, computed once for all rows."""
-    (m, n, k), (x, y, z) = _coords(lam), _coords(mu)
+    (m, n, k), (x, y, z) = lam, mu
     alpha = [cx * x + cy * y + cz * z for cx, cy, cz in sigma_table().mu_alpha]
-    return [cm * m + cn * n + ck * k + c1 - alpha[i] for cm, cn, ck, c1, i in split]
+    return [cm * m + cn * n + ck * k + c1 - alpha[i] for cm, cn, ck, c1, i in rows]
 
 
 class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELDS])):
@@ -256,8 +249,8 @@ class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELD
 
 
 def coefficient_profile(lam, mu) -> CoefficientProfile:
-    """The profile rows of sigma_table evaluated at the pair, unhalved."""
-    return CoefficientProfile._make(_doubled_rows(lam, mu, sigma_table().profile_split))
+    """The profile rows of sigma_table, its first 14, evaluated at the pair, unhalved."""
+    return CoefficientProfile._make(_doubled_rows(lam, mu, sigma_table().rows[:14]))
 
 
 @dataclass(frozen=True)
@@ -303,7 +296,7 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
     even and nonnegative.  All 48 elements are scanned for every pair.
     """
     table = sigma_table()
-    half = [d >> 1 if d >= 0 and not d & 1 else None for d in _doubled_rows(lam, mu, table.split)]
+    half = [d >> 1 if d >= 0 and not d & 1 else None for d in _doubled_rows(lam, mu, table.rows)]
     out = []
     for idx, sign, (r1, r2, r3) in table.elements:
         v1, v2, v3 = half[r1], half[r2], half[r3]
@@ -399,19 +392,12 @@ _CASE_MASKS = tuple(
 )
 
 
-def _matching(profile: CoefficientProfile):
-    """(number, term letters) of each case whose sign pattern the profile satisfies, in order."""
-    signs = profile.signs()
-    for number, letters, patterns in _CASE_MASKS:
-        for care, nonneg in patterns:
-            if signs & care == nonneg:
-                yield number, letters
-                break
-
-
 def matching_cases(profile: CoefficientProfile) -> list[int]:
     """1-based numbers of every case whose sign pattern the profile satisfies."""
-    return [number for number, _letters in _matching(profile)]
+    signs = profile.signs()
+    return [
+        number for number, _letters, patterns in _CASE_MASKS if any(signs & care == nonneg for care, nonneg in patterns)
+    ]
 
 
 # term letters by case number; number 0 is unused and OTHERWISE_CASE has none
@@ -425,18 +411,12 @@ def case_table() -> bytes:
     Byte s, for a 14-bit field_mask s, is the number of the first case
     whose sign pattern s satisfies, or OTHERWISE_CASE when none does.
     """
-    table = bytearray([OTHERWISE_CASE]) * (1 << 14)
+    patterns = np.arange(1 << 14)
+    table = np.full(1 << 14, OTHERWISE_CASE, np.uint8)
     for number, _letters, alternatives in reversed(_CASE_MASKS):  # earlier cases overwrite later ones
         for care, nonneg in alternatives:
-            # the patterns s with s & care == nonneg: nonneg plus each subset of the free bits
-            free = care ^ ((1 << 14) - 1)
-            sub = free
-            while True:
-                table[nonneg | sub] = number
-                if not sub:
-                    break
-                sub = (sub - 1) & free
-    return bytes(table)
+            table[patterns & care == nonneg] = number
+    return table.tobytes()
 
 
 def match_case(profile: CoefficientProfile) -> tuple[int, str]:
@@ -519,9 +499,8 @@ def mult_freudenthal(lam, mu) -> int:
     """Multiplicity of mu in the irreducible of highest weight lam, by the
     Freudenthal recursion.  Requires lam dominant; mu may be any integral
     weight (its dominant conjugate is looked up)."""
-    lam, mu = _coords(lam), _coords(mu)
     if min(lam) < 0:
-        raise ValueError(f"highest weight must be dominant, got {lam}")
+        raise ValueError(f"highest weight must be dominant, got {tuple(lam)}")
     lam_eps = _fw_to_eps(lam)
     mu_eps = _dominant_conjugate(_fw_to_eps(mu))
 

@@ -23,27 +23,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class WeightFW:
-    """A weight written in fundamental-weight coordinates m*w1 + n*w2 + k*w3."""
+class WeightFW(NamedTuple):
+    """A weight written in fundamental-weight coordinates m*w1 + n*w2 + k*w3, as the triple (m, n, k)."""
 
     m: int
     n: int
     k: int
 
     def coeffs(self) -> tuple[int, int, int]:
-        return (self.m, self.n, self.k)
+        return tuple(self)
 
     def is_dominant(self) -> bool:
-        return self.m >= 0 and self.n >= 0 and self.k >= 0
-
-    def __add__(self, other: "WeightFW") -> "WeightFW":
-        return WeightFW(self.m + other.m, self.n + other.n, self.k + other.k)
-
-    def __sub__(self, other: "WeightFW") -> "WeightFW":
-        return WeightFW(self.m - other.m, self.n - other.n, self.k - other.k)
+        return min(self) >= 0
 
 
 @dataclass(frozen=True)

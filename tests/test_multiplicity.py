@@ -17,10 +17,10 @@ from sp6q.multiplicity import (
     TERMS,
     AlternationSet,
     CoefficientProfile,
+    SigmaTable,
     _CASE_MASKS,
     _TERM_SLOTS,
     _doubled_rows,
-    _matching,
     alternation_set,
     case_table,
     coefficient_profile,
@@ -73,36 +73,44 @@ def test_symbolic_rows_match_fixture():
 
 def test_sigma_table_shares_rows():
     # 26 distinct rows serve all 48 elements; the 17 terms use exactly the
-    # 14 profile rows, one per variable
+    # 14 profile rows, rows[:14], one per variable in PROFILE_FIELDS order
     table = sigma_table()
     assert len(table.rows) == 26
-    assert len(set(table.profile)) == 14
-    assert table.profile_rows == tuple(table.rows[r] for r in table.profile)
     assert table.terms == tuple(weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS)
-    assert {r for idx, _sign, ids in table.elements if idx in table.terms for r in ids} == set(table.profile)
+    for term, idx in zip(TERMS, table.terms):
+        assert table.elements[idx][2] == _TERM_SLOTS[term.letter][1], term.letter
+    assert {r for idx in table.terms for r in table.elements[idx][2]} == set(range(14))
     assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
 
 
 def test_split_rows_equal_the_full_rows():
     # lam part minus doubled alpha(mu), four terms a row, against the
-    # seven-term rows, for WeightFW and tuple inputs of either sign and parity
+    # independent seven-term fixture rows, doubled, for WeightFW and tuple
+    # inputs of either sign and parity
     table = sigma_table()
+    fixture = _fixture_rows()
+    group = weyl.enumerate_group()
     rng = random.Random(13)
     pairs = [((8, 0, 0), (0, 0, 2)), ((1, 0, 0), (0, 0, 0)), ((-3, -3, -3), (-3, -3, -3))]
     pairs += [(tuple(rng.randint(-6, 8) for _ in range(3)), tuple(rng.randint(-6, 8) for _ in range(3))) for _ in range(200)]
     assert {(lam[0] + lam[2] + mu[0] + mu[2]) % 2 for lam, mu in pairs} == {0, 1}
     for lam, mu in pairs:
-        want = [sum(c * v for c, v in zip(row, (*lam, *mu, 1))) for row in table.rows]
-        assert _doubled_rows(lam, mu, table.split) == want, (lam, mu)
-        assert _doubled_rows(WeightFW(*lam), WeightFW(*mu), table.split) == want, (lam, mu)
-    assert table.profile_split == tuple(table.split[r] for r in table.profile)
+        got = _doubled_rows(lam, mu, table.rows)
+        assert _doubled_rows(WeightFW(*lam), WeightFW(*mu), table.rows) == got, (lam, mu)
+        for idx, _sign, ids in table.elements:
+            want = [2 * sum(c * v for c, v in zip(row, (*lam, *mu, 1))) for row in fixture[weyl.name(group[idx])]]
+            assert [got[r] for r in ids] == want, (lam, mu, idx)
 
 
 def test_sigma_table_and_weyl_action_are_int_only():
-    # no Fraction (or any other number type) leaks into the table or the action
+    # no Fraction (or any other number type) leaks into the table or the action;
+    # every stored row is (cm, cn, ck, c1, i), and the mu part it stands for,
+    # minus mu_alpha[i] . (x, y, z), is never positive for dominant mu
     table = sigma_table()
-    assert all(type(c) is int for row in table.rows for c in row)
-    assert all(type(c) is int for row in table.split + table.mu_alpha for c in row)
+    assert SigmaTable._fields == ("rows", "elements", "terms", "mu_alpha")
+    assert all(len(row) == 5 and row[4] in range(3) for row in table.rows)
+    assert all(type(c) is int for row in table.rows + table.mu_alpha for c in row)
+    assert min(c for row in table.mu_alpha for c in row) >= 0
     for el in weyl.enumerate_group():
         for v in ((1, 0, 0), (1, 1, 0), (1, 1, 1), (3, 2, 1), (-4, 7, -2)):
             assert all(type(c) is int for c in weyl.apply(el, v))
@@ -367,7 +375,7 @@ def test_case_table_is_the_first_match():
         table[0] = 1
     for s in range(1 << 14):
         profile = _profile_with_signs(s)
-        number = next((n for n, _letters in _matching(profile)), OTHERWISE_CASE)
+        number = next(iter(matching_cases(profile)), OTHERWISE_CASE)
         assert table[s] == number, s
         assert match_case(profile) == (number, CASES[number - 1][1] if number != OTHERWISE_CASE else ""), s
 
