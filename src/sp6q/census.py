@@ -33,6 +33,7 @@ from functools import lru_cache, partial
 from importlib import resources
 from itertools import islice
 from math import isqrt
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -361,7 +362,6 @@ def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[Swe
 # Fixtures and verification
 # ---------------------------------------------------------------------------
 
-FIXTURE_ENV_VAR = "SP6Q_FIXTURES"
 _FIXTURE_FILES = {
     "stage1": "alt_sets_stage1.json",
     "stage2": "alt_sets_stage2.json",
@@ -374,24 +374,27 @@ class FixtureError(ValueError):
     """A fixture file is missing, unreadable or malformed."""
 
 
-def _load_fixture(name: str, fixtures_dir: str | None = None):
+def _read_fixture(name: str, fixtures_dir: str | None, parse_row) -> list:
+    """Parse each row of a fixture's JSON array, read from fixtures_dir or,
+    when it is None, from the packaged data."""
     fname = _FIXTURE_FILES[name]
-    directory = fixtures_dir or os.environ.get(FIXTURE_ENV_VAR)
+    directory = resources.files("sp6q").joinpath("data") if fixtures_dir is None else Path(fixtures_dir)
     try:
-        if directory:
-            with open(os.path.join(directory, fname), encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.loads(resources.files("sp6q").joinpath("data", fname).read_text("utf-8"))
+        rows = json.loads(directory.joinpath(fname).read_text("utf-8"))
     except (OSError, ValueError) as exc:
         raise FixtureError(f"cannot read fixture {fname}: {exc}") from None
-
-
-def _parse_fixture(name: str, fixtures_dir: str | None, parse_row) -> list:
-    rows = _load_fixture(name, fixtures_dir)
     try:
+        if type(rows) is not list:
+            raise TypeError(f"expected an array, got {type(rows).__name__}")
         return [parse_row(row) for row in rows]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FixtureError(f"malformed fixture {_FIXTURE_FILES[name]}: {exc!r}") from None
+        raise FixtureError(f"malformed fixture {fname}: {exc!r}") from None
+
+
+def _fixture_set(names) -> AlternationSet:
+    if type(names) is not list:  # a string would be read one character per word
+        raise TypeError(f"expected an array of Weyl words, got {names!r}")
+    return AlternationSet.from_names(names)
 
 
 def _fixture_weight(coeffs) -> WeightFW:
@@ -402,15 +405,15 @@ def _fixture_weight(coeffs) -> WeightFW:
 
 def load_family_fixture(name: str, fixtures_dir: str | None = None) -> list[AlternationSet]:
     """A stage fixture: JSON array of arrays of canonical Weyl words."""
-    return _parse_fixture(name, fixtures_dir, AlternationSet.from_names)
+    return _read_fixture(name, fixtures_dir, _fixture_set)
 
 
 def load_witness_fixture(fixtures_dir: str | None = None):
     """Witness rows: objects with a set of Weyl words and a weight pair."""
-    return _parse_fixture(
+    return _read_fixture(
         "witnesses",
         fixtures_dir,
-        lambda r: (AlternationSet.from_names(r["set"]), _fixture_weight(r["lam"]), _fixture_weight(r["mu"])),
+        lambda r: (_fixture_set(r["set"]), _fixture_weight(r["lam"]), _fixture_weight(r["mu"])),
     )
 
 

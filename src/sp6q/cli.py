@@ -8,8 +8,9 @@ Commands
 
 Weights are given as comma-separated fundamental-weight coefficients;
 kpf alone takes simple-root coordinates, matching its natural domain.
-JSON output is schema-stable ("schema_version"); census results carry a
-run manifest whose digest covers everything except timing.
+Every result goes to stdout: text, or with --json the JSON payload, which
+is schema-stable ("schema_version"); save it with `--json > FILE`. Census
+results carry a run manifest whose digest covers everything except timing.
 
 Exit codes: 0 success, 2 usage error, 3 internal cross-check failure,
 4 fixture mismatch, 141 stdout closed by its reader (as in `sp6q ... | head`).
@@ -39,15 +40,16 @@ EXIT_FIXTURE = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command that SIGPIPE killed
 
 
+# The one grammar of a triple, read by _parse_triple and _normalize_argv:
+# three ASCII integers, comma-separated, with optional ASCII whitespace around each.
+_TRIPLE_RE = re.compile(r"\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*", re.ASCII)
+
+
 def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
+    match = _TRIPLE_RE.fullmatch(text)
+    if match is None:
         raise argparse.ArgumentTypeError(f"expected three comma-separated integers, got {text!r}")
-    try:
-        vals = tuple(int(p.strip()) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
-    return vals
+    return tuple(map(int, match.groups()))
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -70,20 +72,12 @@ def _manifest(args_list, params, result, elapsed) -> dict:
 
 def _emit(args, payload, text, code=EXIT_OK) -> int:
     """Print one command's result and return its exit code: the JSON payload
-    with its schema header under --json or --out (into that file), otherwise the text."""
-    out_path = getattr(args, "out", None)  # only the census commands have --out
-    if args.json or out_path:
+    with its schema header under --json, otherwise the text."""
+    if args.json:
         command = f"census {args.census_command}" if args.command == "census" else args.command
         payload = {"schema_version": SCHEMA_VERSION, "command": command, **payload}
         text = json.dumps(payload, indent=1, sort_keys=True)
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            _usage_error(f"cannot write --out file: {exc}")
-    else:
-        print(text)
+    print(text)
     return code
 
 
@@ -240,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = csub.add_parser("pipeline", help="run the contradiction filter over all 2^17 candidates")
     p_pipe.add_argument("--stage", type=int, choices=(1, 2, 3), help="restrict JSON family output to one stage")
-    p_pipe.add_argument("--out", metavar="FILE.json")
     p_pipe.add_argument("--json", action="store_true")
     p_pipe.set_defaults(run=_cmd_census_pipeline)
 
@@ -248,17 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lam-max", type=int, required=True)
     p_sweep.add_argument("--mu-max", type=int, required=True)
     p_sweep.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    p_sweep.add_argument("--out", metavar="FILE.json")
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.set_defaults(run=_cmd_census_sweep)
 
     p_verify = csub.add_parser("verify", help="diff pipeline and sweep against the shipped fixtures")
     p_verify.add_argument("--fixtures", metavar="DIR", default=None,
-                          help=f"fixture directory (default: packaged data, or ${census.FIXTURE_ENV_VAR})")
+                          help="fixture directory (default: the packaged data)")
     p_verify.add_argument("--lam-max", type=int, default=10)
     p_verify.add_argument("--mu-max", type=int, default=10)
     p_verify.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    p_verify.add_argument("--out", metavar="FILE.json")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(run=_cmd_census_verify)
 
@@ -266,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _TRIPLE_FLAGS = {"--lam", "--mu", "--alpha"}
-_TRIPLE_RE = re.compile(r"-?\d+\s*,\s*-?\d+\s*,\s*-?\d+$")
 
 
 def _normalize_argv(argv):
@@ -276,7 +266,7 @@ def _normalize_argv(argv):
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _TRIPLE_FLAGS and i + 1 < len(argv) and _TRIPLE_RE.fullmatch(argv[i + 1].strip()):
+        if tok in _TRIPLE_FLAGS and i + 1 < len(argv) and _TRIPLE_RE.fullmatch(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

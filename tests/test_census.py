@@ -1,7 +1,5 @@
 import itertools
-import json
 import os
-import pathlib
 import tracemalloc
 
 import numpy as np
@@ -13,7 +11,6 @@ from sp6q.census import (
     _STAGE2_DERIVED,
     CONTRADICTION_RULES,
     SWEEP_MAX_PAIRS,
-    AlternationSet,
     check_sweep_box,
     _forced_table,
     _passes,
@@ -29,15 +26,7 @@ from sp6q.census import (
 )
 from sp6q.multiplicity import LETTER_INDEX, PROFILE_FIELDS, TERMS, alternation_set, covered_terms, field_mask
 
-DATA = pathlib.Path(__file__).parent / "data"
 SUBSETS = np.arange(1 << 17, dtype=np.uint32)
-
-
-def test_type1_excluded_matches_fixture():
-    words = json.loads((DATA / "excluded_words.json").read_text())
-    got = [weyl.name(el) for el in type1_excluded()]
-    assert len(got) == 31
-    assert got == words  # canonical order on both sides
 
 
 def test_type1_excludes_s1s2s3_not_identity():
@@ -63,17 +52,6 @@ def test_predicate_catalog():
     # exactly one rule has no negative atom (two nonnegativities clashing)
     pure = [r for r in CONTRADICTION_RULES if all(not neg for _v, neg in r)]
     assert pure == [(("p", False), ("r", False))]
-
-
-def test_pipeline_counts_and_fixtures():
-    result = filter_pipeline()
-    assert result.counts == (1124, 150, 46)
-    for stage, got in (("stage1", result.stage1), ("stage2", result.stage2), ("final", result.final)):
-        want = load_family_fixture(stage)
-        got_sets = [AlternationSet.from_letters(s) for s in got]
-        assert len(got_sets) == len(want)
-        # element-for-element after canonical ordering
-        assert [a.indices for a in got_sets] == [a.indices for a in want]
 
 
 def test_direct_clash_rejects_identity_with_s2s1():
@@ -263,11 +241,6 @@ def test_sweep_jobs_deterministic():
     ] == [(e.altset.indices, e.lam, e.mu) for e in sweep_census(3, 3, jobs=4)]
 
 
-def test_witness_fixture_rows_reproduce():
-    for want, lam, mu in load_witness_fixture():
-        assert alternation_set(lam, mu).indices == want.indices, (lam, mu)
-
-
 def test_every_final_survivor_has_a_sweep_witness():
     # constructivity: each pipeline survivor is realized by a concrete
     # weight pair, and the recorded witness reproduces it exactly
@@ -296,15 +269,6 @@ def test_witness_fixture_has_expected_rows():
 def test_letters_sort_key():
     assert letters_sort_key(frozenset("A")) < letters_sort_key(frozenset("AB"))
     assert letters_sort_key(frozenset("AB")) < letters_sort_key(frozenset("AC"))
-
-
-def test_fixture_env_override(tmp_path, monkeypatch):
-    src = load_family_fixture("final")
-    target = tmp_path / "alt_sets_final.json"
-    target.write_text(json.dumps([a.to_json() for a in src]))
-    monkeypatch.setenv("SP6Q_FIXTURES", str(tmp_path))
-    assert [a.indices for a in load_family_fixture("final")] == [a.indices for a in src]
-    monkeypatch.delenv("SP6Q_FIXTURES")
 
 
 def test_verify_census_small_sweep_flags_missing_sets():

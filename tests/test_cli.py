@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 import sp6q
 from sp6q import census, cli, partition
 from sp6q.qpoly import QPoly
+
+_PACKAGED = pathlib.Path(census.__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -80,13 +83,10 @@ def test_census_result_digests_are_pinned(capsys, argv, digest):
     assert json.loads(out)["manifest"]["result_digest"] == digest
 
 
-def test_census_pipeline_json_stage_filter(capsys, tmp_path):
-    out_file = tmp_path / "pipeline.json"
-    code, _out, _ = run(
-        capsys, "census", "pipeline", "--stage", "3", "--out", str(out_file)
-    )
+def test_census_pipeline_json_stage_filter(capsys):
+    code, out, _ = run(capsys, "census", "pipeline", "--stage", "3", "--json")
     assert code == 0
-    payload = json.loads(out_file.read_text())
+    payload = json.loads(out)
     assert payload["result"]["counts"]["final"] == 46
     assert list(payload["result"]["families"]) == ["final"]
     assert len(payload["result"]["families"]["final"]) == 46
@@ -94,8 +94,6 @@ def test_census_pipeline_json_stage_filter(capsys, tmp_path):
 
 def test_census_verify_fixture_mismatch_exit_code(capsys, tmp_path):
     # corrupt fixtures: drop one set from every family file
-    import sp6q.census as census
-
     for stage, fname in (
         ("stage1", "alt_sets_stage1.json"),
         ("stage2", "alt_sets_stage2.json"),
@@ -103,8 +101,7 @@ def test_census_verify_fixture_mismatch_exit_code(capsys, tmp_path):
     ):
         fam = [a.to_json() for a in census.load_family_fixture(stage)]
         (tmp_path / fname).write_text(json.dumps(fam[:-1]))
-    witnesses = census._load_fixture("witnesses")
-    (tmp_path / "witness_pairs.json").write_text(json.dumps(witnesses))
+    shutil.copy(_PACKAGED / "witness_pairs.json", tmp_path)
     code, out, _ = run(
         capsys, "census", "verify", "--fixtures", str(tmp_path),
         "--lam-max", "2", "--mu-max", "2",
@@ -124,8 +121,17 @@ def test_negative_coefficients_accepted(capsys):
     assert "s1*s2*s3" in out
 
 
+def _fixture_copy(directory, fname, text):
+    """The packaged fixtures in directory, with fname's text replaced."""
+    shutil.copytree(_PACKAGED, directory)
+    (directory / fname).write_text(text)
+    return str(directory)
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     (tmp_path / "alt_sets_stage1.json").write_text("[[")
+    witnesses = json.loads((_PACKAGED / "witness_pairs.json").read_text())
+    witnesses[0]["set"] = "1"  # a string, not an array of Weyl words
     for argv in (
         ["kpf", "--alpha", "1,2"],
         ["kpf", "--alpha", "a,b,c"],
@@ -136,7 +142,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["census", "verify", "--jobs", "-1"],
         ["census", "verify", "--fixtures", str(tmp_path / "missing")],
         ["census", "verify", "--fixtures", str(tmp_path)],
-        ["census", "pipeline", "--out", str(tmp_path / "missing" / "x.json")],
+        # a fixture, or a witness row's set, holding the JSON string "1", not an array
+        ["census", "verify", "--fixtures", _fixture_copy(tmp_path / "stage", "alt_sets_stage1.json", '"1"')],
+        ["census", "verify", "--fixtures",
+         _fixture_copy(tmp_path / "witness", "witness_pairs.json", json.dumps(witnesses))],
+        # a triple is three ASCII integers: no underscores, no other digits
+        ["mult", "--lam=-1_0,0,0", "--mu", "0,0,0"],
+        ["kpf", "--alpha", "1_0,0,0"],
+        ["altset", "--lam", "\u0661,0,0", "--mu", "0,0,0"],
         ["mult", "--lam", "0,0,0", "--mu", "-4,-4,-4", "--method", "both"],
         ["mult", "--lam", "0,0,0", "--mu", "-4,-4,-4", "--method", "cases"],
         # above the kpf_q and kpf_q_oracle height bounds and the sweep pair cap
@@ -318,14 +331,12 @@ _GRAMMAR = {
     "altset": [("--lam", _TRIPLE), ("--mu", _TRIPLE), ("--json", None)],
     "census pipeline": [
         ("--stage", st.integers(-1, 4).map(str)),
-        ("--out", st.just(str(pathlib.Path(_MISSING_DIR) / "pipeline.json"))),
         ("--json", None),
     ],
     "census sweep": [
         ("--lam-max", _BOUND),
         ("--mu-max", _BOUND),
         ("--jobs", _JOBS),
-        ("--out", st.just(str(pathlib.Path(_MISSING_DIR) / "sweep.json"))),
         ("--json", None),
     ],
     "census verify": [
@@ -333,7 +344,6 @@ _GRAMMAR = {
         ("--lam-max", _BOUND),
         ("--mu-max", _BOUND),
         ("--jobs", _JOBS),
-        ("--out", st.just(str(pathlib.Path(_MISSING_DIR) / "verify.json"))),
         ("--json", None),
     ],
 }

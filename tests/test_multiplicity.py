@@ -402,19 +402,6 @@ def test_case_term_sets_are_the_nonempty_families():
     assert len(seen) == 45
 
 
-def test_dispatch_equivalence_sample():
-    rng = random.Random(23)
-    checked = 0
-    while checked < 250:
-        lam = WeightFW(*(rng.randint(0, 6) for _ in range(3)))
-        mu = WeightFW(*(rng.randint(0, 6) for _ in range(3)))
-        if not root_lattice_parity(lam, mu):
-            continue
-        assert mult_q_cases(lam, mu) == mult_q_direct(lam, mu), (lam, mu)
-        assert len(matching_cases(coefficient_profile(lam, mu))) <= 1
-        checked += 1
-
-
 def test_freudenthal_examples():
     assert mult_freudenthal((2, 0, 0), (0, 0, 0)) == 3
     assert mult_freudenthal((3, 1, 2), (3, 1, 2)) == 1
