@@ -31,9 +31,13 @@ Two independent evaluation routes are implemented:
 
 Both routes add their signed terms in one qpoly.signed_sum.
 
-A third route, mult_freudenthal, computes the plain multiplicity by the
-Freudenthal recursion over the weight system and shares no code with the
-partition-function path.
+A third route computes the plain multiplicity by the Freudenthal
+recursion over the weight system and shares no code with the
+partition-function path.  One pass per highest weight yields the dominant
+multiplicities in ascending height of lam - mu, its inner loop on plain
+integers: dominant_multiplicities collects the whole pass, and
+mult_freudenthal stops it at mu's dominant conjugate, since every weight
+the recursion reads there lies higher and is already final.
 
 A sign pattern over the profile variables has one form, field_mask: the
 case dispatch here and the contradiction catalog, filter and sweep of
@@ -461,74 +465,100 @@ def _fw_to_eps(w) -> tuple[int, int, int]:
     return (m + n + k, n + k, k)
 
 
-def _dot(u, v) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _lam_eps(lam) -> tuple[int, int, int]:
+    if min(lam) < 0:
+        raise ValueError(f"highest weight must be dominant, got {tuple(lam)}")
+    return _fw_to_eps(lam)
 
 
-def _dominant_conjugate(v) -> tuple[int, int, int]:
-    # The hyperoctahedral orbit of v meets the dominant chamber
-    # (v1 >= v2 >= v3 >= 0) in the sorted absolute values.
-    return tuple(sorted((abs(v[0]), abs(v[1]), abs(v[2])), reverse=True))
-
-
+# the positive roots in ambient coordinates, each with its squared length
 _POSITIVE_EPS = (
-    (1, -1, 0), (0, 1, -1), (0, 0, 2),
-    (1, 0, -1), (0, 1, 1), (1, 0, 1),
-    (1, 1, 0), (2, 0, 0), (0, 2, 0),
+    (1, -1, 0, 2), (0, 1, -1, 2), (0, 0, 2, 4),
+    (1, 0, -1, 2), (0, 1, 1, 2), (1, 0, 1, 2),
+    (1, 1, 0, 2), (2, 0, 0, 4), (0, 2, 0, 4),
 )
-_RHO_EPS = (3, 2, 1)
 
 
-def _dominant_weights_of(lam_eps):
-    """Dominant weights nu <= lam (difference a nonnegative root sum)."""
+def _height_below(lam_eps, nu) -> int | None:
+    """Height of lam - nu if it is a nonnegative integer sum of simple roots, else None."""
+    c1 = lam_eps[0] - nu[0]
+    c2 = c1 + lam_eps[1] - nu[1]
+    twice_c3 = c2 + lam_eps[2] - nu[2]
+    if c1 < 0 or c2 < 0 or twice_c3 < 0 or twice_c3 % 2:
+        return None
+    return c1 + c2 + twice_c3 // 2
+
+
+def _freudenthal_pass(lam_eps):
+    """(nu, m(lam, nu)) for every dominant weight nu <= lam, in ambient
+    coordinates, in ascending height of lam - nu.
+
+    Freudenthal's formula gives m(nu) from the multiplicities of the
+    weights nu + t*alpha, t >= 1, alpha positive.  Their dominant
+    conjugates (the sorted absolute values, since W acts by signed
+    permutations) are strictly higher than nu, so every one of them has
+    been yielded, and is final, before nu is reached.  A string of weights
+    is unbroken, so each chain ends at its first non-weight.
+    """
     L1, L2, L3 = lam_eps
-    out = []
-    for v1 in range(L1 + 1):
-        for v2 in range(v1 + 1):
-            for v3 in range(v2 + 1):
-                c1 = L1 - v1
-                c2 = c1 + (L2 - v2)
-                twice_c3 = c2 + (L3 - v3)
-                if c2 < 0 or twice_c3 < 0 or twice_c3 % 2:
-                    continue
-                out.append(((v1, v2, v3), c1 + c2 + twice_c3 // 2))
-    return out
+    weights = sorted(
+        (height, (v1, v2, v3))
+        for v1 in range(L1 + 1)
+        for v2 in range(v1 + 1)
+        for v3 in range(v2 + 1)
+        if (height := _height_below(lam_eps, (v1, v2, v3))) is not None
+    )
+    norm_lam = (L1 + 3) ** 2 + (L2 + 2) ** 2 + (L3 + 1) ** 2  # |lam + rho|^2, rho = (3, 2, 1)
+    mults: dict[tuple[int, int, int], int] = {}
+    get = mults.get
+    for height, nu in weights:
+        if not height:
+            m = 1
+        else:
+            n1, n2, n3 = nu
+            acc = 0
+            for r1, r2, r3, rr in _POSITIVE_EPS:
+                u1, u2, u3 = n1 + r1, n2 + r2, n3 + r3
+                dot = n1 * r1 + n2 * r2 + n3 * r3 + rr  # <nu + t*alpha, alpha> at t = 1
+                while True:
+                    # the dominant conjugate of (u1, u2, u3): |u| sorted descending
+                    a, b, c = abs(u1), abs(u2), abs(u3)
+                    if a < b:
+                        a, b = b, a
+                    if b < c:
+                        b, c = c, b
+                        if a < b:
+                            a, b = b, a
+                    m_up = get((a, b, c))
+                    if m_up is None:
+                        break
+                    acc += m_up * dot
+                    u1 += r1
+                    u2 += r2
+                    u3 += r3
+                    dot += rr
+            denom = norm_lam - (n1 + 3) ** 2 - (n2 + 2) ** 2 - (n3 + 1) ** 2
+            if 2 * acc % denom:
+                raise ArithmeticError("Freudenthal numerator not divisible by denominator")
+            m = 2 * acc // denom
+        mults[nu] = m
+        yield nu, m
+
+
+def dominant_multiplicities(lam) -> dict[tuple[int, int, int], int]:
+    """m(lam, mu) for every dominant weight mu of the irreducible of highest
+    weight lam, keyed by mu's fundamental-weight triple, in ascending height
+    of lam - mu: one Freudenthal pass.  Requires lam dominant."""
+    return {(a - b, b - c, c): m for (a, b, c), m in _freudenthal_pass(_lam_eps(lam))}
 
 
 def mult_freudenthal(lam, mu) -> int:
     """Multiplicity of mu in the irreducible of highest weight lam, by the
     Freudenthal recursion.  Requires lam dominant; mu may be any integral
-    weight (its dominant conjugate is looked up)."""
-    if min(lam) < 0:
-        raise ValueError(f"highest weight must be dominant, got {tuple(lam)}")
-    lam_eps = _fw_to_eps(lam)
-    mu_eps = _dominant_conjugate(_fw_to_eps(mu))
-
-    weights = _dominant_weights_of(lam_eps)
-    if not any(w == mu_eps for w, _h in weights):
+    weight (its dominant conjugate is looked up).  The pass stops at mu's
+    dominant conjugate: every weight it needs lies higher."""
+    lam_eps = _lam_eps(lam)
+    mu_eps = tuple(sorted(map(abs, _fw_to_eps(mu)), reverse=True))
+    if _height_below(lam_eps, mu_eps) is None:
         return 0
-    weights.sort(key=lambda wh: wh[1])  # ascending height of lam - nu
-
-    lam_rho = tuple(a + b for a, b in zip(lam_eps, _RHO_EPS))
-    norm_lam = _dot(lam_rho, lam_rho)
-    mults: dict[tuple[int, int, int], int] = {}
-    for nu, height in weights:
-        if height == 0:
-            mults[nu] = 1
-            continue
-        acc = 0
-        for root in _POSITIVE_EPS:
-            t = 1
-            while True:
-                up = (nu[0] + t * root[0], nu[1] + t * root[1], nu[2] + t * root[2])
-                m_up = mults.get(_dominant_conjugate(up))
-                if m_up is None:
-                    break  # weight strings are unbroken, so the chain has ended
-                acc += m_up * _dot(up, root)
-                t += 1
-        nu_rho = tuple(a + b for a, b in zip(nu, _RHO_EPS))
-        denom = norm_lam - _dot(nu_rho, nu_rho)
-        if 2 * acc % denom:
-            raise ArithmeticError("Freudenthal numerator not divisible by denominator")
-        mults[nu] = 2 * acc // denom
-    return mults[mu_eps]
+    return next(m for nu, m in _freudenthal_pass(lam_eps) if nu == mu_eps)

@@ -171,8 +171,3 @@ def kpf_q_oracle(m: int, n: int, k: int) -> QPoly:
 
     descend(0, m, n, k, 0)
     return QPoly(tuple(coeffs))
-
-
-def kpf(m: int, n: int, k: int) -> int:
-    """Kostant's partition function: kpf_q evaluated at q = 1."""
-    return sum(kpf_q(m, n, k).coeffs)

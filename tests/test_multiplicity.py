@@ -25,6 +25,7 @@ from sp6q.multiplicity import (
     case_table,
     coefficient_profile,
     covered_terms,
+    dominant_multiplicities,
     field_mask,
     match_case,
     matching_cases,
@@ -412,6 +413,8 @@ def test_freudenthal_rejects_non_dominant():
     for lam in ((-1, 0, 0), WeightFW(0, 2, -1)):
         with pytest.raises(ValueError, match="highest weight must be dominant"):
             mult_freudenthal(lam, (0, 0, 0))
+        with pytest.raises(ValueError, match="highest weight must be dominant"):
+            dominant_multiplicities(lam)
 
 
 def test_freudenthal_agrees_with_kostant_sample():
@@ -469,6 +472,97 @@ def test_multiplicity_weyl_invariance():
         mu = tuple(rng.randint(-4, 4) for _ in range(3))
         conj = _dominant_conjugate_fw(mu)
         assert mult(lam, mu) == mult(lam, conj), (lam, mu, conj)
+
+
+def _dominant_weights_below(lam):
+    """Dominant mu with lam - mu a nonnegative integer sum of simple roots,
+    read from the identity's term of the alternating sum."""
+    top = range(sum(lam) + 1)
+    return [
+        mu for mu in itertools.product(top, repeat=3)
+        if (v := sigma_coeffs(weyl.IDENTITY, lam, mu)).is_integral() and min(v.coeffs()) >= 0
+    ]
+
+
+def test_dominant_multiplicities_equal_the_alternating_sum():
+    # one Freudenthal pass against mult_q_direct at q = 1, over whole characters
+    pairs = 0
+    for lam in itertools.product(range(4), repeat=3):
+        mults = dominant_multiplicities(lam)
+        mus = _dominant_weights_below(lam)
+        assert sorted(mults) == mus, lam
+        for mu in mus:
+            assert mults[mu] == mult(lam, mu), (lam, mu)
+        pairs += len(mus)
+    assert pairs == 1412
+    # mult_freudenthal stops its pass at mu's dominant conjugate; the entry
+    # it returns must equal the one the whole pass gives
+    rng = random.Random(41)
+    weights = 0
+    for _ in range(200):
+        lam = tuple(rng.randint(0, 4) for _ in range(3))
+        mu = tuple(rng.randint(-5, 5) for _ in range(3))
+        want = dominant_multiplicities(lam).get(_dominant_conjugate_fw(mu), 0)
+        assert mult_freudenthal(lam, mu) == want, (lam, mu)
+        weights += want > 0
+    assert weights >= 50
+
+
+def _weyl_dimension(lam):
+    """prod over the positive roots alpha of <lam+rho, alpha> / <rho, alpha>,
+    with the roots e_i - e_j, e_i + e_j (i < j) and 2 e_i in ambient coordinates."""
+    def product(v):
+        out = 1
+        for i in range(3):
+            out *= 2 * v[i]
+            for j in range(i + 1, 3):
+                out *= (v[i] - v[j]) * (v[i] + v[j])
+        return out
+
+    m, n, k = lam
+    num, den = product((m + n + k + 3, n + k + 2, k + 1)), product((3, 2, 1))
+    assert num % den == 0
+    return num // den
+
+
+def _orbit_size(mu):
+    """|W mu|: the distinct signed permutations of mu's ambient coordinates."""
+    x, y, z = mu
+    return len({
+        tuple(s * c for s, c in zip(signs, perm))
+        for perm in itertools.permutations((x + y + z, y + z, z))
+        for signs in itertools.product((1, -1), repeat=3)
+    })
+
+
+def test_weyl_dimension_formula_over_whole_characters():
+    # the natural, the two other fundamental and the adjoint representation
+    assert [_weyl_dimension(lam) for lam in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0))] == [6, 14, 14, 21]
+    for lam in itertools.product(range(5), repeat=3):
+        total = sum(_orbit_size(mu) * m for mu, m in dominant_multiplicities(lam).items())
+        assert total == _weyl_dimension(lam), lam
+
+
+def test_dominance_monotonicity_at_q_1():
+    # The classical theorem on weight multiplicities: for dominant weights
+    # mu < nu of V(lam), nu - mu a nonzero sum of positive roots,
+    # m(lam, mu) >= m(lam, nu).
+    pairs = 0
+    for lam in itertools.product(range(5), repeat=3):
+        mults = dominant_multiplicities(lam)
+        eps = np.array([(x + y + z, y + z, z) for x, y, z in mults])
+        m = np.array(list(mults.values()))
+        # diff[i, j] = nu_j - mu_i lies in the root lattice (both weights lie
+        # in lam minus it), and its partial sums are its alpha coordinates
+        # c1, c2 and 2 c3, so it is in the positive root cone exactly when
+        # they are nonnegative
+        diff = eps[None, :, :] - eps[:, None, :]
+        below = (np.cumsum(diff, axis=2) >= 0).all(axis=2)
+        np.fill_diagonal(below, False)
+        pairs += int(below.sum())
+        bad = np.argwhere(below & (m[:, None] < m[None, :]))
+        assert not len(bad), (lam, [(list(mults)[i], list(mults)[j]) for i, j in bad[:3]])
+    assert pairs == 159757
 
 
 def test_alternation_set_type():

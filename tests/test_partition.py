@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp6q.multiplicity import _nonzero_terms, mult_q_direct
-from sp6q.partition import KPF_MAX_HEIGHT, KPF_ORACLE_MAX_HEIGHT, kpf, kpf_q, kpf_q_oracle
+from sp6q.partition import KPF_MAX_HEIGHT, KPF_ORACLE_MAX_HEIGHT, kpf_q, kpf_q_oracle
 from sp6q.qpoly import QPoly, eval_at_one
 from sp6q.root_system import POSITIVE_ROOTS
 
@@ -37,9 +37,9 @@ def test_oracle_known_values():
 
 
 def test_kpf_at_one():
-    assert kpf(2, 2, 1) == 10
-    assert kpf(0, 0, 0) == 1
-    assert kpf(1, 1, 0) == 2
+    assert eval_at_one(kpf_q(2, 2, 1)) == 10
+    assert eval_at_one(kpf_q(0, 0, 0)) == 1
+    assert eval_at_one(kpf_q(1, 1, 0)) == 2
 
 
 def test_rejects_non_integers():
