@@ -10,10 +10,13 @@ Two independent routes establish the same family of 46 sets:
      clashes, full closure under the contradiction catalog), shrinking
      2^17 = 131072 candidates to 1124, then 150, then 46.  Each stage is
      one array lookup, over the previous survivors, into a (pool, clash)
-     table over the 2^14 forced sign patterns, built from rules read as
-     mask pairs (pre nonnegative forces post nonnegative).
+     table over the 2^14 forced sign patterns.  The catalog and the
+     stage-2 rules, a subset of it, are spelled as the sign patterns of
+     multiplicity.CASES are, as (nonnegative, negative) field strings, and
+     compiled to mask pairs (pre nonnegative forces post nonnegative).
 
-  2. An empirical sweep of alternation sets over a box of weight pairs.
+  2. An empirical sweep of alternation sets over a box of weight pairs,
+     cut into fixed-size blocks that a thread pool queues.
 
 Both routes read the same rule from multiplicity.covered_terms: the terms
 whose three variables all lie in a set of nonnegative variables.
@@ -31,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
-from itertools import islice
 from math import isqrt
 from pathlib import Path
 from typing import Iterable
@@ -52,92 +54,56 @@ from .multiplicity import (  # symbolic_sigma_rows is re-exported for callers of
 )
 from .root_system import WeightFW
 
-# Catalog of variable-sign combinations that no pair of dominant integral
-# weights can realize: 47 two-variable rules and 6 three-variable rules.
-# Entries are conjunctions of (variable, is-negative) atoms.
-CONTRADICTION_RULES: tuple[tuple[tuple[str, bool], ...], ...] = (
-    (("a", True), ("b", False)),
-    (("a", True), ("c", False)),
-    (("a", True), ("g", False)),
-    (("a", True), ("h", False)),
-    (("b", True), ("c", False)),
-    (("b", True), ("h", False)),
-    (("b", True), ("p", False)),
-    (("c", True), ("p", False)),
-    (("d", True), ("b", False)),
-    (("d", True), ("c", False)),
-    (("d", True), ("e", False)),
-    (("d", True), ("f", False)),
-    (("d", True), ("g", False)),
-    (("d", True), ("h", False)),
-    (("d", True), ("i", False)),
-    (("d", True), ("l", False)),
-    (("d", True), ("o", False)),
-    (("d", True), ("p", False)),
-    (("d", True), ("r", False)),
-    (("e", True), ("c", False)),
-    (("e", True), ("f", False)),
-    (("e", True), ("g", False)),
-    (("e", True), ("h", False)),
-    (("e", True), ("i", False)),
-    (("e", True), ("o", False)),
-    (("e", True), ("p", False)),
-    (("e", True), ("r", False)),
-    (("f", True), ("c", False)),
-    (("f", True), ("h", False)),
-    (("f", True), ("p", False)),
-    (("g", True), ("h", False)),
-    (("g", True), ("i", False)),
-    (("g", True), ("r", False)),
-    (("i", True), ("r", False)),
-    (("j", True), ("c", False)),
-    (("j", True), ("h", False)),
-    (("j", True), ("l", False)),
-    (("j", True), ("o", False)),
-    (("j", True), ("p", False)),
-    (("j", True), ("r", False)),
-    (("l", True), ("h", False)),
-    (("l", True), ("o", False)),
-    (("l", True), ("p", False)),
-    (("l", True), ("r", False)),
-    (("o", True), ("p", False)),
-    (("o", True), ("r", False)),
-    (("p", False), ("r", False)),
-    (("b", True), ("f", False), ("h", False)),
-    (("j", True), ("a", False), ("f", False)),
-    (("l", True), ("b", False), ("g", False)),
-    (("l", True), ("b", False), ("i", False)),
-    (("l", True), ("f", False), ("g", False)),
-    (("o", True), ("c", False), ("i", False)),
+# Catalog of the sign patterns of the profile variables that no pair of
+# dominant integral weights realizes, spelled as the patterns of
+# multiplicity.CASES are: (nonnegative, negative) field strings.  ("fh", "b")
+# reads "f >= 0 and h >= 0 with b < 0 never happens", so f and h nonnegative
+# force b nonnegative.  47 rules have two variables and 6 have three; the one
+# rule with no negative variable, ("pr", ""), is a hard clash instead.
+CONTRADICTION_RULES: tuple[tuple[str, str], ...] = (
+    ("b", "a"), ("c", "a"), ("g", "a"), ("h", "a"),
+    ("c", "b"), ("h", "b"), ("p", "b"),
+    ("p", "c"),
+    ("b", "d"), ("c", "d"), ("e", "d"), ("f", "d"), ("g", "d"), ("h", "d"),
+    ("i", "d"), ("l", "d"), ("o", "d"), ("p", "d"), ("r", "d"),
+    ("c", "e"), ("f", "e"), ("g", "e"), ("h", "e"), ("i", "e"), ("o", "e"), ("p", "e"), ("r", "e"),
+    ("c", "f"), ("h", "f"), ("p", "f"),
+    ("h", "g"), ("i", "g"), ("r", "g"),
+    ("r", "i"),
+    ("c", "j"), ("h", "j"), ("l", "j"), ("o", "j"), ("p", "j"), ("r", "j"),
+    ("h", "l"), ("o", "l"), ("p", "l"), ("r", "l"),
+    ("p", "o"), ("r", "o"),
+    ("pr", ""),
+    ("fh", "b"),
+    ("af", "j"),
+    ("bg", "l"), ("bi", "l"), ("fg", "l"),
+    ("ci", "o"),
 )
 
-
-# One-step derivation map of the intermediate filter stage.  It is a
-# deliberate under-approximation of the catalog closure (only the final
-# stage applies the full catalog); together with the a&f conjunction rule
-# and the p&r clash it reproduces the intermediate survivor family
-# exactly.
-_STAGE2_DERIVED = {
-    "a": "", "b": "a", "c": "abf", "d": "", "e": "d", "f": "de",
-    "g": "de", "h": "defg", "i": "deg", "j": "", "l": "j",
-    "o": "jl", "p": "cjlo", "r": "ijlo",
-}
-
-
-def _atoms(rule, negative: bool) -> int:
-    return field_mask(v for v, isneg in rule if isneg == negative)
-
-
-# Every rule as a pair of masks (pre, post): the variables of pre being
-# nonnegative force those of post nonnegative.  A catalog rule "x < 0 with
-# y (and z) >= 0 is impossible" reads (yz, x); the one rule with no negative
-# atom, p >= 0 with r >= 0, is a hard clash instead.
-_CATALOG_RULES = tuple((_atoms(r, False), _atoms(r, True)) for r in CONTRADICTION_RULES if _atoms(r, True))
-_HARD_BITS = tuple(_atoms(r, False) for r in CONTRADICTION_RULES if not _atoms(r, True))
-_STAGE2_RULES = (
-    *((field_mask(v), field_mask(ws)) for v, ws in _STAGE2_DERIVED.items()),
-    (field_mask("af"), field_mask("j")),
+# The intermediate filter stage's rules: a subset of the catalog, in its
+# spelling and order.  Stage 2 applies one step of them, not their closure,
+# plus the catalog's hard clash on the forced set; this deliberate
+# under-approximation reproduces the intermediate survivor family exactly.
+_STAGE2_RULES: tuple[tuple[str, str], ...] = (
+    ("b", "a"), ("c", "a"),
+    ("c", "b"),
+    ("p", "c"),
+    ("e", "d"), ("f", "d"), ("g", "d"), ("h", "d"), ("i", "d"),
+    ("f", "e"), ("g", "e"), ("h", "e"), ("i", "e"),
+    ("c", "f"), ("h", "f"),
+    ("h", "g"), ("i", "g"),
+    ("r", "i"),
+    ("l", "j"), ("o", "j"), ("p", "j"), ("r", "j"),
+    ("o", "l"), ("p", "l"), ("r", "l"),
+    ("p", "o"), ("r", "o"),
+    ("af", "j"),
 )
+
+# Every catalog rule with a negative variable as a pair of masks (pre, post):
+# the variables of pre being nonnegative force those of post nonnegative.
+# The rule with none, p >= 0 with r >= 0, is a hard clash.
+_CATALOG_RULES = tuple((field_mask(pos), field_mask(neg)) for pos, neg in CONTRADICTION_RULES if neg)
+_HARD_BITS = tuple(field_mask(pos) for pos, neg in CONTRADICTION_RULES if not neg)
 
 
 @lru_cache(maxsize=1)
@@ -168,9 +134,10 @@ def _stage_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(pool, clash) of each filter stage over the 2^14 forced sign patterns, built once, read-only.
 
     pool[f] holds the variables the stage knows nonnegative when the members
-    force f: stage 1 f itself; stage 2 one step of _STAGE2_RULES from f,
-    without f; stage 3 the closure of f under the catalog.  clash[f] marks a
-    hard clash: none in stage 1, in f in stage 2, in the closure in stage 3.
+    force f: stage 1 f itself; stage 2 one step from f, without f, of
+    _STAGE2_RULES, a subset of the catalog; stage 3 the closure of f under
+    the whole catalog.  clash[f] marks the catalog's hard clash: none in
+    stage 1, in f in stage 2, in the closure in stage 3.
     """
     patterns = np.arange(1 << 14, dtype=np.uint16)
     closure = patterns
@@ -178,7 +145,7 @@ def _stage_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         closure = grown
     tables = (
         (patterns, np.zeros(1 << 14, bool)),
-        (_step(patterns, _STAGE2_RULES), _clash(patterns)),
+        (_step(patterns, [(field_mask(pos), field_mask(neg)) for pos, neg in _STAGE2_RULES]), _clash(patterns)),
         (closure, _clash(closure)),
     )
     for table in tables:
@@ -302,31 +269,31 @@ def check_sweep_box(lam_max: int, mu_max: int, jobs: int | None = None) -> int:
     return min(jobs or cores, cores, blocks)
 
 
-def _sweep_share(
-    share: int, workers: int, lam_max: int, mu_max: int, lam_rows: np.ndarray, mu_rows: np.ndarray
-) -> dict:
-    """Term mask -> first witness (m, n, k, x, y, z) over blocks share, share + workers, ... of the box."""
-    best = {}
-    for l0, l1, u0, u1 in islice(_blocks(lam_max, mu_max), share, None, workers):
-        lam = np.array(np.unravel_index(np.arange(l0, l1), (lam_max + 1,) * 3))  # columns (m, n, k)
-        mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
-        # a doubled profile variable is its lam part (with the constant) minus a doubled alpha coordinate of mu
-        lam_part = lam_rows[:, :3] @ lam + lam_rows[:, 3:]
-        alpha = mu_rows @ mu
-        # m + k and x + z of one parity: every value is then even, so its sign alone decides
-        for parity in (0, 1):
-            li = np.flatnonzero((lam[0] + lam[2]) % 2 == parity)
-            mi = np.flatnonzero((mu[0] + mu[2]) % 2 == parity)
-            signs = np.zeros((len(li), len(mi)), np.uint16)  # field_mask of the nonnegative variables
-            for f in reversed(range(14)):
-                signs <<= 1
-                signs |= lam_part[f, li, None] >= alpha[f, mi]
-            uniq, first = np.unique(signs, return_index=True)
-            for terms, i in zip(covered_terms()[uniq].tolist(), first.tolist()):
-                a, b = divmod(i, len(mi))
-                witness = (*lam[:, li[a]].tolist(), *mu[:, mi[b]].tolist())
-                best[terms] = min(best.get(terms, witness), witness)
-    return best
+def _sweep_block(
+    block: tuple[int, int, int, int], lam_max: int, mu_max: int, lam_rows: np.ndarray, mu_rows: np.ndarray
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(term mask, witness (m, n, k, x, y, z)) of the first pair of each sign pattern and parity
+    met in one block (l0, l1, u0, u1) of the box."""
+    l0, l1, u0, u1 = block
+    lam = np.array(np.unravel_index(np.arange(l0, l1), (lam_max + 1,) * 3))  # columns (m, n, k)
+    mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
+    # a doubled profile variable is its lam part (with the constant) minus a doubled alpha coordinate of mu
+    lam_part = lam_rows[:, :3] @ lam + lam_rows[:, 3:]
+    alpha = mu_rows @ mu
+    found = []
+    # m + k and x + z of one parity: every value is then even, so its sign alone decides
+    for parity in (0, 1):
+        li = np.flatnonzero((lam[0] + lam[2]) % 2 == parity)
+        mi = np.flatnonzero((mu[0] + mu[2]) % 2 == parity)
+        signs = np.zeros((len(li), len(mi)), np.uint16)  # field_mask of the nonnegative variables
+        for f in reversed(range(14)):
+            signs <<= 1
+            signs |= lam_part[f, li, None] >= alpha[f, mi]
+        uniq, first = np.unique(signs, return_index=True)
+        for terms, i in zip(covered_terms()[uniq].tolist(), first.tolist()):
+            a, b = divmod(i, len(mi))
+            found.append((terms, (*lam[:, li[a]].tolist(), *mu[:, mi[b]].tolist())))
+    return found
 
 
 def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[SweepEntry]:
@@ -335,22 +302,21 @@ def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[Swe
 
     Returns each distinct set once, with its lexicographically first
     witness (ordering (m, n, k, x, y, z)); entries are listed in order of
-    first appearance.  Each worker takes every workers-th block of the box;
-    merging keeps the smallest witness, so the result does not depend on
-    the blocks or the workers.  check_sweep_box bounds the box and workers.
+    first appearance.  The thread pool queues the blocks of the box, each
+    worker taking the next one when it is free; merging keeps the smallest
+    witness, so the result does not depend on the blocks, the workers or
+    the order they finish in.  check_sweep_box bounds the box and workers.
     """
     workers = check_sweep_box(lam_max, mu_max, jobs)
     table = sigma_table()
     rows = np.array(table.rows[:14], dtype=np.int64)  # (cm, cn, ck, c1, i) of each profile variable
     mu_rows = np.array(table.mu_alpha, dtype=np.int64)[rows[:, 4]]
-    one_share = partial(
-        _sweep_share, workers=workers, lam_max=lam_max, mu_max=mu_max, lam_rows=rows[:, :4], mu_rows=mu_rows
-    )
+    one_block = partial(_sweep_block, lam_max=lam_max, mu_max=mu_max, lam_rows=rows[:, :4], mu_rows=mu_rows)
     best: dict[int, tuple[int, ...]] = {}
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # one worker runs here: a worker thread's own malloc arena would hold a second peak
-        for share in (map if workers == 1 else pool.map)(one_share, range(workers)):
-            for terms, witness in share.items():
+        for found in (map if workers == 1 else pool.map)(one_block, _blocks(lam_max, mu_max)):
+            for terms, witness in found:
                 best[terms] = min(best.get(terms, witness), witness)
     return [
         SweepEntry(AlternationSet.from_letters(_mask_to_letters(terms)), WeightFW(*w[:3]), WeightFW(*w[3:]))

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import tracemalloc
 
@@ -8,7 +10,7 @@ import pytest
 from sp6q import census, weyl
 from sp6q.census import (
     _CATALOG_RULES,
-    _STAGE2_DERIVED,
+    _STAGE2_RULES,
     CONTRADICTION_RULES,
     SWEEP_MAX_PAIRS,
     check_sweep_box,
@@ -45,13 +47,22 @@ def test_term_conditions():
 def test_predicate_catalog():
     rules = CONTRADICTION_RULES
     assert len(rules) == 53
-    assert sum(1 for r in rules if len(r) == 2) == 47
-    assert sum(1 for r in rules if len(r) == 3) == 6
-    assert rules[0] == (("a", True), ("b", False))
-    assert rules[-1] == (("o", True), ("c", False), ("i", False))
-    # exactly one rule has no negative atom (two nonnegativities clashing)
-    pure = [r for r in CONTRADICTION_RULES if all(not neg for _v, neg in r)]
-    assert pure == [(("p", False), ("r", False))]
+    assert sum(1 for pos, neg in rules if len(pos + neg) == 2) == 47
+    assert sum(1 for pos, neg in rules if len(pos + neg) == 3) == 6
+    assert rules[0] == ("b", "a")
+    assert rules[-1] == ("ci", "o")
+    # exactly one rule has no negative variable (two nonnegativities clashing)
+    pure = [(pos, neg) for pos, neg in CONTRADICTION_RULES if not neg]
+    assert pure == [("pr", "")]
+
+
+def test_stage_tables_are_pinned():
+    # the compiled rules of all three stages, pinned whole: a mistyped
+    # catalog or stage-2 rule changes this digest even where the closure
+    # test below, which reads the same catalog, would still pass
+    tables = json.dumps([array.tolist() for pair in _stage_tables() for array in pair])
+    digest = hashlib.sha256(tables.encode()).hexdigest()
+    assert digest == "f6d92788687b066e43d6f5a63d6bf5ef04d576e6e43ba6f4533932cb1b5e1828"
 
 
 def test_direct_clash_rejects_identity_with_s2s1():
@@ -89,7 +100,7 @@ def _python_closure(pattern, rules):
 def test_stage_tables_over_every_sign_pattern():
     patterns = np.arange(1 << 14)
     (pool1, clash1), (pool2, clash2), (pool3, clash3) = _stage_tables()
-    # every catalog rule with a negative atom forces exactly that one variable
+    # every catalog rule with a negative variable forces exactly that one variable
     assert len(_CATALOG_RULES) == 52 and all(post and post & post - 1 == 0 for _pre, post in _CATALOG_RULES)
     assert (pool1 == patterns).all() and not clash1.any()
     # stage 3: the closure contains its pattern, is closed under the catalog,
@@ -98,16 +109,16 @@ def test_stage_tables_over_every_sign_pattern():
     assert (pool3 & patterns == patterns).all()
     assert (_step(pool3, _CATALOG_RULES) & ~pool3 == 0).all()
     assert (pool3[pool3] == pool3).all()
-    rules = [
-        (field_mask(v for v, neg in r if not neg), field_mask(v for v, neg in r if neg)) for r in CONTRADICTION_RULES
-    ]
+    rules = [(field_mask(pos), field_mask(neg)) for pos, neg in CONTRADICTION_RULES]
     assert pool3.tolist() == [_python_closure(f, rules) for f in range(1 << 14)]
-    # stage 2: the union of _STAGE2_DERIVED over the forced variables, plus
-    # j when a and f are both forced; the forced set itself is left out
+    # stage 2: 28 of the catalog's rules, one step of them: the negative
+    # variables of the pairs whose nonnegative variables are all forced;
+    # the forced set itself is left out
+    assert len(_STAGE2_RULES) == 28 and set(_STAGE2_RULES) <= set(CONTRADICTION_RULES)
     want = []
     for f in range(1 << 14):
         forced = {v for b, v in enumerate(PROFILE_FIELDS) if f >> b & 1}
-        derived = {w for v in forced for w in _STAGE2_DERIVED[v]} | ({"j"} if {"a", "f"} <= forced else set())
+        derived = {w for pos, neg in _STAGE2_RULES if set(pos) <= forced for w in neg}
         want.append(field_mask(derived))
     assert pool2.tolist() == want
     # p and r both nonnegative is a hard clash: in the forced set at stage 2,
