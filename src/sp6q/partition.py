@@ -14,9 +14,10 @@ positive roots.  Two independent implementations are provided:
     (1 - q x^gamma)(1 - q x^theta) is the generating function of K_0, so
     K(v) = K_0(v) + q K(v-gamma) + q K(v-theta) - q^2 K(v-gamma-theta).
 
-  - kpf_q_oracle: exhaustive enumeration of all nine multiplicities,
-    sharing nothing with kpf_q beyond the root list.  It is the
-    ground-truth reference the formula is tested against.
+  - kpf_q_oracle: exhaustive enumeration of the multiplicities of the
+    six positive roots other than a1, a2, a3, which then take the
+    remainder, sharing nothing with kpf_q beyond the root list.  It is
+    the ground-truth reference the formula is tested against.
 
 Both are total: any negative coordinate gives the zero polynomial.
 Half-integral vectors are rejected by the integer signature; callers
@@ -36,9 +37,9 @@ from .root_system import POSITIVE_ROOTS
 # 660, the identity term of m_q((60,60,60), 0); the slowest vectors of this
 # height, such as (210, 315, 175), take 16-18 s and 100 MB on a 2-core host.
 KPF_MAX_HEIGHT = 700
-# Largest m+n+k kpf_q_oracle accepts; its time grows about as the seventh
-# power.  At this height (25, 25, 25) takes about 6 s and the slowest
-# vectors, such as (30, 30, 15), about 17 s on a 2-core host.
+# Largest m+n+k kpf_q_oracle accepts; its time grows about as the fifth
+# power.  At this height (25, 25, 25) takes about 0.08 s and the slowest
+# vectors, such as (21, 33, 21), 0.14-0.18 s on a 2-core host.
 KPF_ORACLE_MAX_HEIGHT = 75
 # The recursive terms of kpf_q's identity as (dm, dn, dk, q-shift, add or sub).
 _PEELS = ((1, 2, 1, 1, add), (2, 2, 1, 1, add), (3, 4, 2, 2, sub))
@@ -122,18 +123,15 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     return QPoly(tuple(coeffs))
 
 
-# Enumeration order for the oracle: largest coefficient sum first, so that
-# the remaining-vector bound prunes as early as possible.
-_ORACLE_ROOTS = tuple(sorted(POSITIVE_ROOTS, key=lambda r: -sum(r)))
-
-
 def kpf_q_oracle(m: int, n: int, k: int) -> QPoly:
     """Reference value by brute force.
 
-    Recursively chooses a multiplicity for each of the nine positive roots
-    in turn, bounded coordinate-wise by what remains of (m, n, k), and
-    tallies q^(number of parts) whenever the remainder reaches zero.  A
-    nonnegative vector with m+n+k above KPF_ORACLE_MAX_HEIGHT raises
+    Recursively chooses a multiplicity for each of the six positive roots
+    with coefficient sum above 1, bounded coordinate-wise by what remains
+    of (m, n, k).  The simple roots a1, a2, a3 are a basis, so a remainder
+    (r1, r2, r3) that is nonnegative in every coordinate is taken by them
+    in exactly one way: each choice of p parts tallies q^(p + r1 + r2 + r3).
+    A nonnegative vector with m+n+k above KPF_ORACLE_MAX_HEIGHT raises
     ValueError.
     """
     _check_int(m, n, k)
@@ -142,32 +140,16 @@ def kpf_q_oracle(m: int, n: int, k: int) -> QPoly:
     if m + n + k > KPF_ORACLE_MAX_HEIGHT:
         raise ValueError(f"kpf_q_oracle height m+n+k = {m + n + k} exceeds the bound {KPF_ORACLE_MAX_HEIGHT}")
     coeffs = [0] * (m + n + k + 1)
-    roots = _ORACLE_ROOTS
-    last = len(roots) - 1
+    roots = [r for r in POSITIVE_ROOTS if sum(r) > 1]
 
     def descend(idx: int, r1: int, r2: int, r3: int, parts: int):
-        a1, a2, a3 = roots[idx]
-        if idx == last:
-            # The multiplicity of the final root is forced by the equality
-            # constraint; it is admissible iff it consumes the remainder.
-            if a1:
-                c, rem = divmod(r1, a1)
-            elif a2:
-                c, rem = divmod(r2, a2)
-            else:
-                c, rem = divmod(r3, a3)
-            if rem == 0 and r1 == c * a1 and r2 == c * a2 and r3 == c * a3:
-                coeffs[parts + c] += 1
+        if idx == len(roots):
+            coeffs[parts + r1 + r2 + r3] += 1
             return
-        cap = r1 + r2 + r3
-        if a1:
-            cap = r1 // a1
-        if a2:
-            cap = min(cap, r2 // a2)
-        if a3:
-            cap = min(cap, r3 // a3)
-        for c in range(cap + 1):
-            descend(idx + 1, r1 - c * a1, r2 - c * a2, r3 - c * a3, parts + c)
+        a1, a2, a3 = roots[idx]
+        while r1 >= 0 and r2 >= 0 and r3 >= 0:
+            descend(idx + 1, r1, r2, r3, parts)
+            r1, r2, r3, parts = r1 - a1, r2 - a2, r3 - a3, parts + 1
 
     descend(0, m, n, k, 0)
     return QPoly(tuple(coeffs))

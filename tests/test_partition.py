@@ -63,15 +63,44 @@ def test_height_bound():
 
 
 def test_oracle_height_bound():
-    # the bound admits every oracle call of the suite and the benchmark,
-    # (25, 25, 25) at most; above it a nonnegative vector is refused
-    # before any enumeration, and a negative one is still zero
+    # the bound admits every oracle call of the suite and the benchmark;
+    # at it the oracle agrees with the formula on (25, 25, 25), (30, 30, 15)
+    # and the three slowest vectors of height 75, about 0.15 s each.  Above
+    # it a nonnegative vector is refused before any enumeration, and a
+    # negative one is still zero
     assert 75 <= KPF_ORACLE_MAX_HEIGHT < KPF_MAX_HEIGHT
-    assert kpf_q_oracle(KPF_ORACLE_MAX_HEIGHT, 0, 0) == kpf_q(KPF_ORACLE_MAX_HEIGHT, 0, 0)
+    for v in ((KPF_ORACLE_MAX_HEIGHT, 0, 0), (25, 25, 25), (30, 30, 15),
+              (21, 33, 21), (22, 33, 20), (21, 34, 20)):
+        assert kpf_q_oracle(*v) == kpf_q(*v), v
     for bad in ((KPF_ORACLE_MAX_HEIGHT + 1, 0, 0), (200, 300, 200), (0, 10**23, 0)):
         with pytest.raises(ValueError):
             kpf_q_oracle(*bad)
     assert kpf_q_oracle(10**23, -1, 0) == QPoly()
+
+
+def _nine_root_enumeration(m, n, k):
+    # chooses a multiplicity for every one of the nine positive roots and
+    # forces none: a choice counts only where it uses up (m, n, k) exactly
+    coeffs = [0] * (m + n + k + 1)
+
+    def descend(idx, r1, r2, r3, parts):
+        if idx == len(POSITIVE_ROOTS):
+            if r1 == r2 == r3 == 0:
+                coeffs[parts] += 1
+            return
+        a1, a2, a3 = POSITIVE_ROOTS[idx]
+        while r1 >= 0 and r2 >= 0 and r3 >= 0:
+            descend(idx + 1, r1, r2, r3, parts)
+            r1, r2, r3, parts = r1 - a1, r2 - a2, r3 - a3, parts + 1
+
+    descend(0, m, n, k, 0)
+    return QPoly(tuple(coeffs))
+
+
+def test_oracle_equals_nine_root_enumeration():
+    # the oracle lets a1, a2 and a3 take the remainder of the six others
+    for v in product(range(7), repeat=3):
+        assert kpf_q_oracle(*v) == _nine_root_enumeration(*v), v
 
 
 # The two dominant positive roots, which kpf_q peels through its cache.
