@@ -16,7 +16,11 @@ Two independent routes establish the same family of 46 sets:
      compiled to mask pairs (pre nonnegative forces post nonnegative).
 
   2. An empirical sweep of alternation sets over a box of weight pairs,
-     cut into fixed-size blocks that a thread pool queues.
+     cut into fixed-size blocks that a thread pool queues.  Each profile
+     variable is a lam part minus one of mu's three doubled alpha
+     coordinates, so a block reads the sign patterns of its pairs from
+     three small per-coordinate tables, and the first pair of each
+     pattern from one linear pass.
 
 Both routes read the same rule from multiplicity.covered_terms: the terms
 whose three variables all lie in a set of nonnegative variables.
@@ -42,7 +46,6 @@ import numpy as np
 
 from . import weyl
 from .multiplicity import (  # symbolic_sigma_rows is re-exported for callers of this module
-    LETTER_INDEX,
     TERM_MASKS,
     TERMS,
     AlternationSet,
@@ -161,13 +164,13 @@ def _passes(subsets: np.ndarray, pool: np.ndarray, clash: np.ndarray) -> np.ndar
     return ~clash[forced] & (covered_terms()[pool[forced]] & ~subsets == 0)
 
 
-def _mask_to_letters(subset: int) -> frozenset[str]:
-    return frozenset(TERMS[i].letter for i in range(17) if subset >> i & 1)
+def _positions(subset: int) -> tuple[int, ...]:
+    """The positions in TERMS of the members of a term mask, ascending."""
+    return tuple(i for i in range(17) if subset >> i & 1)
 
 
-def letters_sort_key(letters: Iterable[str]) -> tuple:
-    idx = sorted(LETTER_INDEX[L] for L in letters)
-    return (len(idx), tuple(idx))
+def _letters(positions: Iterable[int]) -> frozenset[str]:
+    return frozenset(TERMS[i].letter for i in positions)
 
 
 @dataclass
@@ -191,7 +194,9 @@ def filter_pipeline() -> PipelineResult:
     families = []
     for pool, clash in _stage_tables():
         subsets = subsets[_passes(subsets, pool, clash)]
-        families.append(sorted(map(_mask_to_letters, subsets.tolist()), key=letters_sort_key))
+        # the canonical family order: by size, then by the ascending positions of the members
+        positions = sorted(map(_positions, subsets.tolist()), key=lambda p: (len(p), p))
+        families.append([_letters(p) for p in positions])
     return PipelineResult(*families)
 
 
@@ -228,6 +233,9 @@ class SweepEntry:
 
 
 # Pairs in one block; every sweep array is sized by this, never by the box.
+# A block's per-coordinate sign table is lam side x (distinct values of
+# alpha_i met), at most lam side x (max alpha_i + 1) and never more than
+# the block's pairs; doubled alpha_i is at most 10 * mu_max.
 SWEEP_BLOCK_PAIRS = 1 << 18
 # Most (lam, mu) pairs a box may be charged, a bound on the time.  Each block
 # counts as a full SWEEP_BLOCK_PAIRS block, since a block of a flat box, with
@@ -270,27 +278,45 @@ def check_sweep_box(lam_max: int, mu_max: int, jobs: int | None = None) -> int:
 
 
 def _sweep_block(
-    block: tuple[int, int, int, int], lam_max: int, mu_max: int, lam_rows: np.ndarray, mu_rows: np.ndarray
+    block: tuple[int, int, int, int],
+    lam_max: int,
+    mu_max: int,
+    lam_rows: np.ndarray,
+    coords: tuple[list[int], ...],
+    mu_alpha: np.ndarray,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """(term mask, witness (m, n, k, x, y, z)) of the first pair of each sign pattern and parity
-    met in one block (l0, l1, u0, u1) of the box."""
+    met in one block (l0, l1, u0, u1) of the box.
+
+    A doubled profile variable is its lam part minus one doubled alpha
+    coordinate of mu; coords lists the variables that read each coordinate.
+    So, for each parity class, a block builds per coordinate a sign table
+    over its lam triples and the distinct values the coordinate takes on
+    its mu triples, and a pair's sign pattern is the OR of the three tables
+    read at its mu's values.  The first pair of each pattern is the least
+    flat (lam, mu) index holding it, found in one np.minimum.at pass.
+    """
     l0, l1, u0, u1 = block
     lam = np.array(np.unravel_index(np.arange(l0, l1), (lam_max + 1,) * 3))  # columns (m, n, k)
     mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
-    # a doubled profile variable is its lam part (with the constant) minus a doubled alpha coordinate of mu
     lam_part = lam_rows[:, :3] @ lam + lam_rows[:, 3:]
-    alpha = mu_rows @ mu
+    alpha = mu_alpha @ mu  # rows: the three doubled alpha coordinates of each mu
     found = []
     # m + k and x + z of one parity: every value is then even, so its sign alone decides
     for parity in (0, 1):
         li = np.flatnonzero((lam[0] + lam[2]) % 2 == parity)
         mi = np.flatnonzero((mu[0] + mu[2]) % 2 == parity)
         signs = np.zeros((len(li), len(mi)), np.uint16)  # field_mask of the nonnegative variables
-        for f in reversed(range(14)):
-            signs <<= 1
-            signs |= lam_part[f, li, None] >= alpha[f, mi]
-        uniq, first = np.unique(signs, return_index=True)
-        for terms, i in zip(covered_terms()[uniq].tolist(), first.tolist()):
+        for fields, coord in zip(coords, alpha[:, mi]):
+            values, at = np.unique(coord, return_inverse=True)
+            table = np.zeros((len(li), len(values)), np.uint16)
+            for f in fields:
+                table |= np.left_shift(lam_part[f, li, None] >= values, f, dtype=np.uint16)
+            signs |= table[:, at]
+        first = np.full(1 << 14, signs.size)
+        np.minimum.at(first, signs.ravel(), np.arange(signs.size))
+        met = np.flatnonzero(first < signs.size)
+        for terms, i in zip(covered_terms()[met].tolist(), first[met].tolist()):
             a, b = divmod(i, len(mi))
             found.append((terms, (*lam[:, li[a]].tolist(), *mu[:, mi[b]].tolist())))
     return found
@@ -310,8 +336,9 @@ def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[Swe
     workers = check_sweep_box(lam_max, mu_max, jobs)
     table = sigma_table()
     rows = np.array(table.rows[:14], dtype=np.int64)  # (cm, cn, ck, c1, i) of each profile variable
-    mu_rows = np.array(table.mu_alpha, dtype=np.int64)[rows[:, 4]]
-    one_block = partial(_sweep_block, lam_max=lam_max, mu_max=mu_max, lam_rows=rows[:, :4], mu_rows=mu_rows)
+    coords = tuple(np.flatnonzero(rows[:, 4] == i).tolist() for i in range(3))
+    one_block = partial(_sweep_block, lam_max=lam_max, mu_max=mu_max, lam_rows=rows[:, :4], coords=coords,
+                        mu_alpha=np.array(table.mu_alpha, dtype=np.int64))
     best: dict[int, tuple[int, ...]] = {}
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # one worker runs here: a worker thread's own malloc arena would hold a second peak
@@ -319,7 +346,7 @@ def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[Swe
             for terms, witness in found:
                 best[terms] = min(best.get(terms, witness), witness)
     return [
-        SweepEntry(AlternationSet.from_letters(_mask_to_letters(terms)), WeightFW(*w[:3]), WeightFW(*w[3:]))
+        SweepEntry(AlternationSet.from_letters(_letters(_positions(terms))), WeightFW(*w[:3]), WeightFW(*w[3:]))
         for terms, w in sorted(best.items(), key=lambda item: item[1])
     ]
 

@@ -270,7 +270,7 @@ class AlternationSet:
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "AlternationSet":
-        return cls(frozenset(weyl.canonical_index(weyl.element_from_name(n)) for n in names))
+        return cls(frozenset(map(weyl.index_from_name, names)))
 
     def elements(self) -> list[weyl.WeylElement]:
         group = weyl.enumerate_group()

@@ -130,9 +130,8 @@ def name(s: WeylElement) -> str:
     return "*".join(f"s{i}" for i in w) if w else "1"
 
 
-@lru_cache(maxsize=1024)
 def element_from_name(text: str) -> WeylElement:
-    """Inverse of name(); accepts any word in the s1/s2/s3 alphabet (memoized for fixtures)."""
+    """Inverse of name(); accepts any word in the s1/s2/s3 alphabet."""
     text = text.strip()
     if text == "1":
         return IDENTITY
@@ -143,6 +142,13 @@ def element_from_name(text: str) -> WeylElement:
             raise ValueError(f"malformed Weyl word {text!r}")
         letters.append(int(tok[1]))
     return evaluate_word(letters)
+
+
+@lru_cache(maxsize=1024)
+def index_from_name(text: str) -> int:
+    """canonical_index(element_from_name(text)), memoized for fixture words; a malformed word
+    raises ValueError on every call, since a call that raises is not cached."""
+    return canonical_index(element_from_name(text))
 
 
 # the positive roots in the ambient basis: a1 = e1 - e2, a2 = e2 - e3, a3 = 2*e3

@@ -19,7 +19,6 @@ from sp6q.census import (
     _stage_tables,
     _step,
     filter_pipeline,
-    letters_sort_key,
     load_family_fixture,
     load_witness_fixture,
     sweep_census,
@@ -196,6 +195,14 @@ def test_sweep_small_blocks_match_brute_force(monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_single_pair_blocks_match_brute_force(monkeypatch, jobs):
+    # one pair a block: one of its two parity classes is always empty
+    monkeypatch.setattr(census, "SWEEP_BLOCK_PAIRS", 1)
+    for lam_max, mu_max in ((1, 1), (2, 0)):
+        assert _sweep_witnesses(lam_max, mu_max, jobs) == _first_witnesses(lam_max, mu_max)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_peak_memory_is_bounded(jobs):
     # numpy reports its buffers to tracemalloc; every sweep array is sized
     # by SWEEP_BLOCK_PAIRS, so one bound holds for square and flat boxes
@@ -275,11 +282,6 @@ def test_witness_fixture_has_expected_rows():
     fifteen = [k for k in by_set if len(k) == 15]
     assert len(fifteen) == 2
     assert ((4, 4, 10), (0, 0, 0)) in {by_set[k] for k in fifteen}
-
-
-def test_letters_sort_key():
-    assert letters_sort_key(frozenset("A")) < letters_sort_key(frozenset("AB"))
-    assert letters_sort_key(frozenset("AB")) < letters_sort_key(frozenset("AC"))
 
 
 def test_verify_census_small_sweep_flags_missing_sets():

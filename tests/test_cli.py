@@ -168,6 +168,27 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert "error:" in err.splitlines()[-1] and "Traceback" not in err, argv
 
 
+def test_fixture_words_in_any_spelling(capsys, tmp_path):
+    # a fixture word may spell its element any way; it loads as the canonical
+    # word, and the memoized lookup never caches a malformed one
+    text = (_PACKAGED / "alt_sets_final.json").read_text()
+    assert '"s1*s2*s1"' in text
+    respelled = _fixture_copy(tmp_path / "respelled", "alt_sets_final.json",
+                              text.replace('"s1*s2*s1"', '" s2 * s1 * s2 "'))
+    assert census.load_family_fixture("final", respelled) == census.load_family_fixture("final")
+    assert sum("s1*s2*s1" in a.to_json() for a in census.load_family_fixture("final", respelled)) == 16
+    assert run(capsys, "census", "verify", "--fixtures", respelled)[0] == 0
+    malformed = _fixture_copy(tmp_path / "malformed", "alt_sets_final.json",
+                              text.replace('"s1*s2*s1"', '"s2*s1*s4"'))
+    for _ in range(2):
+        with pytest.raises(census.FixtureError, match="s4"):
+            census.load_family_fixture("final", malformed)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", "verify", "--fixtures", malformed])
+        assert exc.value.code == 2
+        assert "malformed Weyl word" in capsys.readouterr().err
+
+
 def test_verify_reads_fixtures_before_pipeline(monkeypatch, capsys, tmp_path):
     def no_pipeline():
         raise AssertionError("filter_pipeline ran before the fixtures were read")

@@ -136,14 +136,17 @@ def test_names_round_trip():
         assert weyl.element_from_name(weyl.name(s)) == s
     assert weyl.name(weyl.IDENTITY) == "1"
     assert weyl.name(weyl.evaluate_word((3, 2, 3, 2))) == "s3*s2*s3*s2"
-    # any word is accepted, not only canonical ones; parsing is memoized,
-    # and a malformed word raises on every call, not only the first
+    # any word is accepted, not only canonical ones; index_from_name is
+    # memoized, and a malformed word raises on every call, not only the first
     assert weyl.element_from_name(" s1 * s1 ") == weyl.IDENTITY
     assert weyl.element_from_name("s2*s1*s2") == weyl.evaluate_word((1, 2, 1))
+    assert weyl.index_from_name(" s2 * s1 * s2 ") == weyl.CANONICAL_WORDS.index((1, 2, 1))
     for _ in range(2):
         for bad in ("s4", "s1**s2", "", "s1*"):
             with pytest.raises(ValueError):
                 weyl.element_from_name(bad)
+            with pytest.raises(ValueError):
+                weyl.index_from_name(bad)
 
 
 def test_excluded_fixture_words_are_valid_elements():
