@@ -14,13 +14,18 @@ Two independent routes establish the same family of 46 sets:
      stage-2 rules, a subset of it, are spelled as the sign patterns of
      multiplicity.CASES are, as (nonnegative, negative) field strings, and
      compiled to mask pairs (pre nonnegative forces post nonnegative).
+     The survivors stay term masks (bit i for TERMS[i]), put in family
+     order in numpy; AlternationSet.from_mask turns one into a set.
 
   2. An empirical sweep of alternation sets over a box of weight pairs,
-     cut into fixed-size blocks that a thread pool queues.  Each profile
-     variable is a lam part minus one of mu's three doubled alpha
-     coordinates, so a block reads the sign patterns of its pairs from
-     three small per-coordinate tables, and the first pair of each
-     pattern from one linear pass.
+     cut into fixed-size blocks.  Each profile variable is a lam part
+     minus one of mu's three doubled alpha coordinates, and every such
+     coordinate of the box lies in 0..10 * mu_max.  So each lam block
+     builds, once, three sign tables over its lam triples and that dense
+     value axis; a thread pool queues the lam blocks, and each walks its
+     mu blocks, reading the sign patterns of their pairs from the tables
+     at each mu's coordinates and the first pair of each pattern from one
+     linear pass.
 
 Both routes read the same rule from multiplicity.covered_terms: the terms
 whose three variables all lie in a set of nonnegative variables.
@@ -40,7 +45,6 @@ from functools import lru_cache, partial
 from importlib import resources
 from math import isqrt
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -164,40 +168,60 @@ def _passes(subsets: np.ndarray, pool: np.ndarray, clash: np.ndarray) -> np.ndar
     return ~clash[forced] & (covered_terms()[pool[forced]] & ~subsets == 0)
 
 
-def _positions(subset: int) -> tuple[int, ...]:
-    """The positions in TERMS of the members of a term mask, ascending."""
-    return tuple(i for i in range(17) if subset >> i & 1)
+# bit i of a term mask weighs 2^(16 - i) in the reversed mask
+_REVERSED_WEIGHTS = 1 << np.arange(len(TERMS) - 1, -1, -1)
 
 
-def _letters(positions: Iterable[int]) -> frozenset[str]:
-    return frozenset(TERMS[i].letter for i in positions)
+def _family_order(subsets: np.ndarray) -> np.ndarray:
+    """subsets in the canonical family order: by size, then by the ascending
+    positions of the members.  Among sets of one size that is the descending
+    order of the masks with their 17 bits reversed, where a smaller first
+    differing position is a higher bit."""
+    reversed_masks = (subsets[:, None] >> np.arange(len(TERMS)) & 1) @ _REVERSED_WEIGHTS
+    return subsets[np.lexsort((-reversed_masks, np.bitwise_count(subsets)))]
 
 
 @dataclass
 class PipelineResult:
-    stage1: list[frozenset[str]]
-    stage2: list[frozenset[str]]
-    final: list[frozenset[str]]
+    """The survivors of the three filter stages as term masks (bit i for TERMS[i]), in family order."""
+
+    masks: tuple[list[int], list[int], list[int]]
+
+    def _spelled(self, stage: int) -> list[frozenset[str]]:
+        return [frozenset(t.letter for i, t in enumerate(TERMS) if mask >> i & 1) for mask in self.masks[stage]]
+
+    @property
+    def stage1(self) -> list[frozenset[str]]:
+        return self._spelled(0)
+
+    @property
+    def stage2(self) -> list[frozenset[str]]:
+        return self._spelled(1)
+
+    @property
+    def final(self) -> list[frozenset[str]]:
+        return self._spelled(2)
 
     @property
     def counts(self) -> tuple[int, int, int]:
-        return (len(self.stage1), len(self.stage2), len(self.final))
+        return tuple(map(len, self.masks))
 
     def final_alternation_sets(self) -> list[AlternationSet]:
-        return [AlternationSet.from_letters(s) for s in self.final]
+        return list(map(AlternationSet.from_mask, self.masks[2]))
 
 
 def filter_pipeline() -> PipelineResult:
     """Run the three filter stages over all 2^17 candidate subsets, each
-    stage over the survivors of the one before."""
+    stage over the survivors of the one before.  The stage-1 survivors are
+    put in family order once; a later stage keeps a subsequence of them."""
     subsets = np.arange(1 << 17, dtype=np.uint32)
-    families = []
+    masks = []
     for pool, clash in _stage_tables():
         subsets = subsets[_passes(subsets, pool, clash)]
-        # the canonical family order: by size, then by the ascending positions of the members
-        positions = sorted(map(_positions, subsets.tolist()), key=lambda p: (len(p), p))
-        families.append([_letters(p) for p in positions])
-    return PipelineResult(*families)
+        if not masks:
+            subsets = _family_order(subsets)
+        masks.append(subsets.tolist())
+    return PipelineResult(tuple(masks))
 
 
 def type1_excluded() -> list[weyl.WeylElement]:
@@ -232,10 +256,12 @@ class SweepEntry:
     mu: WeightFW
 
 
-# Pairs in one block; every sweep array is sized by this, never by the box.
-# A block's per-coordinate sign table is lam side x (distinct values of
-# alpha_i met), at most lam side x (max alpha_i + 1) and never more than
-# the block's pairs; doubled alpha_i is at most 10 * mu_max.
+# Pairs in one block; every sweep array but the sign tables is sized by this,
+# never by the box.  A lam block's sign table of coordinate i holds lam side x
+# (max doubled alpha_i of the box + 1) uint16 entries, where the max is
+# mu_alpha[i] . (1, 1, 1) * mu_max, at most 10 * mu_max.  Over every box that
+# check_sweep_box accepts the widest table is 1.2 MiB and the three together
+# 2.6 MiB, both at 7x123 (512 lam triples, 1231 and 2709 values).
 SWEEP_BLOCK_PAIRS = 1 << 18
 # Most (lam, mu) pairs a box may be charged, a bound on the time.  Each block
 # counts as a full SWEEP_BLOCK_PAIRS block, since a block of a flat box, with
@@ -263,63 +289,97 @@ def _blocks(lam_max: int, mu_max: int):
 
 
 def check_sweep_box(lam_max: int, mu_max: int, jobs: int | None = None) -> int:
-    """Threads to run; ValueError for a negative bound, jobs below 1 or a box charged over SWEEP_MAX_PAIRS."""
+    """Threads to run; ValueError for a negative bound, jobs below 1 or a box charged over SWEEP_MAX_PAIRS.
+
+    jobs defaults to 1: on a 2-core host a second thread made every box
+    measured slower.  Threads take whole lam blocks, so there are no more
+    of them than cores or lam blocks."""
     if lam_max < 0 or mu_max < 0:
         raise ValueError(f"sweep bounds must be nonnegative, got {lam_max} and {mu_max}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     n_lam, n_mu, lam_step, mu_step = _block_steps(lam_max, mu_max)
-    blocks = -(-n_lam // lam_step) * -(-n_mu // mu_step)
+    lam_blocks = -(-n_lam // lam_step)
+    blocks = lam_blocks * -(-n_mu // mu_step)
     if blocks * SWEEP_BLOCK_PAIRS > SWEEP_MAX_PAIRS:
         raise ValueError(f"a {lam_max}x{mu_max} sweep has {blocks} blocks, charged {blocks * SWEEP_BLOCK_PAIRS:.2e} pairs, "
                          f"over the bound of {SWEEP_MAX_PAIRS:.0e}")
     cores = os.cpu_count() or 1
-    return min(jobs or cores, cores, blocks)
+    return min(jobs or 1, cores, lam_blocks)
 
 
-def _sweep_block(
-    block: tuple[int, int, int, int],
+def _sign_table(parts: np.ndarray, fields: list[int], top: int) -> np.ndarray:
+    """Row v, column a: field_mask of the fields whose lam part at column a is at least v,
+    for v in 0..top; parts[j] holds the lam parts of fields[j].
+
+    Each field sets its bit on one row, its part clipped to top (a negative
+    part lands on row top + 1, which is dropped), and every row then ORs in
+    all the rows past it, in doubling steps.
+    """
+    table = np.zeros((top + 2, parts.shape[1]), np.uint16)
+    bits = np.left_shift(1, np.array(fields, np.uint16))[:, None]
+    np.bitwise_or.at(table, (np.clip(parts, -1, top), np.arange(parts.shape[1])), bits)
+    table = table[:-1]
+    step = 1
+    while step <= top:
+        table[:-step] |= table[step:]
+        step *= 2
+    return table
+
+
+def _sweep_lam_block(
+    lam_block: tuple[int, int],
+    mu_blocks: list[tuple[int, int]],
     lam_max: int,
     mu_max: int,
     lam_rows: np.ndarray,
     coords: tuple[list[int], ...],
     mu_alpha: np.ndarray,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(term mask, witness (m, n, k, x, y, z)) of the first pair of each sign pattern and parity
-    met in one block (l0, l1, u0, u1) of the box.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(term mask, least flat pair index) of each sign pattern met over one lam block (l0, l1)
+    of the box times each of its mu blocks (u0, u1); a pair's flat index is lam index * n_mu + mu index.
 
     A doubled profile variable is its lam part minus one doubled alpha
     coordinate of mu; coords lists the variables that read each coordinate.
-    So, for each parity class, a block builds per coordinate a sign table
-    over its lam triples and the distinct values the coordinate takes on
-    its mu triples, and a pair's sign pattern is the OR of the three tables
-    read at its mu's values.  The first pair of each pattern is the least
-    flat (lam, mu) index holding it, found in one np.minimum.at pass.
+    Every doubled alpha_i of the box lies in 0..mu_alpha[i] . (1, 1, 1) * mu_max,
+    so the lam block builds, once, one sign table per coordinate over its
+    lam triples and that whole dense value axis.  For each parity class, a
+    mu block reads its pairs' sign patterns as the OR of the three tables'
+    rows at each mu's alpha coordinates, and the first pair of each pattern
+    is the least lexicographic position holding it, found in one
+    np.minimum.at pass.
     """
-    l0, l1, u0, u1 = block
+    l0, l1 = lam_block
+    n_mu = (mu_max + 1) ** 3
     lam = np.array(np.unravel_index(np.arange(l0, l1), (lam_max + 1,) * 3))  # columns (m, n, k)
-    mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
-    lam_part = lam_rows[:, :3] @ lam + lam_rows[:, 3:]
-    alpha = mu_alpha @ mu  # rows: the three doubled alpha coordinates of each mu
-    found = []
-    # m + k and x + z of one parity: every value is then even, so its sign alone decides
-    for parity in (0, 1):
-        li = np.flatnonzero((lam[0] + lam[2]) % 2 == parity)
-        mi = np.flatnonzero((mu[0] + mu[2]) % 2 == parity)
-        signs = np.zeros((len(li), len(mi)), np.uint16)  # field_mask of the nonnegative variables
-        for fields, coord in zip(coords, alpha[:, mi]):
-            values, at = np.unique(coord, return_inverse=True)
-            table = np.zeros((len(li), len(values)), np.uint16)
-            for f in fields:
-                table |= np.left_shift(lam_part[f, li, None] >= values, f, dtype=np.uint16)
-            signs |= table[:, at]
-        first = np.full(1 << 14, signs.size)
-        np.minimum.at(first, signs.ravel(), np.arange(signs.size))
-        met = np.flatnonzero(first < signs.size)
-        for terms, i in zip(covered_terms()[met].tolist(), first[met].tolist()):
-            a, b = divmod(i, len(mi))
-            found.append((terms, (*lam[:, li[a]].tolist(), *mu[:, mi[b]].tolist())))
-    return found
+    # m + k and x + z of one parity: every value is then even, so its sign alone decides.
+    # The lam triples of each parity of m + k side by side, class p in columns cuts[p]:cuts[p + 1]
+    lam_parity = (lam[0] + lam[2]) % 2
+    by_parity = np.argsort(lam_parity, kind="stable")
+    cuts = (0, np.count_nonzero(lam_parity == 0), len(by_parity))
+    lam_part = lam_rows[:, :3] @ lam[:, by_parity] + lam_rows[:, 3:]
+    t0, t1, t2 = (_sign_table(lam_part[fields], fields, top) for fields, top in zip(coords, mu_alpha.sum(axis=1) * mu_max))
+    unmet = (lam_max + 1) ** 3 * n_mu  # past every flat index of the box
+    first = np.full(1 << 14, unmet)
+    for u0, u1 in mu_blocks:
+        mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
+        alpha = mu_alpha @ mu  # rows: the three doubled alpha coordinates of each mu
+        for parity in (0, 1):
+            mi = np.flatnonzero((mu[0] + mu[2]) % 2 == parity)
+            lams = slice(cuts[parity], cuts[parity + 1])
+            a0, a1, a2 = alpha[:, mi]
+            signs = t0[a0, lams]  # rows mu, columns lam
+            signs |= t1[a1, lams]
+            signs |= t2[a2, lams]
+            # pair (mu b, lam a) is the (a * len(mi) + b)-th of the block in lexicographic order
+            order = np.arange(signs.shape[1], dtype=np.int32) * len(mi) + np.arange(len(mi), dtype=np.int32)[:, None]
+            block_first = np.full(1 << 14, signs.size, np.int32)
+            np.minimum.at(block_first, signs.ravel(), order.ravel())
+            met = np.flatnonzero(block_first < signs.size)
+            a, b = np.divmod(block_first[met], len(mi))
+            first[met] = np.minimum(first[met], (l0 + by_parity[cuts[parity] + a]) * n_mu + u0 + mi[b])
+    met = np.flatnonzero(first < unmet)
+    return covered_terms()[met], first[met]
 
 
 def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[SweepEntry]:
@@ -328,26 +388,33 @@ def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[Swe
 
     Returns each distinct set once, with its lexicographically first
     witness (ordering (m, n, k, x, y, z)); entries are listed in order of
-    first appearance.  The thread pool queues the blocks of the box, each
-    worker taking the next one when it is free; merging keeps the smallest
-    witness, so the result does not depend on the blocks, the workers or
-    the order they finish in.  check_sweep_box bounds the box and workers.
+    first appearance.  The thread pool queues the lam blocks of the box,
+    each worker taking the next one when it is free and walking its mu
+    blocks; merging keeps the least flat pair index, which is the
+    lexicographically first witness, so the result does not depend on the
+    blocks, the workers or the order they finish in.  check_sweep_box
+    bounds the box and workers.
     """
     workers = check_sweep_box(lam_max, mu_max, jobs)
     table = sigma_table()
     rows = np.array(table.rows[:14], dtype=np.int64)  # (cm, cn, ck, c1, i) of each profile variable
     coords = tuple(np.flatnonzero(rows[:, 4] == i).tolist() for i in range(3))
-    one_block = partial(_sweep_block, lam_max=lam_max, mu_max=mu_max, lam_rows=rows[:, :4], coords=coords,
-                        mu_alpha=np.array(table.mu_alpha, dtype=np.int64))
-    best: dict[int, tuple[int, ...]] = {}
+    lam_blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (l0, l1) -> its mu blocks (u0, u1)
+    for l0, l1, u0, u1 in _blocks(lam_max, mu_max):
+        lam_blocks.setdefault((l0, l1), []).append((u0, u1))
+    one_lam_block = partial(_sweep_lam_block, lam_max=lam_max, mu_max=mu_max, lam_rows=rows[:, :4], coords=coords,
+                            mu_alpha=np.array(table.mu_alpha, dtype=np.int64))
+    best: dict[int, int] = {}  # term mask -> least flat index of a pair with that set
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # one worker runs here: a worker thread's own malloc arena would hold a second peak
-        for found in (map if workers == 1 else pool.map)(one_block, _blocks(lam_max, mu_max)):
-            for terms, witness in found:
-                best[terms] = min(best.get(terms, witness), witness)
+        for masks, indices in (map if workers == 1 else pool.map)(one_lam_block, lam_blocks, lam_blocks.values()):
+            for terms, index in zip(masks.tolist(), indices.tolist()):
+                best[terms] = min(best.get(terms, index), index)
+    order = sorted(best, key=best.__getitem__)
+    witnesses = np.array(np.unravel_index([best[t] for t in order], (lam_max + 1,) * 3 + (mu_max + 1,) * 3)).T
     return [
-        SweepEntry(AlternationSet.from_letters(_letters(_positions(terms))), WeightFW(*w[:3]), WeightFW(*w[3:]))
-        for terms, w in sorted(best.items(), key=lambda item: item[1])
+        SweepEntry(AlternationSet.from_mask(terms), WeightFW(*w[:3]), WeightFW(*w[3:]))
+        for terms, w in zip(order, witnesses.tolist())
     ]
 
 
@@ -461,8 +528,8 @@ def verify_census(
     report = CensusReport()
 
     pipeline = filter_pipeline()
-    for stage, want in families.items():
-        got = [AlternationSet.from_letters(s) for s in getattr(pipeline, stage)]
+    for (stage, want), masks in zip(families.items(), pipeline.masks):
+        got = list(map(AlternationSet.from_mask, masks))
         report.add_family(f"pipeline-{stage}", got, want, f"{len(got)} sets")
 
     bad = []

@@ -159,8 +159,8 @@ def _cmd_census_pipeline(args, argv) -> int:
     def render(result):
         names = ("stage1", "stage2", "final")
         families = {
-            name: [census.AlternationSet.from_letters(s).to_json() for s in getattr(result, name)]
-            for stage, name in enumerate(names, 1)
+            name: [census.AlternationSet.from_mask(mask).to_json() for mask in masks]
+            for stage, (name, masks) in enumerate(zip(names, result.masks), 1)
             if args.stage in (None, stage)
         }
         counts = {"candidates": 1 << 17, **dict(zip(names, result.counts))}
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and weight q-multiplicities for sp6(C).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    jobs_help = (f"worker threads (default and upper limit: all cores); a box charged over "
+    jobs_help = (f"worker threads (default 1; at most the cores and the box's lam blocks); a box charged over "
                  f"{census.SWEEP_MAX_PAIRS:.0e} (lam, mu) pairs, each block of "
                  f"{census.SWEEP_BLOCK_PAIRS} counted in full, is refused")
 

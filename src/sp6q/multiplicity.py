@@ -257,6 +257,17 @@ def coefficient_profile(lam, mu) -> CoefficientProfile:
     return CoefficientProfile._make(_doubled_rows(lam, mu, sigma_table().rows[:14]))
 
 
+@lru_cache(maxsize=1)
+def _term_chunks() -> tuple[tuple[frozenset[int], ...], ...]:
+    """Canonical indices of the TERMS each 6-bit chunk of a term mask names:
+    entry [c][v] holds those of the set bits of v at positions 6c..6c+5."""
+    terms = sigma_table().terms
+    return tuple(
+        tuple(frozenset(terms[c + j] for j in range(6) if v >> j & 1 and c + j < len(terms)) for v in range(64))
+        for c in range(0, len(terms), 6)
+    )
+
+
 @dataclass(frozen=True)
 class AlternationSet:
     """A subset of the Weyl group, stored as canonical listing indices."""
@@ -264,9 +275,10 @@ class AlternationSet:
     indices: frozenset[int]
 
     @classmethod
-    def from_letters(cls, letters: Iterable[str]) -> "AlternationSet":
-        terms = sigma_table().terms
-        return cls(frozenset(terms[LETTER_INDEX[L]] for L in letters))
+    def from_mask(cls, mask: int) -> "AlternationSet":
+        """The set of the TERMS a term mask names (bit i for TERMS[i]), read 6 bits at a time."""
+        low, mid, high = _term_chunks()
+        return cls(low[mask & 63] | mid[mask >> 6 & 63] | high[mask >> 12])
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "AlternationSet":

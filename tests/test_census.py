@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sp6q import census, weyl
 from sp6q.census import (
@@ -14,6 +15,7 @@ from sp6q.census import (
     CONTRADICTION_RULES,
     SWEEP_MAX_PAIRS,
     check_sweep_box,
+    _family_order,
     _forced_table,
     _passes,
     _stage_tables,
@@ -78,11 +80,20 @@ def test_stage2_independent_of_stage1():
     stage1, stage2_direct = (
         set(np.flatnonzero(_passes(SUBSETS, pool, clash)).tolist()) for pool, clash in _stage_tables()[:2]
     )
-    result = filter_pipeline()
-    stage2_masks = {
-        sum(1 << LETTER_INDEX[L] for L in letters) for letters in result.stage2
-    }
-    assert stage1 & stage2_direct == stage2_masks
+    assert stage1 & stage2_direct == set(filter_pipeline().masks[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, (1 << 17) - 1), max_size=40), st.integers(0, (1 << 17) - 1),
+       st.lists(st.tuples(st.integers(10, 16), st.integers(10, 16)), max_size=8))
+def test_family_order_sorts_by_size_then_positions(masks, base, moves):
+    # the numpy order (size, then the reversed mask descending) against the
+    # canonical key on the sorted positions; each move of a member of base
+    # from one high position to another free one adds a set of base's size
+    # that differs from it only in positions 10..16
+    masks |= {base} | {base ^ 1 << old ^ 1 << new for old, new in moves if base >> old & 1 and not base >> new & 1}
+    want = sorted(masks, key=lambda m: (m.bit_count(), [i for i in range(17) if m >> i & 1]))
+    assert _family_order(np.array(sorted(masks), dtype=np.uint32)).tolist() == want
 
 
 def _python_closure(pattern, rules):
@@ -195,6 +206,19 @@ def test_sweep_small_blocks_match_brute_force(monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("block_pairs", [7, 100])
+def test_sweep_lam_block_tables_match_brute_force(monkeypatch, jobs, block_pairs):
+    # a lam block builds its sign tables once, over the box's whole value
+    # axis, and reads them for each of its mu blocks: all three boxes have
+    # several mu blocks to a lam block at 7 pairs a block, and (1, 4) and
+    # (0, 6) at 100; (4, 1) has lam parts far above the axis top, 10 * mu_max,
+    # and (0, 6) lam blocks of one triple
+    monkeypatch.setattr(census, "SWEEP_BLOCK_PAIRS", block_pairs)
+    for lam_max, mu_max in ((4, 1), (1, 4), (0, 6)):
+        assert _sweep_witnesses(lam_max, mu_max, jobs) == _first_witnesses(lam_max, mu_max)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_single_pair_blocks_match_brute_force(monkeypatch, jobs):
     # one pair a block: one of its two parity classes is always empty
     monkeypatch.setattr(census, "SWEEP_BLOCK_PAIRS", 1)
@@ -221,11 +245,13 @@ def test_sweep_box_budget():
     # each block is charged as a full SWEEP_BLOCK_PAIRS block: the cap
     # accepts every box the suite, the benchmark and the documented
     # baselines run (20x20 at most) and long flat boxes up to 200, and
-    # refuses 40x40 and 999x0 before any work; threads are capped by the
-    # cores and by the blocks
+    # refuses 40x40 and 999x0 before any work; one thread by default,
+    # and threads are capped by the cores and by the lam blocks
     cores = os.cpu_count() or 1
     assert 21**6 <= SWEEP_MAX_PAIRS < 41**6
-    assert check_sweep_box(10, 10) == check_sweep_box(10, 10, 64) == min(cores, len(list(census._blocks(10, 10))))
+    lam_blocks = len({block[:2] for block in census._blocks(10, 10)})
+    assert check_sweep_box(10, 10) == 1
+    assert check_sweep_box(10, 10, 64) == min(cores, lam_blocks) and lam_blocks == 3
     assert check_sweep_box(0, 0) == check_sweep_box(0, 0, 64) == 1
     assert check_sweep_box(20, 20, 1) == 1 and check_sweep_box(20, 20, 2) == min(2, cores)
     for lam_max, mu_max in ((30, 30), (200, 0), (0, 200)):
