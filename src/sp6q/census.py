@@ -22,9 +22,9 @@ Two independent routes establish the same family of 46 sets:
      minus one of mu's three doubled alpha coordinates, and every such
      coordinate of the box lies in 0..10 * mu_max.  So each lam block
      builds, once, three sign tables over its lam triples and that dense
-     value axis; a thread pool queues the lam blocks, and each walks its
-     mu blocks, reading the sign patterns of their pairs from the tables
-     at each mu's coordinates and the first pair of each pattern from one
+     value axis, then walks its mu blocks, reading the sign patterns of
+     their pairs from the tables at each mu's coordinates and lowering
+     the box's one array of first pairs, one per sign pattern, in one
      linear pass.
 
 Both routes read the same rule from multiplicity.covered_terms: the terms
@@ -38,11 +38,10 @@ routes against them.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
+from itertools import groupby
 from math import isqrt
 from pathlib import Path
 
@@ -256,12 +255,13 @@ class SweepEntry:
     mu: WeightFW
 
 
-# Pairs in one block; every sweep array but the sign tables is sized by this,
-# never by the box.  A lam block's sign table of coordinate i holds lam side x
-# (max doubled alpha_i of the box + 1) uint16 entries, where the max is
-# mu_alpha[i] . (1, 1, 1) * mu_max, at most 10 * mu_max.  Over every box that
-# check_sweep_box accepts the widest table is 1.2 MiB and the three together
-# 2.6 MiB, both at 7x123 (512 lam triples, 1231 and 2709 values).
+# Pairs in one block; every sweep array but the sign tables and the one first
+# pair per sign pattern is sized by this, never by the box.  A lam block's
+# sign table of coordinate i holds lam side x (max doubled alpha_i of the
+# box + 1) uint16 entries, where the max is mu_alpha[i] . (1, 1, 1) * mu_max,
+# at most 10 * mu_max.  Over every box that check_sweep_box accepts the
+# widest table is 1.2 MiB and the three together 2.6 MiB, both at 7x123
+# (512 lam triples, 1231 and 2709 values).
 SWEEP_BLOCK_PAIRS = 1 << 18
 # Most (lam, mu) pairs a box may be charged, a bound on the time.  Each block
 # counts as a full SWEEP_BLOCK_PAIRS block, since a block of a flat box, with
@@ -288,24 +288,15 @@ def _blocks(lam_max: int, mu_max: int):
             yield l, min(l + lam_step, n_lam), u, min(u + mu_step, n_mu)
 
 
-def check_sweep_box(lam_max: int, mu_max: int, jobs: int | None = None) -> int:
-    """Threads to run; ValueError for a negative bound, jobs below 1 or a box charged over SWEEP_MAX_PAIRS.
-
-    jobs defaults to 1: on a 2-core host a second thread made every box
-    measured slower.  Threads take whole lam blocks, so there are no more
-    of them than cores or lam blocks."""
+def check_sweep_box(lam_max: int, mu_max: int) -> None:
+    """ValueError for a negative bound or a box charged over SWEEP_MAX_PAIRS."""
     if lam_max < 0 or mu_max < 0:
         raise ValueError(f"sweep bounds must be nonnegative, got {lam_max} and {mu_max}")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     n_lam, n_mu, lam_step, mu_step = _block_steps(lam_max, mu_max)
-    lam_blocks = -(-n_lam // lam_step)
-    blocks = lam_blocks * -(-n_mu // mu_step)
+    blocks = -(-n_lam // lam_step) * -(-n_mu // mu_step)
     if blocks * SWEEP_BLOCK_PAIRS > SWEEP_MAX_PAIRS:
         raise ValueError(f"a {lam_max}x{mu_max} sweep has {blocks} blocks, charged {blocks * SWEEP_BLOCK_PAIRS:.2e} pairs, "
                          f"over the bound of {SWEEP_MAX_PAIRS:.0e}")
-    cores = os.cpu_count() or 1
-    return min(jobs or 1, cores, lam_blocks)
 
 
 def _sign_table(parts: np.ndarray, fields: list[int], top: int) -> np.ndarray:
@@ -328,16 +319,17 @@ def _sign_table(parts: np.ndarray, fields: list[int], top: int) -> np.ndarray:
 
 
 def _sweep_lam_block(
+    first: np.ndarray,
     lam_block: tuple[int, int],
-    mu_blocks: list[tuple[int, int]],
+    blocks,
     lam_max: int,
     mu_max: int,
     lam_rows: np.ndarray,
     coords: tuple[list[int], ...],
     mu_alpha: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(term mask, least flat pair index) of each sign pattern met over one lam block (l0, l1)
-    of the box times each of its mu blocks (u0, u1); a pair's flat index is lam index * n_mu + mu index.
+) -> None:
+    """Lower first[s], in place, to the least flat index of a pair with sign pattern s over the
+    blocks (l0, l1, u0, u1) of one lam block (l0, l1); a pair's flat index is lam index * n_mu + mu index.
 
     A doubled profile variable is its lam part minus one doubled alpha
     coordinate of mu; coords lists the variables that read each coordinate.
@@ -347,7 +339,7 @@ def _sweep_lam_block(
     mu block reads its pairs' sign patterns as the OR of the three tables'
     rows at each mu's alpha coordinates, and the first pair of each pattern
     is the least lexicographic position holding it, found in one
-    np.minimum.at pass.
+    np.minimum.at pass; it lowers first where it is less.
     """
     l0, l1 = lam_block
     n_mu = (mu_max + 1) ** 3
@@ -359,9 +351,7 @@ def _sweep_lam_block(
     cuts = (0, np.count_nonzero(lam_parity == 0), len(by_parity))
     lam_part = lam_rows[:, :3] @ lam[:, by_parity] + lam_rows[:, 3:]
     t0, t1, t2 = (_sign_table(lam_part[fields], fields, top) for fields, top in zip(coords, mu_alpha.sum(axis=1) * mu_max))
-    unmet = (lam_max + 1) ** 3 * n_mu  # past every flat index of the box
-    first = np.full(1 << 14, unmet)
-    for u0, u1 in mu_blocks:
+    for _, _, u0, u1 in blocks:
         mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
         alpha = mu_alpha @ mu  # rows: the three doubled alpha coordinates of each mu
         for parity in (0, 1):
@@ -378,43 +368,38 @@ def _sweep_lam_block(
             met = np.flatnonzero(block_first < signs.size)
             a, b = np.divmod(block_first[met], len(mi))
             first[met] = np.minimum(first[met], (l0 + by_parity[cuts[parity] + a]) * n_mu + u0 + mi[b])
-    met = np.flatnonzero(first < unmet)
-    return covered_terms()[met], first[met]
 
 
-def sweep_census(lam_max: int, mu_max: int, jobs: int | None = None) -> list[SweepEntry]:
+def sweep_census(lam_max: int, mu_max: int) -> list[SweepEntry]:
     """Alternation sets over all weight pairs with lam coefficients in
     0..lam_max, mu coefficients in 0..mu_max, and m + k + x + z even.
 
     Returns each distinct set once, with its lexicographically first
     witness (ordering (m, n, k, x, y, z)); entries are listed in order of
-    first appearance.  The thread pool queues the lam blocks of the box,
-    each worker taking the next one when it is free and walking its mu
-    blocks; merging keeps the least flat pair index, which is the
+    first appearance.  The lam blocks of the box are swept one at a time,
+    each walking its mu blocks and lowering one array of the least flat
+    pair index of each sign pattern; the least index is the
     lexicographically first witness, so the result does not depend on the
-    blocks, the workers or the order they finish in.  check_sweep_box
-    bounds the box and workers.
+    blocks.  One pass then maps each pattern met to its term mask and keeps
+    the least index of each mask.  check_sweep_box bounds the box.
     """
-    workers = check_sweep_box(lam_max, mu_max, jobs)
+    check_sweep_box(lam_max, mu_max)
     table = sigma_table()
     rows = np.array(table.rows[:14], dtype=np.int64)  # (cm, cn, ck, c1, i) of each profile variable
     coords = tuple(np.flatnonzero(rows[:, 4] == i).tolist() for i in range(3))
-    lam_blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (l0, l1) -> its mu blocks (u0, u1)
-    for l0, l1, u0, u1 in _blocks(lam_max, mu_max):
-        lam_blocks.setdefault((l0, l1), []).append((u0, u1))
-    one_lam_block = partial(_sweep_lam_block, lam_max=lam_max, mu_max=mu_max, lam_rows=rows[:, :4], coords=coords,
-                            mu_alpha=np.array(table.mu_alpha, dtype=np.int64))
-    best: dict[int, int] = {}  # term mask -> least flat index of a pair with that set
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # one worker runs here: a worker thread's own malloc arena would hold a second peak
-        for masks, indices in (map if workers == 1 else pool.map)(one_lam_block, lam_blocks, lam_blocks.values()):
-            for terms, index in zip(masks.tolist(), indices.tolist()):
-                best[terms] = min(best.get(terms, index), index)
-    order = sorted(best, key=best.__getitem__)
-    witnesses = np.array(np.unravel_index([best[t] for t in order], (lam_max + 1,) * 3 + (mu_max + 1,) * 3)).T
+    mu_alpha = np.array(table.mu_alpha, dtype=np.int64)
+    unmet = (lam_max + 1) ** 3 * (mu_max + 1) ** 3  # past every flat index of the box
+    first = np.full(1 << 14, unmet)
+    for lam_block, blocks in groupby(_blocks(lam_max, mu_max), lambda block: block[:2]):
+        _sweep_lam_block(first, lam_block, blocks, lam_max, mu_max, rows[:, :4], coords, mu_alpha)
+    met = np.flatnonzero(first < unmet)
+    best: dict[int, int] = {}  # term mask -> least flat index of a pair with that set, in order of first appearance
+    for index, terms in sorted(zip(first[met].tolist(), covered_terms()[met].tolist())):
+        best.setdefault(terms, index)
+    witnesses = np.array(np.unravel_index(list(best.values()), (lam_max + 1,) * 3 + (mu_max + 1,) * 3)).T
     return [
         SweepEntry(AlternationSet.from_mask(terms), WeightFW(*w[:3]), WeightFW(*w[3:]))
-        for terms, w in zip(order, witnesses.tolist())
+        for terms, w in zip(best, witnesses.tolist())
     ]
 
 
@@ -511,7 +496,6 @@ def verify_census(
     fixtures_dir: str | None = None,
     lam_max: int = 10,
     mu_max: int = 10,
-    jobs: int | None = None,
 ) -> CensusReport:
     """Cross-check every classification artifact.
 
@@ -522,7 +506,7 @@ def verify_census(
     box (check_sweep_box) and all four fixture files are checked first,
     so a bad one raises before any pipeline or sweep work.
     """
-    check_sweep_box(lam_max, mu_max, jobs)
+    check_sweep_box(lam_max, mu_max)
     families = {stage: load_family_fixture(stage, fixtures_dir) for stage in ("stage1", "stage2", "final")}
     witnesses = load_witness_fixture(fixtures_dir)
     report = CensusReport()
@@ -543,7 +527,7 @@ def verify_census(
         "; ".join(bad) if bad else f"{len(witnesses)} rows reproduced",
     )
 
-    sweep_family = [e.altset for e in sweep_census(lam_max, mu_max, jobs=jobs)]
+    sweep_family = [e.altset for e in sweep_census(lam_max, mu_max)]
     report.add_family("sweep-family", sweep_family, families["final"],
                       f"{len(sweep_family)} sets from sweep({lam_max},{mu_max})")
     report.add_family("pipeline-vs-sweep", sweep_family, pipeline.final_alternation_sets(), "families agree")

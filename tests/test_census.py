@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -186,8 +185,8 @@ def _first_witnesses(lam_max, mu_max):
     return list(first.items())
 
 
-def _sweep_witnesses(lam_max, mu_max, jobs=None):
-    return [(e.altset.indices, e.lam.coeffs() + e.mu.coeffs()) for e in sweep_census(lam_max, mu_max, jobs)]
+def _sweep_witnesses(lam_max, mu_max):
+    return [(e.altset.indices, e.lam.coeffs() + e.mu.coeffs()) for e in sweep_census(lam_max, mu_max)]
 
 
 @pytest.mark.parametrize("lam_max, mu_max", [(3, 3), (2, 4), (4, 1), (0, 3), (3, 0)])
@@ -196,18 +195,16 @@ def test_sweep_matches_brute_force_first_witnesses(lam_max, mu_max):
     assert _sweep_witnesses(lam_max, mu_max) == _first_witnesses(lam_max, mu_max)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_small_blocks_match_brute_force(monkeypatch, jobs):
-    # 7-pair blocks cut both the lam and the mu range; merging keeps the
-    # smallest witness, so the result does not change
+def test_sweep_small_blocks_match_brute_force(monkeypatch):
+    # 7-pair blocks cut both the lam and the mu range; each block only
+    # lowers the least index of a pattern, so the result does not change
     monkeypatch.setattr(census, "SWEEP_BLOCK_PAIRS", 7)
     for lam_max, mu_max in ((2, 2), (0, 3), (3, 0)):
-        assert _sweep_witnesses(lam_max, mu_max, jobs) == _first_witnesses(lam_max, mu_max)
+        assert _sweep_witnesses(lam_max, mu_max) == _first_witnesses(lam_max, mu_max)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("block_pairs", [7, 100])
-def test_sweep_lam_block_tables_match_brute_force(monkeypatch, jobs, block_pairs):
+def test_sweep_lam_block_tables_match_brute_force(monkeypatch, block_pairs):
     # a lam block builds its sign tables once, over the box's whole value
     # axis, and reads them for each of its mu blocks: all three boxes have
     # several mu blocks to a lam block at 7 pairs a block, and (1, 4) and
@@ -215,26 +212,24 @@ def test_sweep_lam_block_tables_match_brute_force(monkeypatch, jobs, block_pairs
     # and (0, 6) lam blocks of one triple
     monkeypatch.setattr(census, "SWEEP_BLOCK_PAIRS", block_pairs)
     for lam_max, mu_max in ((4, 1), (1, 4), (0, 6)):
-        assert _sweep_witnesses(lam_max, mu_max, jobs) == _first_witnesses(lam_max, mu_max)
+        assert _sweep_witnesses(lam_max, mu_max) == _first_witnesses(lam_max, mu_max)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_single_pair_blocks_match_brute_force(monkeypatch, jobs):
+def test_sweep_single_pair_blocks_match_brute_force(monkeypatch):
     # one pair a block: one of its two parity classes is always empty
     monkeypatch.setattr(census, "SWEEP_BLOCK_PAIRS", 1)
     for lam_max, mu_max in ((1, 1), (2, 0)):
-        assert _sweep_witnesses(lam_max, mu_max, jobs) == _first_witnesses(lam_max, mu_max)
+        assert _sweep_witnesses(lam_max, mu_max) == _first_witnesses(lam_max, mu_max)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_peak_memory_is_bounded(jobs):
+def test_sweep_peak_memory_is_bounded():
     # numpy reports its buffers to tracemalloc; every sweep array is sized
     # by SWEEP_BLOCK_PAIRS, so one bound holds for square and flat boxes
     sweep_census(0, 0)  # build the cached tables outside the trace
     for lam_max, mu_max in ((10, 10), (20, 3), (0, 40), (40, 0)):
         tracemalloc.start()
         try:
-            sweep_census(lam_max, mu_max, jobs=jobs)
+            sweep_census(lam_max, mu_max)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,24 +240,17 @@ def test_sweep_box_budget():
     # each block is charged as a full SWEEP_BLOCK_PAIRS block: the cap
     # accepts every box the suite, the benchmark and the documented
     # baselines run (20x20 at most) and long flat boxes up to 200, and
-    # refuses 40x40 and 999x0 before any work; one thread by default,
-    # and threads are capped by the cores and by the lam blocks
-    cores = os.cpu_count() or 1
+    # refuses 40x40 and 999x0 before any work
     assert 21**6 <= SWEEP_MAX_PAIRS < 41**6
-    lam_blocks = len({block[:2] for block in census._blocks(10, 10)})
-    assert check_sweep_box(10, 10) == 1
-    assert check_sweep_box(10, 10, 64) == min(cores, lam_blocks) and lam_blocks == 3
-    assert check_sweep_box(0, 0) == check_sweep_box(0, 0, 64) == 1
-    assert check_sweep_box(20, 20, 1) == 1 and check_sweep_box(20, 20, 2) == min(2, cores)
-    for lam_max, mu_max in ((30, 30), (200, 0), (0, 200)):
-        assert check_sweep_box(lam_max, mu_max, 1) == 1
-    for lam_max, mu_max, jobs in ((1000, 1000, 1), (40, 40, 1), (999, 0, 1), (0, 999, 1), (-1, 0, 1), (2, 2, 0)):
+    for lam_max, mu_max in ((10, 10), (0, 0), (20, 20), (30, 30), (200, 0), (0, 200)):
+        check_sweep_box(lam_max, mu_max)
+    for lam_max, mu_max in ((1000, 1000), (40, 40), (999, 0), (0, 999), (-1, 0)):
         with pytest.raises(ValueError):
-            check_sweep_box(lam_max, mu_max, jobs)
+            check_sweep_box(lam_max, mu_max)
         with pytest.raises(ValueError):
-            sweep_census(lam_max, mu_max, jobs=jobs)
+            sweep_census(lam_max, mu_max)
         with pytest.raises(ValueError):
-            verify_census(lam_max=lam_max, mu_max=mu_max, jobs=jobs)
+            verify_census(lam_max=lam_max, mu_max=mu_max)
 
 
 @pytest.mark.parametrize("block_pairs", [7, census.SWEEP_BLOCK_PAIRS])
@@ -277,12 +265,6 @@ def test_sweep_charge_is_the_blocks_enumerated(monkeypatch, block_pairs):
         monkeypatch.setattr(census, "SWEEP_MAX_PAIRS", charge - 1)
         with pytest.raises(ValueError):
             check_sweep_box(lam_max, mu_max)
-
-
-def test_sweep_jobs_deterministic():
-    assert [
-        (e.altset.indices, e.lam, e.mu) for e in sweep_census(3, 3, jobs=1)
-    ] == [(e.altset.indices, e.lam, e.mu) for e in sweep_census(3, 3, jobs=4)]
 
 
 def test_every_final_survivor_has_a_sweep_witness():

@@ -70,12 +70,10 @@ def test_census_sweep_json_digest_stable(capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["census", "pipeline"], "1aeb48807b76aff3fe340d0e3b41e05d7659aa484588363693535197280da756"),
-    (["census", "sweep", "--lam-max", "10", "--mu-max", "10", "--jobs", "1"],
-     "29a31c9c81c443126885c81b5f58cfd069880da1ada95854721f85eebc7dc3f7"),
-    (["census", "sweep", "--lam-max", "10", "--mu-max", "10", "--jobs", "2"],
+    (["census", "sweep", "--lam-max", "10", "--mu-max", "10"],
      "29a31c9c81c443126885c81b5f58cfd069880da1ada95854721f85eebc7dc3f7"),
     (["census", "verify"], "22f2859767850f15e4ee5decb48c2d7db27fabe7f96bbd521718dff69bd0ed9e"),
-], ids=["pipeline", "sweep-jobs-1", "sweep-jobs-2", "verify"])
+], ids=["pipeline", "sweep", "verify"])
 def test_census_result_digests_are_pinned(capsys, argv, digest):
     # the same outputs across refactors: each census result, as its manifest digest
     code, out, _ = run(capsys, *argv, "--json")
@@ -138,8 +136,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         [],
         ["census", "sweep", "--lam-max", "-1", "--mu-max", "0"],
         ["census", "verify", "--mu-max", "-3"],
+        # census sweep has no --jobs, and census verify accepts only --jobs 1
+        ["census", "sweep", "--lam-max", "0", "--mu-max", "0", "--jobs", "1"],
         ["census", "sweep", "--lam-max", "0", "--mu-max", "0", "--jobs", "0"],
         ["census", "verify", "--jobs", "-1"],
+        ["census", "verify", "--jobs", "2"],
         ["census", "verify", "--fixtures", str(tmp_path / "missing")],
         ["census", "verify", "--fixtures", str(tmp_path)],
         # a fixture, or a witness row's set, holding the JSON string "1", not an array
@@ -166,6 +167,18 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert "error:" in err.splitlines()[-1] and "Traceback" not in err, argv
+
+
+def test_census_help_states_the_box_bound(capsys):
+    # the refusal bound is shown on both box flags of both commands; the
+    # hidden census verify --jobs is not
+    bound = f"charged over {census.SWEEP_MAX_PAIRS:.0e} (lam, mu) pairs, each block of {census.SWEEP_BLOCK_PAIRS}"
+    for command in ("sweep", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", command, "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert out.count(bound) == 2 and "--jobs" not in out, command
 
 
 def test_fixture_words_in_any_spelling(capsys, tmp_path):
@@ -330,7 +343,8 @@ def test_oracle_bound_checked_before_any_work(monkeypatch, capsys):
 # A small argv grammar: each command with its flags, every flag usually
 # present with a drawn value, plus at most one stray token, in any order.
 # Now and then a coordinate or a box bound is far above what kpf_q or
-# the sweep pair cap accepts, and --jobs is far above the core count.
+# the sweep pair cap accepts.  census verify accepts --jobs only as 1, and
+# census sweep not at all, so --jobs is mostly refused.
 _HUGE = 10**23
 _COORD = st.integers(-6, 26).map(lambda v: _HUGE if v == 26 else v)
 _TRIPLE = st.integers(0, 3).flatmap(  # malformed one time in four
