@@ -27,8 +27,9 @@ Two independent routes establish the same family of 46 sets:
      the box's one array of first pairs, one per sign pattern, in one
      linear pass.
 
-Both routes read the same rule from multiplicity.covered_terms: the terms
-whose three variables all lie in a set of nonnegative variables.
+Both routes read the same rule from covered_terms: the terms whose three
+variables all lie in a set of nonnegative variables.  This is the one
+module of the package that uses numpy.
 
 The shipped fixture files record the survivor families of each stage and
 a witness weight pair for every final set; verify_census diffs both
@@ -49,16 +50,32 @@ import numpy as np
 
 from . import weyl
 from .multiplicity import (  # symbolic_sigma_rows is re-exported for callers of this module
-    TERM_MASKS,
     TERMS,
     AlternationSet,
     alternation_set,
-    covered_terms,
     field_mask,
     sigma_table,
     symbolic_sigma_rows,
 )
 from .root_system import WeightFW
+
+TERM_MASKS = tuple(field_mask(t.fields) for t in TERMS)  # the three variables of each of TERMS
+
+
+@lru_cache(maxsize=1)
+def covered_terms() -> np.ndarray:
+    """Term mask of every sign pattern, built once, as a read-only uint32 array.
+
+    Entry s, for a 14-bit field_mask s, has bit i set exactly when all
+    three variables of TERMS[i] lie in s: the terms that contribute when
+    the variables of s are the nonnegative ones.
+    """
+    patterns = np.arange(1 << 14)
+    covered = np.zeros(1 << 14, np.uint32)
+    for i, term in enumerate(TERM_MASKS):
+        covered[patterns & term == term] |= 1 << i
+    covered.flags.writeable = False
+    return covered
 
 # Catalog of the sign patterns of the profile variables that no pair of
 # dominant integral weights realizes, spelled as the patterns of
@@ -205,9 +222,6 @@ class PipelineResult:
     def counts(self) -> tuple[int, int, int]:
         return tuple(map(len, self.masks))
 
-    def final_alternation_sets(self) -> list[AlternationSet]:
-        return list(map(AlternationSet.from_mask, self.masks[2]))
-
 
 def filter_pipeline() -> PipelineResult:
     """Run the three filter stages over all 2^17 candidate subsets, each
@@ -318,80 +332,64 @@ def _sign_table(parts: np.ndarray, fields: list[int], top: int) -> np.ndarray:
     return table
 
 
-def _sweep_lam_block(
-    first: np.ndarray,
-    lam_block: tuple[int, int],
-    blocks,
-    lam_max: int,
-    mu_max: int,
-    lam_rows: np.ndarray,
-    coords: tuple[list[int], ...],
-    mu_alpha: np.ndarray,
-) -> None:
-    """Lower first[s], in place, to the least flat index of a pair with sign pattern s over the
-    blocks (l0, l1, u0, u1) of one lam block (l0, l1); a pair's flat index is lam index * n_mu + mu index.
-
-    A doubled profile variable is its lam part minus one doubled alpha
-    coordinate of mu; coords lists the variables that read each coordinate.
-    Every doubled alpha_i of the box lies in 0..mu_alpha[i] . (1, 1, 1) * mu_max,
-    so the lam block builds, once, one sign table per coordinate over its
-    lam triples and that whole dense value axis.  For each parity class, a
-    mu block reads its pairs' sign patterns as the OR of the three tables'
-    rows at each mu's alpha coordinates, and the first pair of each pattern
-    is the least lexicographic position holding it, found in one
-    np.minimum.at pass; it lowers first where it is less.
-    """
-    l0, l1 = lam_block
-    n_mu = (mu_max + 1) ** 3
-    lam = np.array(np.unravel_index(np.arange(l0, l1), (lam_max + 1,) * 3))  # columns (m, n, k)
-    # m + k and x + z of one parity: every value is then even, so its sign alone decides.
-    # The lam triples of each parity of m + k side by side, class p in columns cuts[p]:cuts[p + 1]
-    lam_parity = (lam[0] + lam[2]) % 2
-    by_parity = np.argsort(lam_parity, kind="stable")
-    cuts = (0, np.count_nonzero(lam_parity == 0), len(by_parity))
-    lam_part = lam_rows[:, :3] @ lam[:, by_parity] + lam_rows[:, 3:]
-    t0, t1, t2 = (_sign_table(lam_part[fields], fields, top) for fields, top in zip(coords, mu_alpha.sum(axis=1) * mu_max))
-    for _, _, u0, u1 in blocks:
-        mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
-        alpha = mu_alpha @ mu  # rows: the three doubled alpha coordinates of each mu
-        for parity in (0, 1):
-            mi = np.flatnonzero((mu[0] + mu[2]) % 2 == parity)
-            lams = slice(cuts[parity], cuts[parity + 1])
-            a0, a1, a2 = alpha[:, mi]
-            signs = t0[a0, lams]  # rows mu, columns lam
-            signs |= t1[a1, lams]
-            signs |= t2[a2, lams]
-            # pair (mu b, lam a) is the (a * len(mi) + b)-th of the block in lexicographic order
-            order = np.arange(signs.shape[1], dtype=np.int32) * len(mi) + np.arange(len(mi), dtype=np.int32)[:, None]
-            block_first = np.full(1 << 14, signs.size, np.int32)
-            np.minimum.at(block_first, signs.ravel(), order.ravel())
-            met = np.flatnonzero(block_first < signs.size)
-            a, b = np.divmod(block_first[met], len(mi))
-            first[met] = np.minimum(first[met], (l0 + by_parity[cuts[parity] + a]) * n_mu + u0 + mi[b])
-
-
 def sweep_census(lam_max: int, mu_max: int) -> list[SweepEntry]:
     """Alternation sets over all weight pairs with lam coefficients in
     0..lam_max, mu coefficients in 0..mu_max, and m + k + x + z even.
 
     Returns each distinct set once, with its lexicographically first
     witness (ordering (m, n, k, x, y, z)); entries are listed in order of
-    first appearance.  The lam blocks of the box are swept one at a time,
-    each walking its mu blocks and lowering one array of the least flat
-    pair index of each sign pattern; the least index is the
-    lexicographically first witness, so the result does not depend on the
-    blocks.  One pass then maps each pattern met to its term mask and keeps
-    the least index of each mask.  check_sweep_box bounds the box.
+    first appearance.  check_sweep_box bounds the box.
+
+    A doubled profile variable is its lam part minus one doubled alpha
+    coordinate of mu, and every doubled alpha_i of the box lies in
+    0..mu_alpha[i] . (1, 1, 1) * mu_max.  So each lam block of the box
+    builds, once, one sign table per coordinate over its lam triples and
+    that whole dense value axis.  For each parity class, each of its mu
+    blocks reads its pairs' sign patterns as the OR of the three tables'
+    rows at each mu's alpha coordinates, and the first pair of each pattern
+    is the least lexicographic position holding it, found in one
+    np.minimum.at pass.  That lowers, where it is less, the box's one array
+    of the least flat index (lam index * n_mu + mu index) of a pair with
+    each sign pattern; the least index is the lexicographically first
+    witness, so the result does not depend on the blocks.  One pass then
+    maps each pattern met to its term mask and keeps the least index of
+    each mask.
     """
     check_sweep_box(lam_max, mu_max)
     table = sigma_table()
     rows = np.array(table.rows[:14], dtype=np.int64)  # (cm, cn, ck, c1, i) of each profile variable
-    coords = tuple(np.flatnonzero(rows[:, 4] == i).tolist() for i in range(3))
+    coords = tuple(np.flatnonzero(rows[:, 4] == i).tolist() for i in range(3))  # the variables reading each alpha_i
     mu_alpha = np.array(table.mu_alpha, dtype=np.int64)
-    unmet = (lam_max + 1) ** 3 * (mu_max + 1) ** 3  # past every flat index of the box
+    tops = mu_alpha.sum(axis=1) * mu_max
+    n_mu = (mu_max + 1) ** 3
+    unmet = (lam_max + 1) ** 3 * n_mu  # past every flat index of the box
     first = np.full(1 << 14, unmet)
-    for lam_block, blocks in groupby(_blocks(lam_max, mu_max), lambda block: block[:2]):
-        _sweep_lam_block(first, lam_block, blocks, lam_max, mu_max, rows[:, :4], coords, mu_alpha)
+    for (l0, l1), blocks in groupby(_blocks(lam_max, mu_max), lambda block: block[:2]):
+        lam = np.array(np.unravel_index(np.arange(l0, l1), (lam_max + 1,) * 3))  # columns (m, n, k)
+        # m + k and x + z of one parity: every value is then even, so its sign alone decides.
+        # The lam triples of each parity of m + k side by side, class p in columns cuts[p]:cuts[p + 1]
+        lam_parity = (lam[0] + lam[2]) % 2
+        by_parity = np.argsort(lam_parity, kind="stable")
+        cuts = (0, np.count_nonzero(lam_parity == 0), len(by_parity))
+        lam_part = rows[:, :3] @ lam[:, by_parity] + rows[:, 3:4]
+        t0, t1, t2 = (_sign_table(lam_part[fields], fields, top) for fields, top in zip(coords, tops))
+        for _, _, u0, u1 in blocks:
+            mu = np.array(np.unravel_index(np.arange(u0, u1), (mu_max + 1,) * 3))  # columns (x, y, z)
+            alpha = mu_alpha @ mu  # rows: the three doubled alpha coordinates of each mu
+            for parity in (0, 1):
+                mi = np.flatnonzero((mu[0] + mu[2]) % 2 == parity)
+                lams = slice(cuts[parity], cuts[parity + 1])
+                a0, a1, a2 = alpha[:, mi]
+                signs = t0[a0, lams]  # rows mu, columns lam
+                signs |= t1[a1, lams]
+                signs |= t2[a2, lams]
+                # pair (mu b, lam a) is the (a * len(mi) + b)-th of the block in lexicographic order
+                order = np.arange(signs.shape[1], dtype=np.int32) * len(mi) + np.arange(len(mi), dtype=np.int32)[:, None]
+                block_first = np.full(1 << 14, signs.size, np.int32)
+                np.minimum.at(block_first, signs.ravel(), order.ravel())
+                met = np.flatnonzero(block_first < signs.size)
+                a, b = np.divmod(block_first[met], len(mi))
+                first[met] = np.minimum(first[met], (l0 + by_parity[cuts[parity] + a]) * n_mu + u0 + mi[b])
     met = np.flatnonzero(first < unmet)
     best: dict[int, int] = {}  # term mask -> least flat index of a pair with that set, in order of first appearance
     for index, terms in sorted(zip(first[met].tolist(), covered_terms()[met].tolist())):
@@ -511,9 +509,8 @@ def verify_census(
     witnesses = load_witness_fixture(fixtures_dir)
     report = CensusReport()
 
-    pipeline = filter_pipeline()
-    for (stage, want), masks in zip(families.items(), pipeline.masks):
-        got = list(map(AlternationSet.from_mask, masks))
+    pipeline = [list(map(AlternationSet.from_mask, masks)) for masks in filter_pipeline().masks]
+    for (stage, want), got in zip(families.items(), pipeline):
         report.add_family(f"pipeline-{stage}", got, want, f"{len(got)} sets")
 
     bad = []
@@ -530,6 +527,6 @@ def verify_census(
     sweep_family = [e.altset for e in sweep_census(lam_max, mu_max)]
     report.add_family("sweep-family", sweep_family, families["final"],
                       f"{len(sweep_family)} sets from sweep({lam_max},{mu_max})")
-    report.add_family("pipeline-vs-sweep", sweep_family, pipeline.final_alternation_sets(), "families agree")
+    report.add_family("pipeline-vs-sweep", sweep_family, pipeline[-1], "families agree")
 
     return report

@@ -18,8 +18,7 @@ of mu; sigma_table checks this and stores every row in that one form,
 the profile variables' rows first, and a weight pair is evaluated from
 its three alpha coordinates of mu and four multiply-adds per row.  When
 m + k + x + z is even, each of the 17 terms contributes exactly when its
-three variables are nonnegative; covered_terms tabulates that rule once
-for every sign pattern.
+three variables are nonnegative.
 
 Two independent evaluation routes are implemented:
 
@@ -41,7 +40,8 @@ the recursion reads there lies higher and is already final.
 
 A sign pattern over the profile variables has one form, field_mask: the
 case dispatch here and the contradiction catalog, filter and sweep of
-census all use it.
+census all use it.  Everything here is plain integer arithmetic, with no
+array library.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from . import weyl
 from .partition import kpf_q
@@ -99,23 +97,6 @@ TERMS: tuple[Term, ...] = (
 )
 
 LETTER_INDEX = {t.letter: i for i, t in enumerate(TERMS)}  # position in TERMS; bit i of a term mask
-TERM_MASKS = tuple(field_mask(t.fields) for t in TERMS)
-
-
-@lru_cache(maxsize=1)
-def covered_terms() -> np.ndarray:
-    """Term mask of every sign pattern, built once, as a read-only uint32 array.
-
-    Entry s, for a 14-bit field_mask s, has bit i set exactly when all
-    three variables of TERMS[i] lie in s: the terms that contribute when
-    the variables of s are the nonnegative ones.
-    """
-    patterns = np.arange(1 << 14)
-    covered = np.zeros(1 << 14, np.uint32)
-    for i, term in enumerate(TERM_MASKS):
-        covered[patterns & term == term] |= 1 << i
-    covered.flags.writeable = False
-    return covered
 
 
 def root_lattice_parity(lam, mu) -> bool:
@@ -427,12 +408,17 @@ def case_table() -> bytes:
     Byte s, for a 14-bit field_mask s, is the number of the first case
     whose sign pattern s satisfies, or OTHERWISE_CASE when none does.
     """
-    patterns = np.arange(1 << 14)
-    table = np.full(1 << 14, OTHERWISE_CASE, np.uint8)
+    table = bytearray([OTHERWISE_CASE]) * (1 << 14)
     for number, _letters, alternatives in reversed(_CASE_MASKS):  # earlier cases overwrite later ones
         for care, nonneg in alternatives:
-            table[patterns & care == nonneg] = number
-    return table.tobytes()
+            # the patterns s with s & care == nonneg: nonneg with each submask of the free bits
+            free = sub = ~care & (1 << 14) - 1
+            while True:
+                table[nonneg | sub] = number
+                if not sub:
+                    break
+                sub = sub - 1 & free
+    return bytes(table)
 
 
 def match_case(profile: CoefficientProfile) -> tuple[int, str]:

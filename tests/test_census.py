@@ -14,6 +14,7 @@ from sp6q.census import (
     CONTRADICTION_RULES,
     SWEEP_MAX_PAIRS,
     check_sweep_box,
+    covered_terms,
     _family_order,
     _forced_table,
     _passes,
@@ -26,7 +27,7 @@ from sp6q.census import (
     type1_excluded,
     verify_census,
 )
-from sp6q.multiplicity import LETTER_INDEX, PROFILE_FIELDS, TERMS, alternation_set, covered_terms, field_mask
+from sp6q.multiplicity import LETTER_INDEX, PROFILE_FIELDS, TERMS, AlternationSet, alternation_set, field_mask
 
 SUBSETS = np.arange(1 << 17, dtype=np.uint32)
 
@@ -270,9 +271,7 @@ def test_sweep_charge_is_the_blocks_enumerated(monkeypatch, block_pairs):
 def test_every_final_survivor_has_a_sweep_witness():
     # constructivity: each pipeline survivor is realized by a concrete
     # weight pair, and the recorded witness reproduces it exactly
-    survivors = {
-        tuple(sorted(a.indices)) for a in filter_pipeline().final_alternation_sets()
-    }
+    survivors = {tuple(sorted(AlternationSet.from_mask(mask).indices)) for mask in filter_pipeline().masks[2]}
     entries = sweep_census(10, 10)
     realized = {}
     for e in entries:

@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp6q import multiplicity, weyl
+from sp6q.census import covered_terms
 from sp6q.multiplicity import (
     CASES,
     LETTER_INDEX,
@@ -24,7 +28,6 @@ from sp6q.multiplicity import (
     alternation_set,
     case_table,
     coefficient_profile,
-    covered_terms,
     dominant_multiplicities,
     field_mask,
     match_case,
@@ -401,6 +404,21 @@ def test_every_realized_sign_pattern_dispatches_to_its_covered_terms():
 def test_case_term_sets_are_the_nonempty_families():
     seen = {letters for _patterns, letters in CASES}
     assert len(seen) == 45
+
+
+def test_multiplicity_does_not_import_numpy():
+    # the alternating sum, the case dispatch and Freudenthal are plain
+    # integer arithmetic; building case_table must not load numpy either
+    src = str(pathlib.Path(multiplicity.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = (
+        "import sys\n"
+        "from sp6q.multiplicity import mult_freudenthal, mult_q_cases\n"
+        "print(mult_q_cases((2, 0, 0), (0, 0, 0)).coeffs, mult_freudenthal((2, 0, 0), (0, 0, 0)), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{mult_q_cases((2, 0, 0), (0, 0, 0)).coeffs} 3 False\n"
 
 
 def test_freudenthal_examples():
