@@ -24,8 +24,8 @@ Two independent routes establish the same family of 46 sets:
      builds, once, three sign tables over its lam triples and that dense
      value axis, then walks its mu blocks, reading the sign patterns of
      their pairs from the tables at each mu's coordinates and lowering
-     the box's one array of first pairs, one per sign pattern, in one
-     linear pass.
+     directly, in one np.minimum.at pass, the box's one int32 array of
+     the least flat pair index of each sign pattern.
 
 Both routes read the same rule from covered_terms: the terms whose three
 variables all lie in a set of nonnegative variables.  This is the one
@@ -269,8 +269,8 @@ class SweepEntry:
     mu: WeightFW
 
 
-# Pairs in one block; every sweep array but the sign tables and the one first
-# pair per sign pattern is sized by this, never by the box.  A lam block's
+# Pairs in one block; every sweep array but the sign tables and the one least
+# flat index per sign pattern is sized by this, never by the box.  A lam block's
 # sign table of coordinate i holds lam side x (max doubled alpha_i of the
 # box + 1) uint16 entries, where the max is mu_alpha[i] . (1, 1, 1) * mu_max,
 # at most 10 * mu_max.  Over every box that check_sweep_box accepts the
@@ -280,7 +280,9 @@ SWEEP_BLOCK_PAIRS = 1 << 18
 # Most (lam, mu) pairs a box may be charged, a bound on the time.  Each block
 # counts as a full SWEEP_BLOCK_PAIRS block, since a block of a flat box, with
 # few triples on one side, costs about as much as a full one: 20x20 is charged
-# about 9.5e7 and 30x30 about 9.1e8; 40x40 and 999x0 are refused.
+# about 9.5e7 and 30x30 about 9.1e8; 40x40 and 999x0 are refused.  A box
+# holds at most its charge in pairs, so with this cap below 2^31 every flat
+# pair index of an accepted box, and the one past them, is exact in int32.
 SWEEP_MAX_PAIRS = 10**9
 
 
@@ -346,14 +348,13 @@ def sweep_census(lam_max: int, mu_max: int) -> list[SweepEntry]:
     builds, once, one sign table per coordinate over its lam triples and
     that whole dense value axis.  For each parity class, each of its mu
     blocks reads its pairs' sign patterns as the OR of the three tables'
-    rows at each mu's alpha coordinates, and the first pair of each pattern
-    is the least lexicographic position holding it, found in one
-    np.minimum.at pass.  That lowers, where it is less, the box's one array
-    of the least flat index (lam index * n_mu + mu index) of a pair with
-    each sign pattern; the least index is the lexicographically first
-    witness, so the result does not depend on the blocks.  One pass then
-    maps each pattern met to its term mask and keeps the least index of
-    each mask.
+    rows at each mu's alpha coordinates.  One np.minimum.at pass then
+    lowers directly, with each pair's flat index (lam index * n_mu + mu
+    index, int32), the box's one array of the least flat index of a pair
+    with each sign pattern.  The least index is the lexicographically
+    first witness, so the result depends neither on the blocks nor on the
+    order of the pairs inside one.  One pass then maps each pattern met to
+    its term mask and keeps the least index of each mask.
     """
     check_sweep_box(lam_max, mu_max)
     table = sigma_table()
@@ -363,14 +364,15 @@ def sweep_census(lam_max: int, mu_max: int) -> list[SweepEntry]:
     tops = mu_alpha.sum(axis=1) * mu_max
     n_mu = (mu_max + 1) ** 3
     unmet = (lam_max + 1) ** 3 * n_mu  # past every flat index of the box
-    first = np.full(1 << 14, unmet)
+    first = np.full(1 << 14, unmet, np.int32)
     for (l0, l1), blocks in groupby(_blocks(lam_max, mu_max), lambda block: block[:2]):
         lam = np.array(np.unravel_index(np.arange(l0, l1), (lam_max + 1,) * 3))  # columns (m, n, k)
         # m + k and x + z of one parity: every value is then even, so its sign alone decides.
         # The lam triples of each parity of m + k side by side, class p in columns cuts[p]:cuts[p + 1]
         lam_parity = (lam[0] + lam[2]) % 2
-        by_parity = np.argsort(lam_parity, kind="stable")
+        by_parity = np.argsort(lam_parity)
         cuts = (0, np.count_nonzero(lam_parity == 0), len(by_parity))
+        lam_index = ((l0 + by_parity) * n_mu).astype(np.int32)  # the lam half of each flat index
         lam_part = rows[:, :3] @ lam[:, by_parity] + rows[:, 3:4]
         t0, t1, t2 = (_sign_table(lam_part[fields], fields, top) for fields, top in zip(coords, tops))
         for _, _, u0, u1 in blocks:
@@ -383,13 +385,9 @@ def sweep_census(lam_max: int, mu_max: int) -> list[SweepEntry]:
                 signs = t0[a0, lams]  # rows mu, columns lam
                 signs |= t1[a1, lams]
                 signs |= t2[a2, lams]
-                # pair (mu b, lam a) is the (a * len(mi) + b)-th of the block in lexicographic order
-                order = np.arange(signs.shape[1], dtype=np.int32) * len(mi) + np.arange(len(mi), dtype=np.int32)[:, None]
-                block_first = np.full(1 << 14, signs.size, np.int32)
-                np.minimum.at(block_first, signs.ravel(), order.ravel())
-                met = np.flatnonzero(block_first < signs.size)
-                a, b = np.divmod(block_first[met], len(mi))
-                first[met] = np.minimum(first[met], (l0 + by_parity[cuts[parity] + a]) * n_mu + u0 + mi[b])
+                flat = lam_index[lams] + (u0 + mi).astype(np.int32)[:, None]  # each pair's flat index
+                # 1-D int32 arrays: np.minimum.at is several times slower on 2-D ones, and slower on int64
+                np.minimum.at(first, signs.ravel(), flat.ravel())
     met = np.flatnonzero(first < unmet)
     best: dict[int, int] = {}  # term mask -> least flat index of a pair with that set, in order of first appearance
     for index, terms in sorted(zip(first[met].tolist(), covered_terms()[met].tolist())):

@@ -241,10 +241,14 @@ def test_sweep_box_budget():
     # each block is charged as a full SWEEP_BLOCK_PAIRS block: the cap
     # accepts every box the suite, the benchmark and the documented
     # baselines run (20x20 at most) and long flat boxes up to 200, and
-    # refuses 40x40 and 999x0 before any work
+    # refuses 40x40 and 999x0 before any work.  A box holds at most its
+    # charge in pairs, and the cap is below 2^31, so the sweep's int32 flat
+    # pair indices are exact
     assert 21**6 <= SWEEP_MAX_PAIRS < 41**6
+    assert SWEEP_MAX_PAIRS < 2**31
     for lam_max, mu_max in ((10, 10), (0, 0), (20, 20), (30, 30), (200, 0), (0, 200)):
         check_sweep_box(lam_max, mu_max)
+        assert (lam_max + 1) ** 3 * (mu_max + 1) ** 3 <= SWEEP_MAX_PAIRS
     for lam_max, mu_max in ((1000, 1000), (40, 40), (999, 0), (0, 999), (-1, 0)):
         with pytest.raises(ValueError):
             check_sweep_box(lam_max, mu_max)

@@ -106,6 +106,21 @@ def test_census_verify_fixture_mismatch_exit_code(capsys, tmp_path):
     )
     assert code == 4
     assert "FAIL" in out
+    # two witness rows with their sets swapped: witness-rows alone fails,
+    # naming both pairs with the set each gives and the set its row wants
+    witnesses = json.loads((_PACKAGED / "witness_pairs.json").read_text())
+    witnesses[0]["set"], witnesses[1]["set"] = witnesses[1]["set"], witnesses[0]["set"]
+    swapped = _fixture_copy(tmp_path / "swapped", "witness_pairs.json", json.dumps(witnesses))
+    code, out, _ = run(capsys, "census", "verify", "--fixtures", swapped)
+    assert code == 4
+    assert out.splitlines() == [
+        "[PASS] pipeline-stage1: 1124 sets",
+        "[PASS] pipeline-stage2: 150 sets",
+        "[PASS] pipeline-final: 46 sets",
+        "[FAIL] witness-rows: (0, 0, 0),(0, 0, 2): got {}, want {1}; (0, 0, 0),(0, 0, 0): got {1}, want {}",
+        "[PASS] sweep-family: 46 sets from sweep(10,10)",
+        "[PASS] pipeline-vs-sweep: families agree",
+    ]
 
 
 def test_negative_coefficients_accepted(capsys):
@@ -129,7 +144,14 @@ def _fixture_copy(directory, fname, text):
 def test_usage_errors_exit_2(capsys, tmp_path):
     (tmp_path / "alt_sets_stage1.json").write_text("[[")
     witnesses = json.loads((_PACKAGED / "witness_pairs.json").read_text())
-    witnesses[0]["set"] = "1"  # a string, not an array of Weyl words
+    bad_rows = []  # fixture dirs whose first witness row has one malformed value
+    for i, (key, value) in enumerate((
+        ("set", "1"),  # a string, not an array of Weyl words
+        ("lam", [1, 2]), ("lam", [1.0, 0, 0]), ("mu", [0, 0, True]), ("lam", None),  # not three integers
+    )):
+        rows = [dict(witnesses[0], **{key: value})] + witnesses[1:]
+        bad_rows.append(["census", "verify", "--fixtures",
+                         _fixture_copy(tmp_path / f"witness{i}", "witness_pairs.json", json.dumps(rows))])
     for argv in (
         ["kpf", "--alpha", "1,2"],
         ["kpf", "--alpha", "a,b,c"],
@@ -143,10 +165,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["census", "verify", "--jobs", "2"],
         ["census", "verify", "--fixtures", str(tmp_path / "missing")],
         ["census", "verify", "--fixtures", str(tmp_path)],
-        # a fixture, or a witness row's set, holding the JSON string "1", not an array
+        # a fixture holding the JSON string "1", not an array; the malformed witness rows
         ["census", "verify", "--fixtures", _fixture_copy(tmp_path / "stage", "alt_sets_stage1.json", '"1"')],
-        ["census", "verify", "--fixtures",
-         _fixture_copy(tmp_path / "witness", "witness_pairs.json", json.dumps(witnesses))],
+        *bad_rows,
         # a triple is three ASCII integers: no underscores, no other digits
         ["mult", "--lam=-1_0,0,0", "--mu", "0,0,0"],
         ["kpf", "--alpha", "1_0,0,0"],
