@@ -33,10 +33,12 @@ Both routes add their signed terms in one qpoly.signed_sum.
 A third route computes the plain multiplicity by the Freudenthal
 recursion over the weight system and shares no code with the
 partition-function path.  One pass per highest weight yields the dominant
-multiplicities in ascending height of lam - mu, its inner loop on plain
-integers: dominant_multiplicities collects the whole pass, and
-mult_freudenthal stops it at mu's dominant conjugate, since every weight
-the recursion reads there lies higher and is already final.
+multiplicities in ascending height of lam - mu, on plain integers.  Each
+weight keeps nine chain sums, one per positive root, and gets each from a
+single step up the root and the sums of that step's dominant conjugate,
+which lies higher and is already final.  dominant_multiplicities runs the
+whole pass; mult_freudenthal walks only the dominant weights between mu's
+dominant conjugate and lam, which hold every weight the recursion reads.
 
 A sign pattern over the profile variables has one form, field_mask: the
 case dispatch here and the contradiction catalog, filter and sweep of
@@ -469,12 +471,13 @@ def _lam_eps(lam) -> tuple[int, int, int]:
     return _fw_to_eps(lam)
 
 
-# the positive roots in ambient coordinates, each with its squared length
+# the positive roots beta_0, ..., beta_8 in ambient coordinates
 _POSITIVE_EPS = (
-    (1, -1, 0, 2), (0, 1, -1, 2), (0, 0, 2, 4),
-    (1, 0, -1, 2), (0, 1, 1, 2), (1, 0, 1, 2),
-    (1, 1, 0, 2), (2, 0, 0, 4), (0, 2, 0, 4),
+    (1, -1, 0), (0, 1, -1), (0, 0, 2),
+    (1, 0, -1), (0, 1, 1), (1, 0, 1),
+    (1, 1, 0), (2, 0, 0), (0, 2, 0),
 )
+_ROOT_INDEX = {root: i for i, root in enumerate(_POSITIVE_EPS)}
 
 
 def _height_below(lam_eps, nu) -> int | None:
@@ -487,59 +490,80 @@ def _height_below(lam_eps, nu) -> int | None:
     return c1 + c2 + twice_c3 // 2
 
 
-def _freudenthal_pass(lam_eps):
-    """(nu, m(lam, nu)) for every dominant weight nu <= lam, in ambient
-    coordinates, in ascending height of lam - nu.
+def _freudenthal_pass(lam_eps, floor):
+    """(nu, m(lam, nu)) for every dominant weight nu with floor <= nu <= lam,
+    in ambient coordinates, in ascending height of lam - nu.  floor is a
+    dominant weight in lam's coset of the root lattice.
 
-    Freudenthal's formula gives m(nu) from the multiplicities of the
-    weights nu + t*alpha, t >= 1, alpha positive.  Their dominant
-    conjugates (the sorted absolute values, since W acts by signed
-    permutations) are strictly higher than nu, so every one of them has
-    been yielded, and is final, before nu is reached.  A string of weights
-    is unbroken, so each chain ends at its first non-weight.
+    Freudenthal's formula gives m(nu) from the nine chain sums
+    S_j(nu) = sum over t >= 1 of m(nu + t*beta_j) <nu + t*beta_j, beta_j>,
+    one per positive root beta_j: its numerator is 2 sum_j S_j(nu).  Each
+    sum takes one step, to u = nu + beta_j.  If u is not a weight, S_j(nu)
+    is 0, since root strings are unbroken.  Otherwise the sign flips and
+    swaps w that take u to its dominant conjugate u+ (W acts by signed
+    permutations) take beta_j to a root beta_i, and W-invariance turns the
+    rest of the chain into the chain of u+ along beta_i:
+    S_j(nu) = m(u+) <u, beta_j> + S_i(u+).  beta_i is positive, since
+    <u+, beta_i> = <u, beta_j> = <nu, beta_j> + |beta_j|^2 > 0 and u+ is
+    dominant, so no chain is turned down a negative root.  u+ lies above
+    nu, so it has been yielded, with final sums, before nu is reached; it
+    lies above floor too, so the weights from floor up are closed under
+    the step.
     """
     L1, L2, L3 = lam_eps
-    weights = sorted(
-        (height, (v1, v2, v3))
-        for v1 in range(L1 + 1)
-        for v2 in range(v1 + 1)
-        for v3 in range(v2 + 1)
-        if (height := _height_below(lam_eps, (v1, v2, v3))) is not None
-    )
+    F1, F2, F3 = floor
+    # lam - nu and nu - floor have nonnegative simple-root coordinates,
+    # read off their partial sums c1, c2 and 2 c3
+    weights = []
+    for v1 in range(F1, L1 + 1):
+        c1 = L1 - v1
+        for v2 in range(max(0, F1 + F2 - v1), min(v1, c1 + L2) + 1):
+            c2 = c1 + L2 - v2
+            # v3 <= v2, and 2 c3 = c2 + L3 - v3 is even and nonnegative
+            low = max(0, F1 + F2 + F3 - v1 - v2)
+            low += (low + c2 + L3) & 1
+            for v3 in range(low, min(v2, c2 + L3) + 1, 2):
+                weights.append((c1 + c2 + (c2 + L3 - v3) // 2, (v1, v2, v3)))
+    weights.sort()
     norm_lam = (L1 + 3) ** 2 + (L2 + 2) ** 2 + (L3 + 1) ** 2  # |lam + rho|^2, rho = (3, 2, 1)
-    mults: dict[tuple[int, int, int], int] = {}
-    get = mults.get
+    # nu -> (S_0(nu), ..., S_8(nu), m(nu))
+    table: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    get = table.get
     for height, nu in weights:
         if not height:
             m = 1
+            sums = (0,) * 9
         else:
             n1, n2, n3 = nu
-            acc = 0
-            for r1, r2, r3, rr in _POSITIVE_EPS:
-                u1, u2, u3 = n1 + r1, n2 + r2, n3 + r3
-                dot = n1 * r1 + n2 * r2 + n3 * r3 + rr  # <nu + t*alpha, alpha> at t = 1
-                while True:
-                    # the dominant conjugate of (u1, u2, u3): |u| sorted descending
-                    a, b, c = abs(u1), abs(u2), abs(u3)
+            sums = []
+            for r1, r2, r3 in _POSITIVE_EPS:
+                # the dominant conjugate (a, b, c) of u = nu + beta_j, with
+                # the same signed permutation applied to beta_j
+                a, b, c = n1 + r1, n2 + r2, n3 + r3
+                if a < 0:
+                    a, r1 = -a, -r1
+                if b < 0:
+                    b, r2 = -b, -r2
+                if c < 0:
+                    c, r3 = -c, -r3
+                if a < b:
+                    a, b, r1, r2 = b, a, r2, r1
+                if b < c:
+                    b, c, r2, r3 = c, b, r3, r2
                     if a < b:
-                        a, b = b, a
-                    if b < c:
-                        b, c = c, b
-                        if a < b:
-                            a, b = b, a
-                    m_up = get((a, b, c))
-                    if m_up is None:
-                        break
-                    acc += m_up * dot
-                    u1 += r1
-                    u2 += r2
-                    u3 += r3
-                    dot += rr
+                        a, b, r1, r2 = b, a, r2, r1
+                up = get((a, b, c))
+                if up is None:
+                    sums.append(0)
+                else:
+                    # <u, beta_j> = <u+, beta_i>
+                    sums.append(up[9] * (a * r1 + b * r2 + c * r3) + up[_ROOT_INDEX[r1, r2, r3]])
+            acc = sum(sums)
             denom = norm_lam - (n1 + 3) ** 2 - (n2 + 2) ** 2 - (n3 + 1) ** 2
             if 2 * acc % denom:
                 raise ArithmeticError("Freudenthal numerator not divisible by denominator")
             m = 2 * acc // denom
-        mults[nu] = m
+        table[nu] = (*sums, m)
         yield nu, m
 
 
@@ -547,16 +571,21 @@ def dominant_multiplicities(lam) -> dict[tuple[int, int, int], int]:
     """m(lam, mu) for every dominant weight mu of the irreducible of highest
     weight lam, keyed by mu's fundamental-weight triple, in ascending height
     of lam - mu: one Freudenthal pass.  Requires lam dominant."""
-    return {(a - b, b - c, c): m for (a, b, c), m in _freudenthal_pass(_lam_eps(lam))}
+    lam_eps = _lam_eps(lam)
+    # the lowest dominant weight of lam's coset: the root lattice is the
+    # integer triples of even sum
+    floor = (sum(lam_eps) % 2, 0, 0)
+    return {(a - b, b - c, c): m for (a, b, c), m in _freudenthal_pass(lam_eps, floor)}
 
 
 def mult_freudenthal(lam, mu) -> int:
     """Multiplicity of mu in the irreducible of highest weight lam, by the
     Freudenthal recursion.  Requires lam dominant; mu may be any integral
-    weight (its dominant conjugate is looked up).  The pass stops at mu's
-    dominant conjugate: every weight it needs lies higher."""
+    weight (its dominant conjugate mu+ is looked up).  The pass walks only
+    the dominant weights between mu+ and lam: every weight the recursion
+    reads for one of them lies higher and is one of them too."""
     lam_eps = _lam_eps(lam)
     mu_eps = tuple(sorted(map(abs, _fw_to_eps(mu)), reverse=True))
     if _height_below(lam_eps, mu_eps) is None:
         return 0
-    return next(m for nu, m in _freudenthal_pass(lam_eps) if nu == mu_eps)
+    return next(m for nu, m in _freudenthal_pass(lam_eps, mu_eps) if nu == mu_eps)

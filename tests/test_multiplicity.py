@@ -476,10 +476,20 @@ def test_nondominant_mu_agrees_with_freudenthal():
         assert mult(lam, mu) == mult_freudenthal(lam, mu), (lam, mu)
 
 
+def _eps(w):
+    """Ambient coordinates of a weight given in fundamental weights."""
+    x, y, z = w
+    return (x + y + z, y + z, z)
+
+
+def _dominant_eps(v):
+    """The dominant conjugate of an ambient triple: W acts by signed permutations."""
+    return tuple(sorted(map(abs, v), reverse=True))
+
+
 def _dominant_conjugate_fw(mu):
-    x, y, z = mu
-    eps = sorted((abs(x + y + z), abs(y + z), abs(z)), reverse=True)
-    return (eps[0] - eps[1], eps[1] - eps[2], eps[2])
+    a, b, c = _dominant_eps(_eps(mu))
+    return (a - b, b - c, c)
 
 
 def test_multiplicity_weyl_invariance():
@@ -503,18 +513,24 @@ def _dominant_weights_below(lam):
 
 
 def test_dominant_multiplicities_equal_the_alternating_sum():
-    # one Freudenthal pass against mult_q_direct at q = 1, over whole characters
+    # one Freudenthal pass against mult_q_direct at q = 1, over whole
+    # characters; mult_freudenthal walks only the weights between mu and
+    # lam, and must return the entry the whole pass gives
     pairs = 0
     for lam in itertools.product(range(4), repeat=3):
         mults = dominant_multiplicities(lam)
         mus = _dominant_weights_below(lam)
         assert sorted(mults) == mus, lam
         for mu in mus:
-            assert mults[mu] == mult(lam, mu), (lam, mu)
+            assert mults[mu] == mult(lam, mu) == mult_freudenthal(lam, mu), (lam, mu)
         pairs += len(mus)
     assert pairs == 1412
-    # mult_freudenthal stops its pass at mu's dominant conjugate; the entry
-    # it returns must equal the one the whole pass gives
+    # deep weights: long root strings and ties, well below lam
+    mults = dominant_multiplicities((6, 6, 6))
+    assert len(mults) == 531
+    for mu, m in mults.items():
+        assert m == mult((6, 6, 6), mu), mu
+    # a non-dominant mu is read through its dominant conjugate
     rng = random.Random(41)
     weights = 0
     for _ in range(200):
@@ -524,6 +540,77 @@ def test_dominant_multiplicities_equal_the_alternating_sum():
         assert mult_freudenthal(lam, mu) == want, (lam, mu)
         weights += want > 0
     assert weights >= 50
+
+
+# The positive roots of C3 in ambient coordinates, written out here.
+_ROOTS_EPS = (
+    (1, -1, 0), (0, 1, -1), (0, 0, 2), (1, 0, -1), (0, 1, 1),
+    (1, 0, 1), (1, 1, 0), (2, 0, 0), (0, 2, 0),
+)
+
+
+def _chain_walk_multiplicities(lam):
+    """The chain-walking Freudenthal pass, kept as a reference: every chain
+    nu + t*beta, t >= 1, is walked until its first non-weight."""
+    L = _eps(lam)
+
+    def height_below(nu):
+        c1 = L[0] - nu[0]
+        c2 = c1 + L[1] - nu[1]
+        twice_c3 = c2 + L[2] - nu[2]
+        if min(c1, c2, twice_c3) < 0 or twice_c3 % 2:
+            return None
+        return c1 + c2 + twice_c3 // 2
+
+    weights = sorted(
+        (h, nu) for nu in itertools.product(range(L[0] + 1), repeat=3)
+        if nu[0] >= nu[1] >= nu[2] and (h := height_below(nu)) is not None
+    )
+    rho = (3, 2, 1)
+    norm = lambda v: sum((a + r) ** 2 for a, r in zip(v, rho))
+    mults = {}
+    for h, nu in weights:
+        if not h:
+            mults[nu] = 1
+            continue
+        acc = 0
+        for root in _ROOTS_EPS:
+            length = sum(r * r for r in root)
+            u = tuple(a + r for a, r in zip(nu, root))
+            dot = sum(a * r for a, r in zip(nu, root)) + length
+            while (m_up := mults.get(_dominant_eps(u))) is not None:
+                acc += m_up * dot
+                u = tuple(a + r for a, r in zip(u, root))
+                dot += length
+        num, denom = 2 * acc, norm(L) - norm(nu)
+        assert num % denom == 0, (lam, nu)
+        mults[nu] = num // denom
+    return {(a - b, b - c, c): m for (a, b, c), m in mults.items()}
+
+
+def test_freudenthal_pass_equals_the_chain_walk():
+    # the pass reads each chain sum off one step and the sums of the
+    # dominant conjugate above it; the reference walks every chain
+    for lam in [*itertools.product(range(5), repeat=3), (10, 10, 10)]:
+        assert dominant_multiplicities(lam) == _chain_walk_multiplicities(lam), lam
+
+
+def test_root_strings_sum_to_zero():
+    # the beta-string through any weight is symmetric under the reflection
+    # s_beta, so sum over all t of m(nu + t*beta) <nu + t*beta, beta> is 0
+    strings = 0
+    for lam in itertools.product(range(4), repeat=3):
+        mults = {_eps(mu): m for mu, m in dominant_multiplicities(lam).items()}
+        reach = 2 * _eps(lam)[0] + 1  # no weight has a coordinate above lam's first in size
+        for nu in mults:
+            for root in _ROOTS_EPS:
+                total = 0
+                for t in range(-reach, reach + 1):
+                    v = tuple(a + t * r for a, r in zip(nu, root))
+                    total += mults.get(_dominant_eps(v), 0) * sum(a * r for a, r in zip(v, root))
+                assert total == 0, (lam, nu, root)
+                strings += 1
+    assert strings == 9 * 1412
 
 
 def _weyl_dimension(lam):
@@ -556,7 +643,7 @@ def _orbit_size(mu):
 def test_weyl_dimension_formula_over_whole_characters():
     # the natural, the two other fundamental and the adjoint representation
     assert [_weyl_dimension(lam) for lam in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0))] == [6, 14, 14, 21]
-    for lam in itertools.product(range(5), repeat=3):
+    for lam in [*itertools.product(range(5), repeat=3), (10, 10, 10), (14, 0, 3), (0, 12, 1)]:
         total = sum(_orbit_size(mu) * m for mu, m in dominant_multiplicities(lam).items())
         assert total == _weyl_dimension(lam), lam
 
