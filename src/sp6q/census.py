@@ -473,12 +473,13 @@ class CensusReport:
         self.checks.append(CheckResult(name, passed, detail))
 
     def add_family(self, name: str, got: list[AlternationSet], want: list[AlternationSet], detail: str):
-        """Pass when got and want hold the same sets; else list up to five extra and missing ones."""
+        """Pass when got and want hold the same sets and as many entries; else say how they differ."""
         gs, ws = set(a.indices for a in got), set(a.indices for a in want)
         extra = [str(AlternationSet(s)) for s in sorted(gs - ws, key=lambda x: (len(x), sorted(x)))]
         missing = [str(AlternationSet(s)) for s in sorted(ws - gs, key=lambda x: (len(x), sorted(x)))]
-        diff = f"extra={extra[:5]} missing={missing[:5]}" if gs != ws else ""
-        self.add(name, not diff and len(got) == len(want), diff or detail)
+        diff = f"extra={extra[:5]} missing={missing[:5]}" if gs != ws else f"got {len(got)} sets, want {len(want)}"
+        passed = gs == ws and len(got) == len(want)
+        self.add(name, passed, detail if passed else diff)
 
     @property
     def all_passed(self) -> bool:

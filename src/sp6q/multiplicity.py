@@ -25,8 +25,8 @@ Two independent evaluation routes are implemented:
   - mult_q_direct: the alternating sum itself;
   - mult_q_cases: a closed dispatch over 45 sign-pattern cases (plus a
     final zero case), each mapping to a fixed signed combination of the
-    seventeen term polynomials A_q..Q_q.  case_table holds the first
-    matching case of every sign pattern, so the dispatch is one lookup.
+    seventeen term polynomials A_q..Q_q.  case_table holds the one case
+    each sign pattern matches, if any, so the dispatch is one lookup.
 
 Both routes add their signed terms in one qpoly.signed_sum.
 
@@ -325,7 +325,7 @@ def mult_q_direct(lam, mu) -> QPoly:
 # the fourteen profile fields -- variables in neither string are
 # unconstrained -- together with the letters of the contributing terms.
 # The patterns are compiled once to field_mask pairs (_CASE_MASKS).
-# Cases are tried in order and the first match wins; no match means the
+# The cases are disjoint (no pattern matches two); no match means the
 # multiplicity is zero.  Term signs are (-1)^length of the associated
 # group element.  Case 38 leaves i unconstrained, a deviation from the
 # paper's table (see README): with i negative no case matches the sign
@@ -405,13 +405,13 @@ _CASE_LETTERS = ("", *(letters for _patterns, letters in CASES), "")
 
 @lru_cache(maxsize=1)
 def case_table() -> bytes:
-    """First matching case number of every sign pattern, built once, read-only.
+    """The matching case number of every sign pattern, built once, read-only.
 
-    Byte s, for a 14-bit field_mask s, is the number of the first case
-    whose sign pattern s satisfies, or OTHERWISE_CASE when none does.
+    Byte s, for a 14-bit field_mask s, is the number of the one case whose
+    sign pattern s satisfies, or OTHERWISE_CASE when none does.
     """
     table = bytearray([OTHERWISE_CASE]) * (1 << 14)
-    for number, _letters, alternatives in reversed(_CASE_MASKS):  # earlier cases overwrite later ones
+    for number, _letters, alternatives in _CASE_MASKS:
         for care, nonneg in alternatives:
             # the patterns s with s & care == nonneg: nonneg with each submask of the free bits
             free = sub = ~care & (1 << 14) - 1
@@ -424,7 +424,7 @@ def case_table() -> bytes:
 
 
 def match_case(profile: CoefficientProfile) -> tuple[int, str]:
-    """First matching case number and its term letters ('' for the zero case)."""
+    """The matching case number and its term letters ('' for the zero case)."""
     number = case_table()[profile.signs()]
     return number, _CASE_LETTERS[number]
 
@@ -491,9 +491,10 @@ def _height_below(lam_eps, nu) -> int | None:
 
 
 def _freudenthal_pass(lam_eps, floor):
-    """(nu, m(lam, nu)) for every dominant weight nu with floor <= nu <= lam,
-    in ambient coordinates, in ascending height of lam - nu.  floor is a
-    dominant weight in lam's coset of the root lattice.
+    """(nu, m(lam, nu)) for every dominant weight nu of lam's coset of the
+    root lattice with floor <= nu <= lam, in ambient coordinates, in
+    ascending height of lam - nu.  floor is dominant; floor <= nu means
+    nu - floor is a sum of simple roots with rational coefficients >= 0.
 
     Freudenthal's formula gives m(nu) from the nine chain sums
     S_j(nu) = sum over t >= 1 of m(nu + t*beta_j) <nu + t*beta_j, beta_j>,
@@ -538,10 +539,9 @@ def _freudenthal_pass(lam_eps, floor):
             sums = []
             for r1, r2, r3 in _POSITIVE_EPS:
                 # the dominant conjugate (a, b, c) of u = nu + beta_j, with
-                # the same signed permutation applied to beta_j
+                # the same signed permutation applied to beta_j; a >= 0, as
+                # n1 >= 0 (nu is dominant) and r1 >= 0 for every positive root
                 a, b, c = n1 + r1, n2 + r2, n3 + r3
-                if a < 0:
-                    a, r1 = -a, -r1
                 if b < 0:
                     b, r2 = -b, -r2
                 if c < 0:
@@ -571,11 +571,7 @@ def dominant_multiplicities(lam) -> dict[tuple[int, int, int], int]:
     """m(lam, mu) for every dominant weight mu of the irreducible of highest
     weight lam, keyed by mu's fundamental-weight triple, in ascending height
     of lam - mu: one Freudenthal pass.  Requires lam dominant."""
-    lam_eps = _lam_eps(lam)
-    # the lowest dominant weight of lam's coset: the root lattice is the
-    # integer triples of even sum
-    floor = (sum(lam_eps) % 2, 0, 0)
-    return {(a - b, b - c, c): m for (a, b, c), m in _freudenthal_pass(lam_eps, floor)}
+    return {(a - b, b - c, c): m for (a, b, c), m in _freudenthal_pass(_lam_eps(lam), (0, 0, 0))}
 
 
 def mult_freudenthal(lam, mu) -> int:

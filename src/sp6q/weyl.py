@@ -28,9 +28,6 @@ class WeylElement:
     perm: tuple[int, int, int]
     signs: tuple[int, int, int]
 
-    def __str__(self) -> str:
-        return name(self)
-
 
 IDENTITY = WeylElement((0, 1, 2), (1, 1, 1))
 

@@ -246,6 +246,11 @@ def test_sweep_box_budget():
     # pair indices are exact
     assert 21**6 <= SWEEP_MAX_PAIRS < 41**6
     assert SWEEP_MAX_PAIRS < 2**31
+    # the block steps, which set the charge: square blocks of side 512, or where
+    # a side of the box is short, that side whole and the other up to 16 square sides
+    assert [census._block_steps(*box) for box in ((10, 10), (0, 40), (40, 0))] == [
+        (1331, 1331, 512, 512), (1, 68921, 32, 8192), (68921, 1, 8192, 1),
+    ]
     for lam_max, mu_max in ((10, 10), (0, 0), (20, 20), (30, 30), (200, 0), (0, 200)):
         check_sweep_box(lam_max, mu_max)
         assert (lam_max + 1) ** 3 * (mu_max + 1) ** 3 <= SWEEP_MAX_PAIRS

@@ -121,6 +121,25 @@ def test_census_verify_fixture_mismatch_exit_code(capsys, tmp_path):
         "[PASS] sweep-family: 46 sets from sweep(10,10)",
         "[PASS] pipeline-vs-sweep: families agree",
     ]
+    # one final set listed twice: the same sets, so the detail names both counts
+    final = json.loads((_PACKAGED / "alt_sets_final.json").read_text())
+    doubled = _fixture_copy(tmp_path / "doubled", "alt_sets_final.json", json.dumps(final[:11] + final[10:]))
+    code, out, _ = run(capsys, "census", "verify", "--fixtures", doubled)
+    assert code == 4
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] pipeline-final: got 46 sets, want 47",
+        "[FAIL] sweep-family: got 46 sets, want 47",
+    ]
+    # two sets of different sizes dropped: the extra sets are listed by size, then by members
+    stage1 = json.loads((_PACKAGED / "alt_sets_stage1.json").read_text())
+    dropped = [row for row in stage1 if row not in (["1"], ["1", "s1"])]
+    assert len(dropped) == len(stage1) - 2
+    short = _fixture_copy(tmp_path / "short", "alt_sets_stage1.json", json.dumps(dropped))
+    code, out, _ = run(capsys, "census", "verify", "--fixtures", short)
+    assert code == 4
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] pipeline-stage1: extra=['{1}', '{1, s1}'] missing=[]",
+    ]
 
 
 def test_negative_coefficients_accepted(capsys):
@@ -165,8 +184,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["census", "verify", "--jobs", "2"],
         ["census", "verify", "--fixtures", str(tmp_path / "missing")],
         ["census", "verify", "--fixtures", str(tmp_path)],
-        # a fixture holding the JSON string "1", not an array; the malformed witness rows
+        # fixtures holding the JSON string "1" or an object, not an array; the malformed witness rows
         ["census", "verify", "--fixtures", _fixture_copy(tmp_path / "stage", "alt_sets_stage1.json", '"1"')],
+        ["census", "verify", "--fixtures", _fixture_copy(tmp_path / "stage-object", "alt_sets_stage2.json", "{}")],
+        ["census", "verify", "--fixtures", _fixture_copy(tmp_path / "witness-object", "witness_pairs.json", "{}")],
         *bad_rows,
         # a triple is three ASCII integers: no underscores, no other digits
         ["mult", "--lam=-1_0,0,0", "--mu", "0,0,0"],

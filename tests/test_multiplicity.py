@@ -135,6 +135,17 @@ def test_sigma_table_rejects_a_corrupted_mu_part(monkeypatch):
         sigma_table.__wrapped__()
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("RHO_EPS", (4, 2, 1), "violate"),  # a wrong rho breaks a-b = m+1
+    ("TERMS", (TERMS[0], TERMS[1]._replace(fields=TERMS[0].fields), *TERMS[2:]), "two rows"),
+])
+def test_sigma_table_rejects_a_broken_derivation(monkeypatch, name, value, message):
+    # __wrapped__ derives a fresh table, so the cached one is never replaced
+    monkeypatch.setattr(multiplicity, name, value)
+    with pytest.raises(RuntimeError, match=message):
+        sigma_table.__wrapped__()
+
+
 def test_sigma_coeffs_match_fixture_rows_numerically():
     # weights of either sign and pairs of either parity, so that half-integral
     # coordinates are exercised as often as integral ones
@@ -372,13 +383,15 @@ def _profile_with_signs(s):
     return CoefficientProfile._make(0 if s >> i & 1 else -1 for i in range(14))
 
 
-def test_case_table_is_the_first_match():
+def test_case_table_is_the_match():
     table = case_table()
     assert isinstance(table, bytes) and len(table) == 1 << 14
     with pytest.raises(TypeError):
         table[0] = 1
+    # the cases are pairwise disjoint, so the order case_table walks them in does not matter
     for s in range(1 << 14):
         profile = _profile_with_signs(s)
+        assert len(matching_cases(profile)) <= 1, s
         number = next(iter(matching_cases(profile)), OTHERWISE_CASE)
         assert table[s] == number, s
         assert match_case(profile) == (number, CASES[number - 1][1] if number != OTHERWISE_CASE else ""), s
@@ -386,7 +399,7 @@ def test_case_table_is_the_first_match():
 
 def test_every_realized_sign_pattern_dispatches_to_its_covered_terms():
     # the 74 sign patterns of even-parity pairs in [0,16]^6, each with its
-    # lexicographically first witness; the first matching case must carry
+    # lexicographically first witness; the matching case must carry
     # exactly the terms whose three variables the pattern makes nonnegative
     witnesses = json.loads((DATA / "sign_pattern_witnesses.json").read_text())
     assert len(witnesses) == len({w["signs"] for w in witnesses}) == 74
@@ -433,6 +446,17 @@ def test_freudenthal_rejects_non_dominant():
             mult_freudenthal(lam, (0, 0, 0))
         with pytest.raises(ValueError, match="highest weight must be dominant"):
             dominant_multiplicities(lam)
+
+
+def test_freudenthal_rejects_an_indivisible_numerator(monkeypatch):
+    # without a1 among the positive roots the chain sums are wrong, and the
+    # numerator at the weight 0 of lam = omega2 is not a multiple of its denominator
+    roots = multiplicity._POSITIVE_EPS[1:]
+    assert multiplicity._POSITIVE_EPS[0] == (1, -1, 0)
+    monkeypatch.setattr(multiplicity, "_POSITIVE_EPS", roots)
+    monkeypatch.setattr(multiplicity, "_ROOT_INDEX", {root: i for i, root in enumerate(roots)})
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        dominant_multiplicities((0, 1, 0))
 
 
 def test_freudenthal_agrees_with_kostant_sample():

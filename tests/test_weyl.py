@@ -56,6 +56,17 @@ def test_group_has_48_elements():
     assert group[0] == weyl.IDENTITY
 
 
+@pytest.mark.parametrize("words, message", [
+    (weyl.CANONICAL_WORDS[:-1], "expected 48"),  # one element short
+    (weyl.CANONICAL_WORDS + ((2, 1),), "degenerate"),  # s2*s1 listed twice
+])
+def test_tables_reject_a_bad_word_list(monkeypatch, words, message):
+    # __wrapped__ builds fresh tables, so the cached ones are never replaced
+    monkeypatch.setattr(weyl, "CANONICAL_WORDS", words)
+    with pytest.raises(RuntimeError, match=message):
+        weyl._tables.__wrapped__()
+
+
 def test_length_distribution():
     group = weyl.enumerate_group()
     dist = Counter(weyl.length(s) for s in group)
