@@ -238,24 +238,16 @@ def filter_pipeline() -> PipelineResult:
 
 
 def type1_excluded() -> list[weyl.WeylElement]:
-    """The 31 group elements that can never enter an alternation set.
+    """The 31 group elements that can never enter an alternation set of a
+    dominant pair: all but the TERMS elements of sigma_table().terms.
 
-    Detected symbolically: an element is excluded when some coordinate of
-    sigma(lam+rho) - rho - mu, as an affine expression in the six
-    nonnegative weight coordinates, has every variable coefficient <= 0
-    and a negative constant term, hence is negative for all dominant
-    integral weight pairs.  Only the lam part (cm, cn, ck, c1) of a row
-    of sigma_table is read: its mu part is minus mu_alpha[i] . (x, y, z),
-    and every entry of mu_alpha is nonnegative ((2,2,2), (2,4,4),
-    (1,2,3)), so for dominant mu the mu part is never positive.
+    Each has a coordinate of sigma(lam+rho) - rho - mu whose row has every
+    lam coefficient <= 0 and a negative constant, so that it is negative at
+    every dominant pair; sigma_table proves this rule once, when it builds
+    the table.
     """
-    table = sigma_table()
-    group = weyl.enumerate_group()
-    return [
-        group[idx]
-        for idx, _sign, ids in table.elements
-        if any(all(c <= 0 for c in table.rows[r][:3]) and table.rows[r][3] < 0 for r in ids)
-    ]
+    contributing = {idx for idx, _sign, _ids in sigma_table().terms}
+    return [el for idx, el in enumerate(weyl.enumerate_group()) if idx not in contributing]
 
 
 # ---------------------------------------------------------------------------

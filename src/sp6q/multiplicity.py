@@ -20,6 +20,11 @@ its three alpha coordinates of mu and four multiply-adds per row.  When
 m + k + x + z is even, each of the 17 terms contributes exactly when its
 three variables are nonnegative.
 
+sigma_table proves once that the other 12 rows are negative at every
+dominant pair and that every other element reads one of them, so a
+dominant pair evaluates only the 14 profile rows and scans only the 17
+terms; any other pair evaluates all 26 rows and scans all 48 elements.
+
 Two independent evaluation routes are implemented:
 
   - mult_q_direct: the alternating sum itself;
@@ -132,14 +137,17 @@ class SigmaTable(NamedTuple):
     alpha(mu) and then four multiply-adds per row.  Elements share rows:
     48 elements x 3 coordinates use 26 distinct rows, and the 17
     contributing elements use 14 of them, one per profile variable.
-    rows[f] is the row of PROFILE_FIELDS[f] for f < 14; the other 12 follow.
+    rows[f] is the row of PROFILE_FIELDS[f] for f < 14; the other 12 follow,
+    each negative at every dominant pair (sigma_table checks this).
     """
 
     rows: tuple[tuple[int, int, int, int, int], ...]
     # (canonical index, sign, row ids of the three alpha coordinates)
     elements: tuple[tuple[int, int, tuple[int, int, int]], ...]
-    # canonical index of each TERMS element
-    terms: tuple[int, ...]
+    # the entries of elements for the TERMS, in TERMS order (canonical order):
+    # the only elements a dominant pair can admit, and the only ones whose
+    # rows are all profile rows
+    terms: tuple[tuple[int, int, tuple[int, int, int]], ...]
     # doubled alpha coordinates of mu: row i holds the coefficients of (x, y, z)
     mu_alpha: tuple[tuple[int, int, int], ...]
 
@@ -166,6 +174,8 @@ def sigma_table() -> SigmaTable:
     # doubled alpha_i(mu) = mu_alpha[i] . (x, y, z); every row of coordinate i
     # must carry minus it as its mu part
     mu_alpha = tuple(zip(*map(doubled_alpha, FUNDAMENTAL_EPS)))
+    if min(c for row in mu_alpha for c in row) < 0:
+        raise RuntimeError(f"doubled alpha(mu) = {mu_alpha} . (x, y, z) has a negative coefficient")
     coordinate: dict[int, int] = {}
     for _idx, _sign, ids in elements:
         for i, row in enumerate(ids):
@@ -188,12 +198,23 @@ def sigma_table() -> SigmaTable:
     order = [profile[f] for f in PROFILE_FIELDS]
     order += [row for row in range(len(affine)) if row not in order]
     new_id = {row: r for r, row in enumerate(order)}
-    return SigmaTable(
-        tuple((*affine[row][:3], affine[row][6], coordinate[row]) for row in order),
-        tuple((idx, sign, tuple(map(new_id.__getitem__, ids))) for idx, sign, ids in elements),
-        terms,
-        mu_alpha,
-    )
+    rows = tuple((*affine[row][:3], affine[row][6], coordinate[row]) for row in order)
+    elements = tuple((idx, sign, tuple(map(new_id.__getitem__, ids))) for idx, sign, ids in elements)
+    # The type-1 rule.  A row whose lam part has every coefficient <= 0 and a
+    # negative constant is negative at every dominant pair: its mu part,
+    # minus mu_alpha[i] . (x, y, z), is never positive for dominant mu, since
+    # every entry of mu_alpha is >= 0 (checked above).  Exactly the rows past
+    # the profile rows are of this type, and exactly the TERMS elements read
+    # profile rows alone, so every other element has a coordinate negative
+    # at every dominant pair, and a dominant pair needs only rows[:14] and
+    # the TERMS elements.
+    type1 = [max(cm, cn, ck) <= 0 and c1 < 0 for cm, cn, ck, c1, _i in rows]
+    if type1 != [r >= 14 for r in range(len(rows))]:
+        raise RuntimeError("the type-1 rows (lam part <= 0, constant < 0) are not exactly the rows past the profile rows")
+    dominant = tuple(el for el in elements if max(el[2]) < 14)
+    if tuple(idx for idx, _sign, _ids in dominant) != terms:
+        raise RuntimeError("the elements that read profile rows alone are not the TERMS, in order")
+    return SigmaTable(rows, elements, dominant, mu_alpha)
 
 
 @lru_cache(maxsize=1)
@@ -244,11 +265,17 @@ def coefficient_profile(lam, mu) -> CoefficientProfile:
 def _term_chunks() -> tuple[tuple[frozenset[int], ...], ...]:
     """Canonical indices of the TERMS each 6-bit chunk of a term mask names:
     entry [c][v] holds those of the set bits of v at positions 6c..6c+5."""
-    terms = sigma_table().terms
+    terms = [idx for idx, _sign, _ids in sigma_table().terms]
     return tuple(
         tuple(frozenset(terms[c + j] for j in range(6) if v >> j & 1 and c + j < len(terms)) for v in range(64))
         for c in range(0, len(terms), 6)
     )
+
+
+@lru_cache(maxsize=1)
+def _element_names() -> tuple[str, ...]:
+    """weyl.name of every group element, by canonical index."""
+    return tuple(map(weyl.name, weyl._tables()[0]))
 
 
 @dataclass(frozen=True)
@@ -272,7 +299,8 @@ class AlternationSet:
         return [group[i] for i in sorted(self.indices)]
 
     def names(self) -> list[str]:
-        return [weyl.name(e) for e in self.elements()]
+        names = _element_names()
+        return [names[i] for i in sorted(self.indices)]
 
     def __contains__(self, el: weyl.WeylElement) -> bool:
         return weyl.canonical_index(el) in self.indices
@@ -292,12 +320,19 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
 
     A term is nonzero exactly when its coefficient vector is integral and
     coordinate-wise nonnegative, i.e. all three doubled coordinates are
-    even and nonnegative.  All 48 elements are scanned for every pair.
+    even and nonnegative.  A dominant pair evaluates only the 14 profile
+    rows and scans only the 17 TERMS elements, the only ones sigma_table
+    proves it can admit; any other pair evaluates all 26 rows and scans
+    all 48 elements.
     """
     table = sigma_table()
-    half = [d >> 1 if d >= 0 and not d & 1 else None for d in _doubled_rows(lam, mu, table.rows)]
+    if min(lam) >= 0 and min(mu) >= 0:
+        rows, elements = table.rows[:14], table.terms
+    else:
+        rows, elements = table.rows, table.elements
+    half = [d >> 1 if d >= 0 and not d & 1 else None for d in _doubled_rows(lam, mu, rows)]
     out = []
-    for idx, sign, (r1, r2, r3) in table.elements:
+    for idx, sign, (r1, r2, r3) in elements:
         v1, v2, v3 = half[r1], half[r2], half[r3]
         if v1 is not None and v2 is not None and v3 is not None:
             out.append((idx, sign, (v1, v2, v3)))
@@ -308,9 +343,9 @@ def alternation_set(lam, mu) -> AlternationSet:
     """All sigma with kpf_q(sigma(lam+rho) - rho - mu) nonzero.
 
     Membership needs the coefficient vector to be integral and
-    coordinate-wise nonnegative.  All 48 elements are scanned for every
-    pair; for dominant pairs only the 17 elements of TERMS ever qualify
-    (the test suite checks this).
+    coordinate-wise nonnegative.  A dominant pair is checked over the 17
+    elements of TERMS, the only ones that can qualify (sigma_table proves
+    it); any other pair over all 48.
     """
     return AlternationSet(frozenset(idx for idx, _sign, _v in _nonzero_terms(lam, mu)))
 

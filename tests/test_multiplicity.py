@@ -25,6 +25,7 @@ from sp6q.multiplicity import (
     _CASE_MASKS,
     _TERM_SLOTS,
     _doubled_rows,
+    _nonzero_terms,
     alternation_set,
     case_table,
     coefficient_profile,
@@ -80,10 +81,10 @@ def test_sigma_table_shares_rows():
     # 14 profile rows, rows[:14], one per variable in PROFILE_FIELDS order
     table = sigma_table()
     assert len(table.rows) == 26
-    assert table.terms == tuple(weyl.canonical_index(weyl.evaluate_word(t.word)) for t in TERMS)
-    for term, idx in zip(TERMS, table.terms):
-        assert table.elements[idx][2] == _TERM_SLOTS[term.letter][1], term.letter
-    assert {r for idx in table.terms for r in table.elements[idx][2]} == set(range(14))
+    assert table.terms == tuple(table.elements[weyl.canonical_index(weyl.evaluate_word(t.word))] for t in TERMS)
+    for term, (_idx, _sign, ids) in zip(TERMS, table.terms):
+        assert ids == _TERM_SLOTS[term.letter][1], term.letter
+    assert {r for _idx, _sign, ids in table.terms for r in ids} == set(range(14))
     assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
 
 
@@ -135,9 +136,34 @@ def test_sigma_table_rejects_a_corrupted_mu_part(monkeypatch):
         sigma_table.__wrapped__()
 
 
+def _positive_constant(rows, elements):
+    # the last type-1 row (over (m, n, k, x, y, z, 1): lam part <= 0, constant < 0)
+    # gets a positive constant, so it is no longer negative at lam = mu = 0
+    last = max(r for r, row in enumerate(rows) if max(row[:3]) <= 0 and row[6] < 0)
+    return tuple(row[:6] + (2,) if r == last else row for r, row in enumerate(rows)), elements
+
+
+def _excluded_reads_profile_rows(rows, elements):
+    # an excluded element, s1*s2*s3, takes the identity's profile rows in place of its own
+    moved = weyl.canonical_index(weyl.evaluate_word((1, 2, 3)))
+    return rows, tuple((idx, sign, elements[0][2] if idx == moved else ids) for idx, sign, ids in elements)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_positive_constant, "rows past the profile rows"),
+    (_excluded_reads_profile_rows, "not the TERMS"),
+])
+def test_sigma_table_rejects_a_broken_type1_rule(monkeypatch, corrupt, message):
+    derive = multiplicity._affine_rows
+    monkeypatch.setattr(multiplicity, "_affine_rows", lambda: corrupt(*derive()))
+    with pytest.raises(RuntimeError, match=message):
+        sigma_table.__wrapped__()
+
+
 @pytest.mark.parametrize("name, value, message", [
     ("RHO_EPS", (4, 2, 1), "violate"),  # a wrong rho breaks a-b = m+1
     ("TERMS", (TERMS[0], TERMS[1]._replace(fields=TERMS[0].fields), *TERMS[2:]), "two rows"),
+    ("FUNDAMENTAL_EPS", ((-1, 0, 0), (1, 1, 0), (1, 1, 1)), "negative coefficient"),  # -w1 for w1
 ])
 def test_sigma_table_rejects_a_broken_derivation(monkeypatch, name, value, message):
     # __wrapped__ derives a fresh table, so the cached one is never replaced
@@ -211,28 +237,44 @@ def test_alternation_set_examples():
     assert alternation_set((0, 0, 0), (0, 0, 0)).names() == ["1"]
 
 
-def test_alternation_sets_stay_within_contributing():
-    contributing = {weyl.evaluate_word(t.word) for t in TERMS}
-    rng = random.Random(5)
-    for _ in range(50):
-        lam = WeightFW(*(rng.randint(0, 9) for _ in range(3)))
-        mu = WeightFW(*(rng.randint(0, 9) for _ in range(3)))
-        for el in alternation_set(lam, mu).elements():
-            assert el in contributing
-
-
 def test_membership_matches_defining_condition():
     # membership iff the coefficient vector is integral and nonnegative,
     # checked against the exact vectors over all 48 elements, for weights
-    # of either sign
+    # of either sign and for dominant pairs, which scan only the 17 terms
     rng = random.Random(6)
-    for _ in range(12):
-        lam = WeightFW(*(rng.randint(-6, 6) for _ in range(3)))
-        mu = WeightFW(*(rng.randint(-6, 6) for _ in range(3)))
+    pairs = [[WeightFW(*(rng.randint(low, 6) for _ in range(3))) for _ in range(2)] for low in (-6, 0) for _ in range(12)]
+    assert any(min(lam) < 0 or min(mu) < 0 for lam, mu in pairs)
+    for lam, mu in pairs:
         aset = alternation_set(lam, mu)
         for el in weyl.enumerate_group():
             v = sigma_coeffs(el, lam, mu)
             assert (el in aset) == (v.is_integral() and all(c >= 0 for c in v.coeffs()))
+
+
+def _full_scan(lam, mu):
+    # every one of the 48 elements over all 26 rows, whatever the signs of the pair
+    table = sigma_table()
+    doubled = _doubled_rows(lam, mu, table.rows)
+    out = []
+    for idx, sign, ids in table.elements:
+        values = [doubled[r] for r in ids]
+        if all(d >= 0 and d % 2 == 0 for d in values):
+            out.append((idx, sign, tuple(d // 2 for d in values)))
+    return out
+
+
+def test_nonzero_terms_equal_the_full_scan():
+    # the dominant pairs of the box take the 17-term path and the rest the
+    # full one; both must list what the full scan lists, in its order
+    box = list(itertools.product(range(-2, 4), repeat=3))
+    assert len(box) ** 2 == 46_656
+    nonempty = 0
+    for lam in box:
+        for mu in box:
+            want = _full_scan(lam, mu)
+            assert _nonzero_terms(lam, mu) == want, (lam, mu)
+            nonempty += bool(want)
+    assert nonempty > 10_000
 
 
 def test_mult_q_direct_examples():

@@ -85,8 +85,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("sigma-profile-rows-unchecked", MULT, "if profile.setdefault(field, row) != row:",
            "if profile.setdefault(field, row) is None:", (T_MULT,)),
     Mutant("sigma-identities-unchecked", MULT, "    if diffs != [", "    if not diffs and diffs != [", (T_MULT,)),
+    Mutant("sigma-mu-alpha-sign-unchecked", MULT, "if min(c for row in mu_alpha for c in row) < 0:", "if False:",
+           (T_MULT,)),
+    Mutant("sigma-type1-rows-unchecked", MULT, "    if type1 != [", "    if False and type1 != [", (T_MULT,)),
+    Mutant("sigma-terms-unchecked", MULT, "if tuple(idx for idx, _sign, _ids in dominant) != terms:", "if False:",
+           (T_MULT,)),
     # multiplicity: the alternating sum and the case dispatch
     Mutant("nonzero-term-at-zero", MULT, "d >> 1 if d >= 0 and", "d >> 1 if d > 0 and", (T_MULT,)),
+    Mutant("dominant-scan-mu-widened", MULT, "min(mu) >= 0:", "min(mu) >= -2:", (T_MULT,)),
+    Mutant("dominant-scan-lam-widened", MULT, "if min(lam) >= 0 and", "if min(lam) >= -2 and", (T_MULT,)),
     Mutant("cases-parity-unchecked", MULT, "    if not root_lattice_parity(lam, mu):\n        return QPoly()\n", "",
            (T_MULT,)),
     Mutant("case-table-skips-sub-0", MULT,
@@ -129,9 +136,14 @@ MUTANTS: tuple[Mutant, ...] = (
 EQUIVALENT: tuple[tuple[Mutant, str], ...] = (
     (Mutant("parity-not-odd", MULT, "(m + k + x + z) % 2 == 0", "(m + k + x + z) % 2 != 1", ()),
      "an int % 2 is 0 or 1, so == 0 and != 1 agree on every input"),
-    (Mutant("type1-constant-nonpositive", CENSUS, "table.rows[r][3] < 0 for r in ids",
-            "table.rows[r][3] <= 0 for r in ids", ()),
+    (Mutant("type1-constant-nonpositive", MULT, "and c1 < 0 for", "and c1 <= 0 for", ()),
      "no row of sigma_table has a lam part with every coefficient <= 0 and a constant of 0"),
+    (Mutant("dominant-scan-mu-by-one", MULT, "min(mu) >= 0:", "min(mu) >= -1:", ()),
+     "a row past the profile rows stays negative for lam >= 0 and mu >= -1: its constant plus the sum of "
+     "its coordinate's mu_alpha row is at most -2"),
+    (Mutant("dominant-scan-lam-by-one", MULT, "if min(lam) >= 0 and", "if min(lam) >= -1 and", ()),
+     "a row past the profile rows stays negative for lam >= -1 and mu >= 0: its constant minus the sum of "
+     "its lam coefficients is at most -6"),
     (Mutant("group-tuple-shared", WEYL, "return list(_tables()[0])", "return _tables()[0]", ()),
      "no caller mutates the list enumerate_group returns"),
     (Mutant("case-table-reversed", MULT, "alternatives in _CASE_MASKS:", "alternatives in reversed(_CASE_MASKS):", ()),
