@@ -12,6 +12,11 @@ Every result goes to stdout: text, or with --json the JSON payload, which
 is schema-stable ("schema_version"); save it with `--json > FILE`. Census
 results carry a run manifest whose digest covers everything except timing.
 
+Each flag is taken only by its whole name; a prefix such as --la is a usage
+error.  The library refuses a bad value the parser cannot see (a height,
+a box, a fixture) with ValueError before any output, and main turns every
+such refusal into exit 2 in one handler.
+
 Exit codes: 0 success, 2 usage error, 3 internal cross-check failure,
 4 fixture mismatch, 141 stdout closed by its reader (as in `sp6q ... | head`).
 """
@@ -19,6 +24,7 @@ Exit codes: 0 success, 2 usage error, 3 internal cross-check failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -82,12 +88,9 @@ def _emit(args, payload, text, code=EXIT_OK) -> int:
 
 
 def _cmd_kpf(args, _argv) -> int:
-    try:
-        # the oracle first: its bound is the lower one, so it refuses before any work
-        reference = partition.kpf_q_oracle(*args.alpha) if args.oracle else None
-        value = partition.kpf_q(*args.alpha)
-    except ValueError as exc:  # height above partition.KPF_MAX_HEIGHT or KPF_ORACLE_MAX_HEIGHT
-        _usage_error(str(exc))
+    # the oracle first: its bound is the lower one, so it refuses before any work
+    reference = partition.kpf_q_oracle(*args.alpha) if args.oracle else None
+    value = partition.kpf_q(*args.alpha)
     payload = {
         "alpha": list(args.alpha),
         "kpf_q": value.to_json(),
@@ -108,10 +111,7 @@ def _cmd_mult(args, _argv) -> int:
         _usage_error(f"--method {args.method} needs dominant --lam and --mu (the 45 cases hold only there)")
     methods = ("direct", "cases") if args.method == "both" else (args.method,)
     routes = {"direct": multiplicity.mult_q_direct, "cases": multiplicity.mult_q_cases}
-    try:
-        results = {name: routes[name](lam, mu) for name in methods}
-    except ValueError as exc:  # a term above partition.KPF_MAX_HEIGHT
-        _usage_error(str(exc))
+    results = {name: routes[name](lam, mu) for name in methods}
     shown = results[methods[0]]
     payload = {
         "lam": list(args.lam),
@@ -146,10 +146,7 @@ def _census(args, argv, params, compute, render) -> int:
     """Time compute() and print render(its result) -> (body, text, code),
     with the body in the census envelope beside its run manifest."""
     t0 = time.perf_counter()
-    try:
-        result = compute()
-    except ValueError as exc:  # a census.check_sweep_box refusal or a census.FixtureError, both before any work
-        _usage_error(str(exc))
+    result = compute()
     elapsed = time.perf_counter() - t0
     body, text, code = render(result)
     return _emit(args, {"result": body, "manifest": _manifest(argv, params, body, elapsed)}, text, code)
@@ -198,13 +195,17 @@ def _cmd_census_verify(args, argv) -> int:
     return _census(args, argv, box, lambda: census.verify_census(args.fixtures, **box), render)
 
 
+# Every parser, the subcommands' too, takes a flag only by its whole name, as _TRIPLE_FLAGS does.
+_Parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sp6q",
         description="Exact q-analog Kostant partition function, Weyl alternation sets, "
         "and weight q-multiplicities for sp6(C).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     box_help = (f"a box charged over {census.SWEEP_MAX_PAIRS:.0e} (lam, mu) pairs, each block of "
                 f"{census.SWEEP_BLOCK_PAIRS} counted in full, is refused")
 
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alt.set_defaults(run=_cmd_altset)
 
     p_census = sub.add_parser("census", help="alternation-set classification")
-    csub = p_census.add_subparsers(dest="census_command", required=True)
+    csub = p_census.add_subparsers(dest="census_command", required=True, parser_class=_Parser)
 
     p_pipe = csub.add_parser("pipeline", help="run the contradiction filter over all 2^17 candidates")
     p_pipe.add_argument("--stage", type=int, choices=(1, 2, 3), help="restrict JSON family output to one stage")
@@ -286,6 +287,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except ValueError as exc:  # a library refusal: a height, a box or a fixture, refused before any output
+        _usage_error(str(exc))
     return code
 
 

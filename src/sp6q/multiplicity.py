@@ -48,7 +48,8 @@ dominant conjugate and lam, which hold every weight the recursion reads.
 A sign pattern over the profile variables has one form, field_mask: the
 case dispatch here and the contradiction catalog, filter and sweep of
 census all use it.  Everything here is plain integer arithmetic, with no
-array library.
+array library, except symbolic_sigma_rows, which halves the rows of
+sigma_table into exact fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -272,12 +273,6 @@ def _term_chunks() -> tuple[tuple[frozenset[int], ...], ...]:
     )
 
 
-@lru_cache(maxsize=1)
-def _element_names() -> tuple[str, ...]:
-    """weyl.name of every group element, by canonical index."""
-    return tuple(map(weyl.name, weyl._tables()[0]))
-
-
 @dataclass(frozen=True)
 class AlternationSet:
     """A subset of the Weyl group, stored as canonical listing indices."""
@@ -299,8 +294,7 @@ class AlternationSet:
         return [group[i] for i in sorted(self.indices)]
 
     def names(self) -> list[str]:
-        names = _element_names()
-        return [names[i] for i in sorted(self.indices)]
+        return [weyl.NAMES[i] for i in sorted(self.indices)]
 
     def __contains__(self, el: weyl.WeylElement) -> bool:
         return weyl.canonical_index(el) in self.indices
@@ -515,16 +509,6 @@ _POSITIVE_EPS = (
 _ROOT_INDEX = {root: i for i, root in enumerate(_POSITIVE_EPS)}
 
 
-def _height_below(lam_eps, nu) -> int | None:
-    """Height of lam - nu if it is a nonnegative integer sum of simple roots, else None."""
-    c1 = lam_eps[0] - nu[0]
-    c2 = c1 + lam_eps[1] - nu[1]
-    twice_c3 = c2 + lam_eps[2] - nu[2]
-    if c1 < 0 or c2 < 0 or twice_c3 < 0 or twice_c3 % 2:
-        return None
-    return c1 + c2 + twice_c3 // 2
-
-
 def _freudenthal_pass(lam_eps, floor):
     """(nu, m(lam, nu)) for every dominant weight nu of lam's coset of the
     root lattice with floor <= nu <= lam, in ambient coordinates, in
@@ -614,9 +598,11 @@ def mult_freudenthal(lam, mu) -> int:
     Freudenthal recursion.  Requires lam dominant; mu may be any integral
     weight (its dominant conjugate mu+ is looked up).  The pass walks only
     the dominant weights between mu+ and lam: every weight the recursion
-    reads for one of them lies higher and is one of them too."""
+    reads for one of them lies higher and is one of them too.  If mu+ is
+    not below lam the pass is empty and the multiplicity is 0; a mu+ in the
+    other coset of the root lattice is answered 0 without walking it."""
     lam_eps = _lam_eps(lam)
     mu_eps = tuple(sorted(map(abs, _fw_to_eps(mu)), reverse=True))
-    if _height_below(lam_eps, mu_eps) is None:
+    if (sum(lam_eps) - sum(mu_eps)) % 2:  # lam - mu+ is in the root lattice exactly when its ambient sum is even
         return 0
-    return next(m for nu, m in _freudenthal_pass(lam_eps, mu_eps) if nu == mu_eps)
+    return next((m for nu, m in _freudenthal_pass(lam_eps, mu_eps) if nu == mu_eps), 0)

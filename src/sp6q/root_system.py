@@ -15,8 +15,8 @@ Three coordinate systems are used throughout the package:
     ambient coordinates.
 
 All arithmetic is on integers; nothing in this package touches floating
-point.  AlphaVector.coeffs() is the one place that halves into
-fractions.Fraction.
+point.  Two places halve into fractions.Fraction: AlphaVector.coeffs()
+and multiplicity.symbolic_sigma_rows.
 """
 
 from __future__ import annotations

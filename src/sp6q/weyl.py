@@ -121,10 +121,13 @@ def canonical_word(s: WeylElement) -> tuple[int, ...]:
     return CANONICAL_WORDS[canonical_index(s)]
 
 
+# Each element's serialized form, by canonical index: generators joined by '*', "1" for the identity.
+NAMES: tuple[str, ...] = tuple("*".join(f"s{i}" for i in w) if w else "1" for w in CANONICAL_WORDS)
+
+
 def name(s: WeylElement) -> str:
-    """Serialized form: generators joined by '*', "1" for the identity."""
-    w = canonical_word(s)
-    return "*".join(f"s{i}" for i in w) if w else "1"
+    """Serialized form of s: NAMES at its canonical index."""
+    return NAMES[canonical_index(s)]
 
 
 def element_from_name(text: str) -> WeylElement:
@@ -153,7 +156,6 @@ _POS_EPS = tuple((c1, c2 - c1, 2 * c3 - c2) for c1, c2, c3 in POSITIVE_ROOTS)
 _NEG_EPS = frozenset(tuple(-c for c in e) for e in _POS_EPS)
 
 
-@lru_cache(maxsize=None)
 def length(s: WeylElement) -> int:
     """Coxeter length: the number of positive roots sent to negative roots."""
     return sum(1 for e in _POS_EPS if apply(s, e) in _NEG_EPS)

@@ -203,6 +203,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["census", "sweep", "--lam-max", "40", "--mu-max", "40"],
         ["census", "sweep", "--lam-max", "999", "--mu-max", "0"],
         ["census", "verify", "--lam-max", "999", "--mu-max", "0"],
+        # a flag given by a prefix of its name
+        ["mult", "--la", "-1,0,0", "--mu", "0,0,0"],
+        ["kpf", "--al", "1,2,3"],
+        ["census", "sweep", "--lam", "1", "--mu", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -606,6 +607,25 @@ def test_dominant_multiplicities_equal_the_alternating_sum():
         assert mult_freudenthal(lam, mu) == want, (lam, mu)
         weights += want > 0
     assert weights >= 50
+
+
+def test_freudenthal_equals_the_whole_pass_on_a_box():
+    # every pair of [0,3]^3 x [-4,5]^3: mu+ below lam, above it, beside it
+    # in the third simple-root coordinate alone, or in the other coset
+    seen = collections.Counter()
+    for lam in itertools.product(range(4), repeat=3):
+        mults = dominant_multiplicities(lam)
+        l1, l2, l3 = _eps(lam)
+        for mu in itertools.product(range(-4, 6), repeat=3):
+            conj = _dominant_conjugate_fw(mu)
+            assert mult_freudenthal(lam, mu) == mults.get(conj, 0), (lam, mu)
+            v1, v2, v3 = _dominant_eps(_eps(mu))
+            c1, c2 = l1 - v1, l1 + l2 - v1 - v2
+            twice_c3 = c2 + l3 - v3
+            seen["other coset" if twice_c3 % 2 else
+                 "below" if min(c1, c2, twice_c3) >= 0 else
+                 "c3 only negative" if min(c1, c2) >= 0 else "not below"] += 1
+    assert sum(seen.values()) == 64_000 and min(seen.values()) > 0 and len(seen) == 4, seen
 
 
 # The positive roots of C3 in ambient coordinates, written out here.

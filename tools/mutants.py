@@ -102,8 +102,7 @@ MUTANTS: tuple[Mutant, ...] = (
            (T_MULT,)),
     # multiplicity: Freudenthal
     Mutant("lam-dominance-unchecked", MULT, "    if min(lam) < 0:", "    if min(lam) < -1:", (T_MULT,)),
-    Mutant("height-below-no-early-return", MULT,
-           "    if c1 < 0 or c2 < 0 or twice_c3 < 0 or twice_c3 % 2:\n        return None\n", "", (T_MULT,)),
+    Mutant("freudenthal-no-default", MULT, "if nu == mu_eps), 0)", "if nu == mu_eps))", (T_MULT,)),
     Mutant("freudenthal-b-unflipped", MULT, "                if b < 0:\n                    b, r2 = -b, -r2\n", "",
            (T_MULT,)),
     Mutant("freudenthal-c-unflipped", MULT, "                if c < 0:\n                    c, r3 = -c, -r3\n", "",
@@ -131,6 +130,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("exit-fixture", CLI, "EXIT_OK if report.all_passed else EXIT_FIXTURE", "EXIT_OK", (T_CLI,)),
     Mutant("exit-crosscheck-mult", CLI, "            file=sys.stderr,\n        )\n        return EXIT_CROSSCHECK",
            "            file=sys.stderr,\n        )\n        return EXIT_OK", (T_CLI,)),
+    # cli: usage errors
+    Mutant("subcommand-flag-prefixes", CLI, 'add_subparsers(dest="command", required=True, parser_class=_Parser)',
+           'add_subparsers(dest="command", required=True)', (T_CLI,)),
+    Mutant("usage-handler-narrowed", CLI, "    except ValueError as exc:", "    except ArithmeticError as exc:", (T_CLI,)),
 )
 
 EQUIVALENT: tuple[tuple[Mutant, str], ...] = (
@@ -148,6 +151,8 @@ EQUIVALENT: tuple[tuple[Mutant, str], ...] = (
      "no caller mutates the list enumerate_group returns"),
     (Mutant("case-table-reversed", MULT, "alternatives in _CASE_MASKS:", "alternatives in reversed(_CASE_MASKS):", ()),
      "the 45 cases are pairwise disjoint, so no pattern is written twice and the order does not matter"),
+    (Mutant("freudenthal-parity-dropped", MULT, "    if (sum(lam_eps) - sum(mu_eps)) % 2:", "    if False:", ()),
+     "the pass yields only weights of lam's coset, so a mu+ in the other coset still gets 0; only the time changes"),
 )
 
 
