@@ -20,10 +20,15 @@ its three alpha coordinates of mu and four multiply-adds per row.  When
 m + k + x + z is even, each of the 17 terms contributes exactly when its
 three variables are nonnegative.
 
-sigma_table proves once that the other 12 rows are negative at every
-dominant pair and that every other element reads one of them, so a
-dominant pair evaluates only the 14 profile rows and scans only the 17
-terms; any other pair evaluates all 26 rows and scans all 48 elements.
+sigma_table proves two bounds once.  For lam >= 0 and any mu, no
+element's coordinate exceeds the identity's, which is that of lam - mu,
+or differs from it in parity; so when lam - mu is not a nonnegative
+integral sum of simple roots, the identity's three rows alone show that
+no term is nonzero, and no other row is evaluated.  And the 12 rows past
+the 14 profile rows are negative at every dominant pair, and every
+element outside the 17 terms reads one of them, so a dominant pair
+evaluates only the 14 profile rows and scans only the 17 terms; any
+other pair evaluates all 26 rows and scans all 48 elements.
 
 Two independent evaluation routes are implemented:
 
@@ -57,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from typing import Iterable, NamedTuple
 
 from . import weyl
@@ -139,7 +143,8 @@ class SigmaTable(NamedTuple):
     48 elements x 3 coordinates use 26 distinct rows, and the 17
     contributing elements use 14 of them, one per profile variable.
     rows[f] is the row of PROFILE_FIELDS[f] for f < 14; the other 12 follow,
-    each negative at every dominant pair (sigma_table checks this).
+    each negative at every dominant pair (sigma_table checks this, and that
+    no row exceeds the identity's at lam >= 0 or differs from it in parity).
     """
 
     rows: tuple[tuple[int, int, int, int, int], ...]
@@ -215,6 +220,18 @@ def sigma_table() -> SigmaTable:
     dominant = tuple(el for el in elements if max(el[2]) < 14)
     if tuple(idx for idx, _sign, _ids in dominant) != terms:
         raise RuntimeError("the elements that read profile rows alone are not the TERMS, in order")
+    # The dominance bound.  For dominant lam, lam + rho - sigma(lam + rho) is a
+    # sum of positive roots with nonnegative integer coefficients, so in each
+    # coordinate an element's row minus the identity's (the first of the
+    # TERMS) has every lam coefficient and the constant <= 0 and even, and
+    # the same mu part.  At lam >= 0 and any mu, every element's coordinate
+    # is then at most the identity's, with its parity: where a coordinate of
+    # lam - mu, the identity's, is negative or odd, no term is nonzero.
+    identity = [rows[r][:4] for r in dominant[0][2]]
+    for _idx, _sign, ids in elements:
+        for top, r in zip(identity, ids):
+            if any(c > t or (c - t) & 1 for c, t in zip(rows[r][:4], top)):
+                raise RuntimeError(f"row {rows[r]} lies above the identity's {top} or differs from it by an odd amount")
     return SigmaTable(rows, elements, dominant, mu_alpha)
 
 
@@ -243,6 +260,15 @@ def _doubled_rows(lam, mu, rows) -> list[int]:
     return [cm * m + cn * n + ck * k + c1 - alpha[i] for cm, cn, ck, c1, i in rows]
 
 
+def _sign_mask(values) -> int:
+    """field_mask of the profile values that are >= 0, given in PROFILE_FIELDS order."""
+    mask = 0
+    for bit, v in zip(_BITS, values):
+        if v >= 0:
+            mask |= bit
+    return mask
+
+
 class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELDS])):
     """The fourteen substitution variables a..r at a weight pair, doubled to integers.
 
@@ -254,7 +280,7 @@ class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELD
 
     def signs(self) -> int:
         """field_mask of the variables that are >= 0."""
-        return sum(compress(_BITS, [v >= 0 for v in self]))
+        return _sign_mask(self)
 
 
 def coefficient_profile(lam, mu) -> CoefficientProfile:
@@ -314,32 +340,46 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
 
     A term is nonzero exactly when its coefficient vector is integral and
     coordinate-wise nonnegative, i.e. all three doubled coordinates are
-    even and nonnegative.  A dominant pair evaluates only the 14 profile
-    rows and scans only the 17 TERMS elements, the only ones sigma_table
-    proves it can admit; any other pair evaluates all 26 rows and scans
-    all 48 elements.
+    even and nonnegative.  For lam >= 0 and any mu, the identity's three
+    rows come first: they are lam - mu, and sigma_table proves that every
+    element's coordinate is at most the identity's and of its parity, so
+    if one of them is negative or odd, no term is nonzero.  Otherwise a
+    dominant pair evaluates only the 14 profile rows and scans only the 17
+    TERMS elements, the only ones sigma_table proves it can admit; any
+    other pair evaluates all 26 rows and scans all 48 elements.  Each row
+    is evaluated once.
     """
     table = sigma_table()
-    if min(lam) >= 0 and min(mu) >= 0:
-        rows, elements = table.rows[:14], table.terms
-    else:
-        rows, elements = table.rows, table.elements
-    half = [d >> 1 if d >= 0 and not d & 1 else None for d in _doubled_rows(lam, mu, rows)]
-    out = []
-    for idx, sign, (r1, r2, r3) in elements:
-        v1, v2, v3 = half[r1], half[r2], half[r3]
-        if v1 is not None and v2 is not None and v3 is not None:
-            out.append((idx, sign, (v1, v2, v3)))
-    return out
+    rows, elements = table.rows, table.elements
+    if min(lam) >= 0:
+        # the identity's rows one at a time, so that the first that fails ends it
+        (m, n, k), (x, y, z) = lam, mu
+        for r in table.terms[0][2]:
+            cm, cn, ck, c1, i = rows[r]
+            cx, cy, cz = table.mu_alpha[i]
+            d = cm * m + cn * n + ck * k + c1 - cx * x - cy * y - cz * z
+            if d < 0 or d & 1:
+                return []
+        if min(mu) >= 0:
+            rows, elements = rows[:14], table.terms
+    doubled = _doubled_rows(lam, mu, rows)
+    return [
+        (idx, sign, (d1 >> 1, d2 >> 1, d3 >> 1))
+        for idx, sign, (r1, r2, r3) in elements
+        if (d1 := doubled[r1]) >= 0 and (d2 := doubled[r2]) >= 0 and (d3 := doubled[r3]) >= 0
+        and not (d1 | d2 | d3) & 1
+    ]
 
 
 def alternation_set(lam, mu) -> AlternationSet:
     """All sigma with kpf_q(sigma(lam+rho) - rho - mu) nonzero.
 
     Membership needs the coefficient vector to be integral and
-    coordinate-wise nonnegative.  A dominant pair is checked over the 17
+    coordinate-wise nonnegative.  For lam >= 0 the set is empty unless lam
+    - mu is a nonnegative integral sum of simple roots, which the identity's
+    rows alone decide; past that, a dominant pair is checked over the 17
     elements of TERMS, the only ones that can qualify (sigma_table proves
-    it); any other pair over all 48.
+    both), and any other pair over all 48.
     """
     return AlternationSet(frozenset(idx for idx, _sign, _v in _nonzero_terms(lam, mu)))
 
@@ -430,6 +470,8 @@ def matching_cases(profile: CoefficientProfile) -> list[int]:
 
 # term letters by case number; number 0 is unused and OTHERWISE_CASE has none
 _CASE_LETTERS = ("", *(letters for _patterns, letters in CASES), "")
+# the (sign, profile positions) of those terms, by case number
+_CASE_SLOTS = tuple(tuple(map(_TERM_SLOTS.__getitem__, letters)) for letters in _CASE_LETTERS)
 
 
 @lru_cache(maxsize=1)
@@ -464,16 +506,18 @@ def mult_q_cases(lam, mu) -> QPoly:
     The case table is a theorem about dominant weight pairs; the function
     is total, but outside the dominant chamber only mult_q_direct carries
     the defining alternating sum (the two agree on every dominant pair,
-    which the acceptance suite checks exhaustively).
+    which the acceptance suite checks exhaustively).  The 14 profile rows
+    are evaluated once and the case read from their sign mask; there is no
+    early-out, so a zero pair is settled by the case table, apart from
+    mult_q_direct's route.
     """
     if not root_lattice_parity(lam, mu):
         return QPoly()
-    profile = coefficient_profile(lam, mu)
-    _number, letters = match_case(profile)
+    values = _doubled_rows(lam, mu, sigma_table().rows[:14])
     # even under the parity condition, so halving is exact
     return signed_sum(
-        (sign, kpf_q(profile[u] >> 1, profile[v] >> 1, profile[w] >> 1))
-        for sign, (u, v, w) in map(_TERM_SLOTS.__getitem__, letters)
+        (sign, kpf_q(values[u] >> 1, values[v] >> 1, values[w] >> 1))
+        for sign, (u, v, w) in _CASE_SLOTS[case_table()[_sign_mask(values)]]
     )
 
 

@@ -150,9 +150,18 @@ def _excluded_reads_profile_rows(rows, elements):
     return rows, tuple((idx, sign, elements[0][2] if idx == moved else ids) for idx, sign, ids in elements)
 
 
+def _row_above_the_identity(rows, elements):
+    # the coordinate-2 row of s2*s3, profile variable g, gets the constant 2,
+    # above the identity's 0; it stays a profile row, so only the dominance
+    # bound catches it
+    g = elements[weyl.canonical_index(weyl.evaluate_word((2, 3)))][2][1]
+    return tuple(row[:6] + (2,) if r == g else row for r, row in enumerate(rows)), elements
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_positive_constant, "rows past the profile rows"),
     (_excluded_reads_profile_rows, "not the TERMS"),
+    (_row_above_the_identity, "above the identity"),
 ])
 def test_sigma_table_rejects_a_broken_type1_rule(monkeypatch, corrupt, message):
     derive = multiplicity._affine_rows
@@ -264,24 +273,53 @@ def _full_scan(lam, mu):
     return out
 
 
-def test_nonzero_terms_equal_the_full_scan():
+def test_nonzero_terms_equal_the_full_scan(monkeypatch):
     # the dominant pairs of the box take the 17-term path and the rest the
-    # full one; both must list what the full scan lists, in its order
+    # full one; both must list what the full scan lists, in its order.  A
+    # pair with lam >= 0 whose lam - mu, the identity's coefficient vector,
+    # has a negative or a half-integral coordinate ends before any row is
+    # scanned, and no other pair does: _doubled_rows, which evaluates the
+    # rows to scan, is called once for every other pair and not for it
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return _doubled_rows(*args)
+
+    monkeypatch.setattr(multiplicity, "_doubled_rows", counted)
     box = list(itertools.product(range(-2, 4), repeat=3))
     assert len(box) ** 2 == 46_656
     nonempty = 0
+    early = collections.Counter()
     for lam in box:
         for mu in box:
             want = _full_scan(lam, mu)
+            before = len(scans)
             assert _nonzero_terms(lam, mu) == want, (lam, mu)
             nonempty += bool(want)
+            identity = sigma_coeffs(weyl.IDENTITY, lam, mu)
+            if min(lam) >= 0 and not (identity.is_integral() and min(identity.coeffs()) >= 0):
+                assert len(scans) == before, (lam, mu)
+                odd_only = min(identity.coeffs()) >= 0
+                early[root_lattice_parity(lam, mu), odd_only, min(mu) >= 0] += 1
+            else:
+                assert len(scans) == before + 1, (lam, mu)
     assert nonempty > 10_000
+    # both parities, both reasons and mu of either sign end early; an even
+    # pair has integral coordinates, so only a negative one ends it
+    reasons = {(True, False), (False, False), (False, True)}  # (even pair, no coordinate negative)
+    assert set(early) == {(*reason, nonneg) for reason in reasons for nonneg in (True, False)}
+    assert sum(early.values()) == 8_457
 
 
 def test_mult_q_direct_examples():
     assert mult_q_direct((2, 0, 0), (0, 0, 0)) == QPoly((0, 1, 0, 1, 0, 1))
     assert mult_q_direct((0, 0, 0), (0, 0, 0)) == QPoly((1,))
     assert mult_q_direct((0, 0, 2), (1, 0, 1)) == QPoly((0, 0, 1))
+    # outside the dominant chamber: 28 terms of up to 57 coefficients, which
+    # all cancel, so the sum trims to the zero polynomial
+    assert len(_nonzero_terms((-1, 3, 3), (-3, -3, -3))) == 28
+    assert mult_q_direct((-1, 3, 3), (-3, -3, -3)).coeffs == ()
 
 
 def test_mult_q_cases_examples_and_dispatch():
@@ -734,25 +772,55 @@ def test_weyl_dimension_formula_over_whole_characters():
         assert total == _weyl_dimension(lam), lam
 
 
+def _dominance_order(lam):
+    """The dominant weights of V(lam), from one Freudenthal pass, with their
+    multiplicities, the heights of lam - mu, and below[i, j] true exactly
+    when mu_i < mu_j: mu_j - mu_i is a nonzero sum of positive roots."""
+    mults = dominant_multiplicities(lam)
+    eps = np.array([_eps(mu) for mu in mults])
+    # every difference of two weights lies in the root lattice (both lie in
+    # lam minus it), and its partial sums are its alpha coordinates c1, c2
+    # and 2 c3, so it is in the positive root cone exactly when they are
+    # nonnegative
+    diff = eps[None, :, :] - eps[:, None, :]
+    below = (np.cumsum(diff, axis=2) >= 0).all(axis=2)
+    np.fill_diagonal(below, False)
+    c1, c2, c3_2 = np.cumsum(np.array(_eps(lam)) - eps, axis=1).T
+    return list(mults), np.array(list(mults.values())), c1 + c2 + c3_2 // 2, below
+
+
 def test_dominance_monotonicity_at_q_1():
     # The classical theorem on weight multiplicities: for dominant weights
     # mu < nu of V(lam), nu - mu a nonzero sum of positive roots,
     # m(lam, mu) >= m(lam, nu).
     pairs = 0
     for lam in itertools.product(range(5), repeat=3):
-        mults = dominant_multiplicities(lam)
-        eps = np.array([(x + y + z, y + z, z) for x, y, z in mults])
-        m = np.array(list(mults.values()))
-        # diff[i, j] = nu_j - mu_i lies in the root lattice (both weights lie
-        # in lam minus it), and its partial sums are its alpha coordinates
-        # c1, c2 and 2 c3, so it is in the positive root cone exactly when
-        # they are nonnegative
-        diff = eps[None, :, :] - eps[:, None, :]
-        below = (np.cumsum(diff, axis=2) >= 0).all(axis=2)
-        np.fill_diagonal(below, False)
+        weights, m, _height, below = _dominance_order(lam)
         pairs += int(below.sum())
         bad = np.argwhere(below & (m[:, None] < m[None, :]))
-        assert not len(bad), (lam, [(list(mults)[i], list(mults)[j]) for i, j in bad[:3]])
+        assert not len(bad), (lam, [(weights[i], weights[j]) for i, j in bad[:3]])
+    assert pairs == 159757
+
+
+def test_dominance_monotonicity_in_q_on_the_observed_box():
+    """An observation, not a theorem the sources here prove: for dominant
+    weights mu < nu of V(lam), m_q(lam, mu) - q^ht(nu-mu) m_q(lam, nu) has
+    nonnegative coefficients on every comparable pair with lam in [0,4]^3."""
+    # Row i holds m_q(lam, mu_i), computed once, with the coefficient of q^e
+    # in column ht(lam - mu_i) - e; q^ht(nu-mu) then moves m_q(lam, nu)'s
+    # coefficients into the columns of m_q(lam, mu)'s, and the difference is
+    # nonnegative exactly when row i is >= row j in every column.
+    pairs = 0
+    for lam in itertools.product(range(5), repeat=3):
+        weights, _m, height, below = _dominance_order(lam)
+        top = np.zeros((len(weights), int(height.max()) + 1), dtype=np.int64)
+        for i, (mu, h) in enumerate(zip(weights, height)):
+            coeffs = mult_q_direct(lam, mu).coeffs
+            assert len(coeffs) == h + 1, (lam, mu)
+            top[i, h - np.arange(h + 1)] = coeffs
+        pairs += int(below.sum())
+        bad = np.argwhere(below & ~(top[:, None, :] >= top[None, :, :]).all(axis=2))
+        assert not len(bad), (lam, [(weights[i], weights[j]) for i, j in bad[:3]])
     assert pairs == 159757
 
 

@@ -90,10 +90,16 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("sigma-type1-rows-unchecked", MULT, "    if type1 != [", "    if False and type1 != [", (T_MULT,)),
     Mutant("sigma-terms-unchecked", MULT, "if tuple(idx for idx, _sign, _ids in dominant) != terms:", "if False:",
            (T_MULT,)),
+    Mutant("sigma-dominance-bound-unchecked", MULT,
+           "if any(c > t or (c - t) & 1 for c, t in zip(rows[r][:4], top)):", "if False:", (T_MULT,)),
     # multiplicity: the alternating sum and the case dispatch
-    Mutant("nonzero-term-at-zero", MULT, "d >> 1 if d >= 0 and", "d >> 1 if d > 0 and", (T_MULT,)),
+    Mutant("nonzero-term-at-zero", MULT, "if (d1 := doubled[r1]) >= 0 and", "if (d1 := doubled[r1]) > 0 and", (T_MULT,)),
+    Mutant("scan-parity-dropped", MULT, "        and not (d1 | d2 | d3) & 1\n", "", (T_MULT,)),
+    Mutant("early-out-widened", MULT, "if d < 0 or d & 1:", "if d < -2 or d & 1:", (T_MULT,)),
+    Mutant("early-out-parity-dropped", MULT, "if d < 0 or d & 1:", "if d < 0:", (T_MULT,)),
     Mutant("dominant-scan-mu-widened", MULT, "min(mu) >= 0:", "min(mu) >= -2:", (T_MULT,)),
-    Mutant("dominant-scan-lam-widened", MULT, "if min(lam) >= 0 and", "if min(lam) >= -2 and", (T_MULT,)),
+    Mutant("dominant-scan-lam-widened", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -2:", (T_MULT,)),
+    Mutant("dominant-scan-lam-by-one", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -1:", (T_MULT,)),
     Mutant("cases-parity-unchecked", MULT, "    if not root_lattice_parity(lam, mu):\n        return QPoly()\n", "",
            (T_MULT,)),
     Mutant("case-table-skips-sub-0", MULT,
@@ -121,7 +127,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("peel-sign", PART, "(3, 4, 2, 2, sub)", "(3, 4, 2, 2, add)", (T_PART,)),
     Mutant("peel-guard", PART, "if m >= dm and", "if m > dm and", (T_PART,)),
     # qpoly
-    Mutant("qpoly-not-normalised", QPOLY, "        while c and c[-1] == 0:\n            c = c[:-1]\n", "", (T_QPOLY,)),
+    Mutant("qpoly-not-normalised", QPOLY, "        while end and c[end - 1] == 0:\n            end -= 1\n", "", (T_QPOLY,)),
+    Mutant("signed-sum-not-trimmed", QPOLY, "    while out and not out[-1]:\n        out.pop()\n", "",
+           (T_QPOLY,)),
+    Mutant("signed-sum-first-sign-ignored", QPOLY, "list(c) if s == 1 else list(map(neg, c))", "list(c)", (T_QPOLY,)),
     Mutant("signed-sum-any-sign", QPOLY, "op = _SIGNED.get(s)", "op = _SIGNED.get(s, add)", (T_QPOLY,)),
     # weyl
     Mutant("weyl-words-degenerate-unchecked", WEYL, "        if el in by_element:", "        if False:", (T_WEYL,)),
@@ -144,9 +153,6 @@ EQUIVALENT: tuple[tuple[Mutant, str], ...] = (
     (Mutant("dominant-scan-mu-by-one", MULT, "min(mu) >= 0:", "min(mu) >= -1:", ()),
      "a row past the profile rows stays negative for lam >= 0 and mu >= -1: its constant plus the sum of "
      "its coordinate's mu_alpha row is at most -2"),
-    (Mutant("dominant-scan-lam-by-one", MULT, "if min(lam) >= 0 and", "if min(lam) >= -1 and", ()),
-     "a row past the profile rows stays negative for lam >= -1 and mu >= 0: its constant minus the sum of "
-     "its lam coefficients is at most -6"),
     (Mutant("group-tuple-shared", WEYL, "return list(_tables()[0])", "return _tables()[0]", ()),
      "no caller mutates the list enumerate_group returns"),
     (Mutant("case-table-reversed", MULT, "alternatives in _CASE_MASKS:", "alternatives in reversed(_CASE_MASKS):", ()),
