@@ -260,15 +260,6 @@ def _doubled_rows(lam, mu, rows) -> list[int]:
     return [cm * m + cn * n + ck * k + c1 - alpha[i] for cm, cn, ck, c1, i in rows]
 
 
-def _sign_mask(values) -> int:
-    """field_mask of the profile values that are >= 0, given in PROFILE_FIELDS order."""
-    mask = 0
-    for bit, v in zip(_BITS, values):
-        if v >= 0:
-            mask |= bit
-    return mask
-
-
 class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELDS])):
     """The fourteen substitution variables a..r at a weight pair, doubled to integers.
 
@@ -280,7 +271,11 @@ class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELD
 
     def signs(self) -> int:
         """field_mask of the variables that are >= 0."""
-        return _sign_mask(self)
+        mask = 0
+        for bit, v in zip(_BITS, self):
+            if v >= 0:
+                mask |= bit
+        return mask
 
 
 def coefficient_profile(lam, mu) -> CoefficientProfile:
@@ -347,12 +342,16 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
     dominant pair evaluates only the 14 profile rows and scans only the 17
     TERMS elements, the only ones sigma_table proves it can admit; any
     other pair evaluates all 26 rows and scans all 48 elements.  Each row
-    is evaluated once.
+    is evaluated once, except that the identity's three rows, which are
+    profile rows, are evaluated again when the early-out does not fire.
     """
     table = sigma_table()
     rows, elements = table.rows, table.elements
     if min(lam) >= 0:
-        # the identity's rows one at a time, so that the first that fails ends it
+        # The identity's rows one at a time, so that the first that fails ends
+        # it.  This repeats _doubled_rows' formula: through _doubled_rows,
+        # which builds mu's alpha coordinates first, the call was about 45%
+        # slower on the pairs stream.
         (m, n, k), (x, y, z) = lam, mu
         for r in table.terms[0][2]:
             cm, cn, ck, c1, i = rows[r]
@@ -470,8 +469,6 @@ def matching_cases(profile: CoefficientProfile) -> list[int]:
 
 # term letters by case number; number 0 is unused and OTHERWISE_CASE has none
 _CASE_LETTERS = ("", *(letters for _patterns, letters in CASES), "")
-# the (sign, profile positions) of those terms, by case number
-_CASE_SLOTS = tuple(tuple(map(_TERM_SLOTS.__getitem__, letters)) for letters in _CASE_LETTERS)
 
 
 @lru_cache(maxsize=1)
@@ -506,18 +503,18 @@ def mult_q_cases(lam, mu) -> QPoly:
     The case table is a theorem about dominant weight pairs; the function
     is total, but outside the dominant chamber only mult_q_direct carries
     the defining alternating sum (the two agree on every dominant pair,
-    which the acceptance suite checks exhaustively).  The 14 profile rows
-    are evaluated once and the case read from their sign mask; there is no
-    early-out, so a zero pair is settled by the case table, apart from
+    which the acceptance suite checks exhaustively).  There is no
+    early-out: a zero pair is settled by the case table, apart from
     mult_q_direct's route.
     """
     if not root_lattice_parity(lam, mu):
         return QPoly()
-    values = _doubled_rows(lam, mu, sigma_table().rows[:14])
+    profile = coefficient_profile(lam, mu)
+    _number, letters = match_case(profile)
     # even under the parity condition, so halving is exact
     return signed_sum(
-        (sign, kpf_q(values[u] >> 1, values[v] >> 1, values[w] >> 1))
-        for sign, (u, v, w) in _CASE_SLOTS[case_table()[_sign_mask(values)]]
+        (sign, kpf_q(profile[u] >> 1, profile[v] >> 1, profile[w] >> 1))
+        for sign, (u, v, w) in map(_TERM_SLOTS.__getitem__, letters)
     )
 
 

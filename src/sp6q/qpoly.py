@@ -7,14 +7,14 @@ representation is dense (coefficient index = exponent) with trailing
 zeros trimmed, so the zero polynomial is uniquely the empty tuple.
 
 signed_sum is the one summation loop: it adds any number of signed terms
-into one coefficient list, trims that list and builds one QPoly from it,
-so an alternating sum of n terms makes one polynomial, not n.
+into one coefficient list and builds one QPoly, so an alternating sum of
+n terms makes one polynomial, not n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, neg, sub
+from operator import add, sub
 from typing import Iterable
 
 
@@ -28,13 +28,6 @@ class QPoly:
         while end and c[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", c[:end])
-
-    @classmethod
-    def _from_trimmed(cls, coeffs: tuple[int, ...]) -> "QPoly":
-        """The QPoly of a tuple that is empty or ends in a nonzero, which is not trimmed again."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
-        return p
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -73,26 +66,17 @@ _SIGNED = {1: add, -1: sub}
 
 
 def signed_sum(terms: Iterable[tuple[int, QPoly]]) -> QPoly:
-    """The sum of s*r over the (s, r) pairs, each s = +1 or -1, as one QPoly.
-
-    The first term's coefficients start the list; the list is trimmed here,
-    so the QPoly is built from one tuple without being trimmed again.
-    """
+    """The sum of s*r over the (s, r) pairs, each s = +1 or -1, as one QPoly."""
     out: list[int] = []
     for s, r in terms:
         op = _SIGNED.get(s)
         if op is None:
             raise ValueError(f"sign must be +1 or -1, got {s}")
         c = r.coeffs
-        if not out:
-            out = list(c) if s == 1 else list(map(neg, c))
-            continue
         if len(c) > len(out):
             out += [0] * (len(c) - len(out))
         out[:len(c)] = map(op, out, c)
-    while out and not out[-1]:
-        out.pop()
-    return QPoly._from_trimmed(tuple(out))
+    return QPoly(tuple(out))
 
 
 def add_signed(p: QPoly, s: int, r: QPoly) -> QPoly:

@@ -128,9 +128,6 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("peel-guard", PART, "if m >= dm and", "if m > dm and", (T_PART,)),
     # qpoly
     Mutant("qpoly-not-normalised", QPOLY, "        while end and c[end - 1] == 0:\n            end -= 1\n", "", (T_QPOLY,)),
-    Mutant("signed-sum-not-trimmed", QPOLY, "    while out and not out[-1]:\n        out.pop()\n", "",
-           (T_QPOLY,)),
-    Mutant("signed-sum-first-sign-ignored", QPOLY, "list(c) if s == 1 else list(map(neg, c))", "list(c)", (T_QPOLY,)),
     Mutant("signed-sum-any-sign", QPOLY, "op = _SIGNED.get(s)", "op = _SIGNED.get(s, add)", (T_QPOLY,)),
     # weyl
     Mutant("weyl-words-degenerate-unchecked", WEYL, "        if el in by_element:", "        if False:", (T_WEYL,)),
