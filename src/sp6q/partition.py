@@ -8,11 +8,10 @@ positive roots.  Two independent implementations are provided:
     by the multiplicities (d, e, f, g, h, i) of the six composite roots
     a1+a2, a2+a3, a1+a2+a3, a1+2a2+a3, 2a1+2a2+a3 and 2a2+a3; the
     simple-root multiplicities are then forced, and the number of parts
-    used is m+n+k - d - e - 2f - 3g - 4h - 2i.  Two loops count those
-    with g = h = 0, K_0.  For the two dominant roots gamma = a1+2a2+a3
-    and theta = 2a1+2a2+a3, prod_alpha 1/(1 - q x^alpha) times
-    (1 - q x^gamma)(1 - q x^theta) is the generating function of K_0, so
-    K(v) = K_0(v) + q K(v-gamma) + q K(v-theta) - q^2 K(v-gamma-theta).
+    used is m+n+k - d - e - 2f - 3g - 4h - 2i.  One loop over i, the other
+    sums closed, counts those with g = h = 0, K_0.  Peeling the dominant
+    roots gamma = a1+2a2+a3 and theta = 2a1+2a2+a3 from prod 1/(1 - q x^alpha)
+    gives K(v) = K_0(v) + q K(v-gamma) + q K(v-theta) - q^2 K(v-gamma-theta).
 
   - kpf_q_oracle: exhaustive enumeration of the multiplicities of the
     six positive roots other than a1, a2, a3, which then take the
@@ -33,9 +32,9 @@ from operator import add, sub
 from .qpoly import QPoly
 from .root_system import POSITIVE_ROOTS
 
-# Largest m+n+k kpf_q accepts; its time grows as the fourth power.  Above
+# Largest m+n+k kpf_q accepts; its time grows about as the third power.  Above
 # 660, the identity term of m_q((60,60,60), 0); the slowest vectors of this
-# height, such as (210, 315, 175), take 16-18 s and 100 MB on a 2-core host.
+# height, such as (210, 315, 175), take about 2 s and 100 MB on a 2-core host.
 KPF_MAX_HEIGHT = 700
 # Largest m+n+k kpf_q_oracle accepts; its time grows about as the fifth
 # power.  At this height (25, 25, 25) takes about 0.08 s and the slowest
@@ -56,15 +55,13 @@ def _check_int(*vals):
 def kpf_q(m: int, n: int, k: int) -> QPoly:
     """q-analog of the partition function by the nested-sum formula.
 
-    Two loops over (f, i) count the decompositions with g = h = 0, each
-    admissible choice once.  With A = n-f-2i, C = k-f-i and
-    b0 = m+n+k-2f-2i, the d and e loops would add 1 to every exponent in
-    [b0-d-min(A-d, C), b0-d] for d = 0..min(m-f, A).  In closed form the
-    upper ends form one run and the lower ends one run while d <= A-C and
-    b0-A after that, so each (f, i) costs a few updates of a second-order
-    and a first-order difference array; two prefix sums give the
-    coefficients.  The identity's other terms come through the same cache,
-    each at least 4 lower: at most KPF_MAX_HEIGHT // 4 = 175 calls deep.
+    With a0 = n-2i, c0 = k-i, d0 = min(m, a0) and b = m+n+k-2i, K_0 adds 1
+    to each exponent in [b-2f-d-min(a0-f-d, c0-f), b-2f-d] for d = 0..d0-f,
+    f = 0..min(d0, c0): lower ends b-c0-f-d for d <= a0-c0, m+k-f above, so
+    f >= f* = d0-a0+c0 has only the first.  Each end is a run over f of
+    stride 1 (third differences), stride 2 (all of the parity of m+n+k) or
+    one position: a few updates per i, then prefix sums.  The other terms
+    come through the same cache, at most KPF_MAX_HEIGHT // 4 = 175 deep.
 
     A whole q-character asks for no vector outside its own terms: if
     v = sigma(lam+rho) - rho - mu >= gamma, then v - gamma is the term of
@@ -84,37 +81,40 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     total = m + n + k
     if total > KPF_MAX_HEIGHT:
         raise ValueError(f"kpf_q height m+n+k = {total} exceeds the bound {KPF_MAX_HEIGHT}")
-    # second-order and first-order differences of the coefficients
-    diff2 = [0] * (total + 3)
-    diff1 = [0] * (total + 1)
-    for f in range(min(m, n, k) + 1):
-        mf, nf, kf, bf = m - f, n - f, k - f, total - 2 * f
-        ones = flat = 0
-        for i in range(min(nf // 2, kf) + 1):
-            a = nf - 2 * i
-            c = kf - i
-            b0 = bf - 2 * i
-            dmax = mf if mf < a else a
-            # upper ends b0-d, d = 0..dmax
-            diff2[b0 + 1 - dmax] -= 1
-            diff2[b0 + 2] += 1
-            if a < c:
-                # every lower end is b0-a
-                flat += dmax + 1
-            elif a - c >= dmax:
-                # every lower end is b0-c-d
-                diff2[b0 - c - dmax] += 1
-                diff2[b0 - c + 1] -= 1
-            else:
-                # b0-c-d for d <= a-c, then b0-a for the rest
-                ones += 1
-                diff2[b0 - c + 1] -= 1
-                flat += dmax - a + c
-        # b0 - a is m + k - f for every i, so those updates are made once
-        diff2[m + k - f] += ones
-        diff1[m + k - f] += flat
-    # map stops at the end of diff1, so exponents above total are dropped
-    coeffs = list(accumulate(map(add, accumulate(diff2), diff1)))
+    # third differences of the coefficients, which come out 0 past total, and
+    # the stride-2 runs of the second; mk2 and mk3 collect updates at m+k+1
+    d3, runs2 = [0] * (total + 3), [0] * (total + 5)
+    mk, mk2, mk3 = m + k, 0, 0
+    for i in range(min(n // 2, k) + 1):
+        a0, c0, b = n - 2 * i, k - i, mk + n - 2 * i
+        d0 = m if m < a0 else a0
+        top = d0 if d0 < c0 else c0
+        # upper ends: b+1-d0-f and b+2-2f open, f = 0..top
+        d3[b + 1 - d0 - top] -= 1
+        d3[b + 2 - d0] += 1
+        runs2[b + 2 - 2 * top] += 1
+        runs2[b + 4] -= 1
+        if a0 < c0:
+            # every lower end is m+k-f: the ramp d0+1-f of first differences
+            d3[mk - top] += 1
+            mk3 -= 1
+            mk2 -= top + 1
+        else:
+            # b-c0+1-f closes; b-c0-d0 opens for f >= f*, m+k-f (ramp f*-f) below
+            d3[b - c0 + 1 - top] -= 1
+            d3[b - c0 + 2] += 1
+            fs = d0 - a0 + c0
+            if fs < 0:
+                fs = 0
+            d3[b - c0 - d0] += top + 1 - fs
+            d3[b - c0 - d0 + 1] -= top + 1 - fs
+            d3[mk + 1 - fs] += 2
+            mk3 -= 2
+            mk2 -= fs
+    d3[mk + 1] += mk3 + mk2
+    d3[mk + 2] -= mk2
+    runs2[total & 1::2] = accumulate(runs2[total & 1::2])
+    coeffs = list(accumulate(accumulate(map(add, accumulate(d3), runs2))))
     # the decompositions with g + h >= 1, through the same cache
     for dm, dn, dk, shift, op in _PEELS:
         if m >= dm and n >= dn and k >= dk:

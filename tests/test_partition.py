@@ -179,6 +179,19 @@ def test_values_pinned_beyond_the_oracle():
     assert _digest(sample) == _SAMPLE_DIGEST
 
 
+def test_value_pinned_at_the_height_bound():
+    # (210, 315, 175) is among the slowest vectors of height 700; digest and
+    # value at q = 1 come from the formula that looped over f and i both;
+    # the cold vector fills about 9,800 cache entries, cleared after
+    try:
+        p = kpf_q(210, 315, 175)
+        assert hashlib.sha256(repr(p.coeffs).encode()).hexdigest() == (
+            "4b8357211178cac91d67fc9c210f999149bb323e9c6e1cd259d29e40628ff555")
+        assert eval_at_one(p) == 103_230_807_774
+    finally:
+        kpf_q.cache_clear()
+
+
 @given(st.integers(-6, 10), st.integers(-6, 10), st.integers(-6, 10))
 @settings(max_examples=120, deadline=None)
 def test_total_and_zero_on_negatives(m, n, k):

@@ -123,7 +123,12 @@ MUTANTS: tuple[Mutant, ...] = (
     # partition
     Mutant("check-int-accepts-bool", PART, "if not isinstance(v, int) or isinstance(v, bool):",
            "if not isinstance(v, int):", (T_PART,)),
-    Mutant("ones-update", PART, "ones += 1", "ones += 2", (T_PART,)),
+    Mutant("stride2-parity-zero", PART, "runs2[total & 1::2] = accumulate(runs2[total & 1::2])",
+           "runs2[0::2] = accumulate(runs2[0::2])", (T_PART,)),
+    Mutant("f-star-unclamped", PART, "            if fs < 0:\n                fs = 0\n", "", (T_PART,)),
+    Mutant("f-star-by-one", PART, "fs = d0 - a0 + c0", "fs = d0 - a0 + c0 + 1", (T_PART,)),
+    Mutant("upper-run-end-by-one", PART, "d3[b + 2 - d0] += 1", "d3[b + 3 - d0] += 1", (T_PART,)),
+    Mutant("ramp-height-by-one", PART, "mk2 -= top + 1", "mk2 -= top", (T_PART,)),
     Mutant("peel-sign", PART, "(3, 4, 2, 2, sub)", "(3, 4, 2, 2, add)", (T_PART,)),
     Mutant("peel-guard", PART, "if m >= dm and", "if m > dm and", (T_PART,)),
     # qpoly
@@ -156,6 +161,9 @@ EQUIVALENT: tuple[tuple[Mutant, str], ...] = (
      "the 45 cases are pairwise disjoint, so no pattern is written twice and the order does not matter"),
     (Mutant("freudenthal-parity-dropped", MULT, "    if (sum(lam_eps) - sum(mu_eps)) % 2:", "    if False:", ()),
      "the pass yields only weights of lam's coset, so a mu+ in the other coset still gets 0; only the time changes"),
+    (Mutant("f-star-clamp-lowered", PART, "if fs < 0:", "if fs < -2:", ()),
+     "unclamped, f* = -s adds s at m+k+1 and at m+k+s and -2 at each of m+k+1..m+k+s to the second differences, "
+     "which cancel for s = 1 and s = 2"),
 )
 
 
