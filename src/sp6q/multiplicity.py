@@ -15,20 +15,21 @@ Every such expression, for all 48 elements, is a row of one table,
 sigma_table, derived once from the Weyl action.  sigma moves lam + rho
 and not mu, so each row is a lam part minus one doubled alpha coordinate
 of mu; sigma_table checks this and stores every row in that one form,
-the profile variables' rows first, and a weight pair is evaluated from
-its three alpha coordinates of mu and four multiply-adds per row.  When
-m + k + x + z is even, each of the 17 terms contributes exactly when its
-three variables are nonnegative.
+the profile variables' rows first.  _lam_parts evaluates the lam parts of
+all 26 rows once per lam and caches them, so a weight pair costs mu's
+three doubled alpha coordinates and one subtraction per row it reads.
+When m + k + x + z is even, each of the 17 terms contributes exactly when
+its three variables are nonnegative.
 
 sigma_table proves two bounds once.  For lam >= 0 and any mu, no
 element's coordinate exceeds the identity's, which is that of lam - mu,
 or differs from it in parity; so when lam - mu is not a nonnegative
 integral sum of simple roots, the identity's three rows alone show that
-no term is nonzero, and no other row is evaluated.  And the 12 rows past
-the 14 profile rows are negative at every dominant pair, and every
-element outside the 17 terms reads one of them, so a dominant pair
-evaluates only the 14 profile rows and scans only the 17 terms; any
-other pair evaluates all 26 rows and scans all 48 elements.
+no term is nonzero, and no other row is read.  And the 12 rows past the
+14 profile rows are negative at every dominant pair, and every element
+outside the 17 terms reads one of them, so a dominant pair scans only the
+17 terms, which read only the 14 profile rows; any other pair scans all
+48 elements.
 
 Two independent evaluation routes are implemented:
 
@@ -138,8 +139,9 @@ class SigmaTable(NamedTuple):
     lam part minus the doubled i-th alpha coordinate of mu, the same mu
     part for every element.  Each row is stored once in that form,
     (cm, cn, ck, c1, i): its value at a pair is cm*m + cn*n + ck*k + c1
-    minus mu_alpha[i] . (x, y, z), so a pair costs three dot products for
-    alpha(mu) and then four multiply-adds per row.  Elements share rows:
+    minus mu_alpha[i] . (x, y, z).  The lam part is evaluated once per lam
+    (_lam_parts), so a pair costs three dot products for alpha(mu)
+    (_mu_parts) and one subtraction per row it reads.  Elements share rows:
     48 elements x 3 coordinates use 26 distinct rows, and the 17
     contributing elements use 14 of them, one per profile variable.
     rows[f] is the row of PROFILE_FIELDS[f] for f < 14; the other 12 follow,
@@ -252,12 +254,23 @@ def symbolic_sigma_rows():
     return tuple((group[idx], tuple(affine[r] for r in ids)) for idx, _sign, ids in table.elements)
 
 
-def _doubled_rows(lam, mu, rows) -> list[int]:
-    """Each row of sigma_table evaluated at the weight pair: its lam part
-    minus the doubled alpha coordinate of mu, computed once for all rows."""
-    (m, n, k), (x, y, z) = lam, mu
-    alpha = [cx * x + cy * y + cz * z for cx, cy, cz in sigma_table().mu_alpha]
-    return [cm * m + cn * n + ck * k + c1 - alpha[i] for cm, cn, ck, c1, i in rows]
+# One entry per distinct lam, keyed by type as kpf_q is, so that a float or
+# bool coordinate never reads an int entry's values.  maxsize 1024: an entry
+# is about 1.3 KB (26 ints and the key) while every coordinate is below 2**30
+# in magnitude, so a full cache holds about 1.3 MB.
+@lru_cache(maxsize=1 << 10, typed=True)
+def _lam_parts(m, n, k) -> tuple[int, ...]:
+    """The lam part cm*m + cn*n + ck*k + c1 of every row of sigma_table, by
+    row id: the half of sigma(lam+rho) - rho - mu that sigma moves.  The
+    row (cm, cn, ck, c1, i) has the value lam part minus _mu_parts(mu)[i]."""
+    return tuple(cm * m + cn * n + ck * k + c1 for cm, cn, ck, c1, _i in sigma_table().rows)
+
+
+def _mu_parts(x, y, z) -> tuple[int, int, int]:
+    """mu's three doubled alpha coordinates, mu_alpha[i] . (x, y, z): the mu
+    half of sigma(lam+rho) - rho - mu, the same for every element."""
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = sigma_table().mu_alpha
+    return c00 * x + c01 * y + c02 * z, c10 * x + c11 * y + c12 * z, c20 * x + c21 * y + c22 * z
 
 
 class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELDS])):
@@ -280,7 +293,10 @@ class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELD
 
 def coefficient_profile(lam, mu) -> CoefficientProfile:
     """The profile rows of sigma_table, its first 14, evaluated at the pair, unhalved."""
-    return CoefficientProfile._make(_doubled_rows(lam, mu, sigma_table().rows[:14]))
+    alpha = _mu_parts(*mu)
+    return CoefficientProfile._make(
+        [part - alpha[i] for part, (_cm, _cn, _ck, _c1, i) in zip(_lam_parts(*lam), sigma_table().rows[:14])]
+    )
 
 
 @lru_cache(maxsize=1)
@@ -339,33 +355,29 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
     rows come first: they are lam - mu, and sigma_table proves that every
     element's coordinate is at most the identity's and of its parity, so
     if one of them is negative or odd, no term is nonzero.  Otherwise a
-    dominant pair evaluates only the 14 profile rows and scans only the 17
-    TERMS elements, the only ones sigma_table proves it can admit; any
-    other pair evaluates all 26 rows and scans all 48 elements.  Each row
-    is evaluated once, except that the identity's three rows, which are
-    profile rows, are evaluated again when the early-out does not fire.
+    dominant pair scans only the 17 TERMS elements, the only ones
+    sigma_table proves it can admit, and any other pair all 48.  A row's
+    value is its lam part, cached per lam by _lam_parts, minus one of mu's
+    three doubled alpha coordinates, computed once per call; the scan
+    subtracts only for the rows it reads, since an element ends at its
+    first failing coordinate, and the early-out's three rows are read once
+    more there.
     """
     table = sigma_table()
-    rows, elements = table.rows, table.elements
+    parts = _lam_parts(*lam)
+    a0, a1, a2 = _mu_parts(*mu)
+    elements = table.elements
     if min(lam) >= 0:
-        # The identity's rows one at a time, so that the first that fails ends
-        # it.  This repeats _doubled_rows' formula: through _doubled_rows,
-        # which builds mu's alpha coordinates first, the call was about 45%
-        # slower on the pairs stream.
-        (m, n, k), (x, y, z) = lam, mu
-        for r in table.terms[0][2]:
-            cm, cn, ck, c1, i = rows[r]
-            cx, cy, cz = table.mu_alpha[i]
-            d = cm * m + cn * n + ck * k + c1 - cx * x - cy * y - cz * z
-            if d < 0 or d & 1:
-                return []
+        i0, i1, i2 = table.terms[0][2]  # the identity's rows, one per alpha coordinate
+        d1, d2, d3 = parts[i0] - a0, parts[i1] - a1, parts[i2] - a2
+        if d1 < 0 or d2 < 0 or d3 < 0 or (d1 | d2 | d3) & 1:
+            return []
         if min(mu) >= 0:
-            rows, elements = rows[:14], table.terms
-    doubled = _doubled_rows(lam, mu, rows)
+            elements = table.terms
     return [
         (idx, sign, (d1 >> 1, d2 >> 1, d3 >> 1))
         for idx, sign, (r1, r2, r3) in elements
-        if (d1 := doubled[r1]) >= 0 and (d2 := doubled[r2]) >= 0 and (d3 := doubled[r3]) >= 0
+        if (d1 := parts[r1] - a0) >= 0 and (d2 := parts[r2] - a1) >= 0 and (d3 := parts[r3] - a2) >= 0
         and not (d1 | d2 | d3) & 1
     ]
 
@@ -469,6 +481,8 @@ def matching_cases(profile: CoefficientProfile) -> list[int]:
 
 # term letters by case number; number 0 is unused and OTHERWISE_CASE has none
 _CASE_LETTERS = ("", *(letters for _patterns, letters in CASES), "")
+# the _TERM_SLOTS entry of each of those letters, by case number
+_CASE_SLOTS = tuple(tuple(map(_TERM_SLOTS.__getitem__, letters)) for letters in _CASE_LETTERS)
 
 
 @lru_cache(maxsize=1)
@@ -510,11 +524,10 @@ def mult_q_cases(lam, mu) -> QPoly:
     if not root_lattice_parity(lam, mu):
         return QPoly()
     profile = coefficient_profile(lam, mu)
-    _number, letters = match_case(profile)
+    number, _letters = match_case(profile)
     # even under the parity condition, so halving is exact
     return signed_sum(
-        (sign, kpf_q(profile[u] >> 1, profile[v] >> 1, profile[w] >> 1))
-        for sign, (u, v, w) in map(_TERM_SLOTS.__getitem__, letters)
+        (sign, kpf_q(profile[u] >> 1, profile[v] >> 1, profile[w] >> 1)) for sign, (u, v, w) in _CASE_SLOTS[number]
     )
 
 

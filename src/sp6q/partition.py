@@ -71,6 +71,10 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     (210, 315, 175) leaves about 9,800 entries and peaks near 100 MB.
 
     This cache is the only memo: cache_clear() makes every vector cold.
+    It bounds entries (maxsize 65,536), not bytes.  An entry at the height
+    bound holds 701 coefficients, each below 2**60 and so at most 32 bytes,
+    about 28 KB in all, so a full cache of such entries would hold about
+    1.9 GB; the 9,800 entries (210, 315, 175) leaves take about 85 MB.
     Arguments must be Python ints: bool is not a coordinate, and with
     typed=True an np.int64 would key a second entry for the same vector.
     A nonnegative vector with m+n+k above KPF_MAX_HEIGHT raises ValueError.

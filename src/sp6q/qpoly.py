@@ -73,6 +73,9 @@ def signed_sum(terms: Iterable[tuple[int, QPoly]]) -> QPoly:
         if op is None:
             raise ValueError(f"sign must be +1 or -1, got {s}")
         c = r.coeffs
+        if not out and op is add:
+            out = list(c)  # a copy, not a sum with zeros
+            continue
         if len(c) > len(out):
             out += [0] * (len(c) - len(out))
         out[:len(c)] = map(op, out, c)

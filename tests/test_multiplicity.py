@@ -25,7 +25,8 @@ from sp6q.multiplicity import (
     SigmaTable,
     _CASE_MASKS,
     _TERM_SLOTS,
-    _doubled_rows,
+    _lam_parts,
+    _mu_parts,
     _nonzero_terms,
     alternation_set,
     case_table,
@@ -89,10 +90,20 @@ def test_sigma_table_shares_rows():
     assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
 
 
+def _rows_at(lam, mu):
+    # every row of sigma_table at the pair, straight from its stored form:
+    # cm*m + cn*n + ck*k + c1 minus mu_alpha[i] . (x, y, z)
+    table = sigma_table()
+    return [
+        cm * lam[0] + cn * lam[1] + ck * lam[2] + c1 - sum(c * v for c, v in zip(table.mu_alpha[i], mu))
+        for cm, cn, ck, c1, i in table.rows
+    ]
+
+
 def test_split_rows_equal_the_full_rows():
-    # lam part minus doubled alpha(mu), four terms a row, against the
-    # independent seven-term fixture rows, doubled, for WeightFW and tuple
-    # inputs of either sign and parity
+    # the cached lam parts minus mu's doubled alpha coordinates, and the
+    # profile read from them, against the independent seven-term fixture
+    # rows, doubled, for WeightFW and tuple inputs of either sign and parity
     table = sigma_table()
     fixture = _fixture_rows()
     group = weyl.enumerate_group()
@@ -101,11 +112,27 @@ def test_split_rows_equal_the_full_rows():
     pairs += [(tuple(rng.randint(-6, 8) for _ in range(3)), tuple(rng.randint(-6, 8) for _ in range(3))) for _ in range(200)]
     assert {(lam[0] + lam[2] + mu[0] + mu[2]) % 2 for lam, mu in pairs} == {0, 1}
     for lam, mu in pairs:
-        got = _doubled_rows(lam, mu, table.rows)
-        assert _doubled_rows(WeightFW(*lam), WeightFW(*mu), table.rows) == got, (lam, mu)
+        parts, alpha = _lam_parts(*lam), _mu_parts(*mu)
+        assert (_lam_parts(*WeightFW(*lam)), _mu_parts(*WeightFW(*mu))) == (parts, alpha), (lam, mu)
+        got = [part - alpha[i] for part, (*_lam, i) in zip(parts, table.rows)]
+        assert got == _rows_at(lam, mu), (lam, mu)
+        assert coefficient_profile(WeightFW(*lam), WeightFW(*mu)) == coefficient_profile(lam, mu) == tuple(got[:14])
         for idx, _sign, ids in table.elements:
             want = [2 * sum(c * v for c, v in zip(row, (*lam, *mu, 1))) for row in fixture[weyl.name(group[idx])]]
             assert [got[r] for r in ids] == want, (lam, mu, idx)
+
+
+def test_lam_parts_are_keyed_by_type():
+    # a float coordinate reaches the parity test as a float and raises, before
+    # and after the int entry of the same value is cached: an untyped key
+    # would hand it the int entry's values
+    _lam_parts.cache_clear()
+    with pytest.raises(TypeError, match="float"):
+        mult_q_direct((1.0, 0, 0), (1, 0, 0))
+    assert mult_q_direct((1, 0, 0), (1, 0, 0)) == QPoly((1,))
+    with pytest.raises(TypeError, match="float"):
+        mult_q_direct((1.0, 0, 0), (1, 0, 0))
+    assert _lam_parts.cache_info().currsize == 2
 
 
 def test_sigma_table_and_weyl_action_are_int_only():
@@ -264,7 +291,7 @@ def test_membership_matches_defining_condition():
 def _full_scan(lam, mu):
     # every one of the 48 elements over all 26 rows, whatever the signs of the pair
     table = sigma_table()
-    doubled = _doubled_rows(lam, mu, table.rows)
+    doubled = _rows_at(lam, mu)
     out = []
     for idx, sign, ids in table.elements:
         values = [doubled[r] for r in ids]
@@ -277,16 +304,20 @@ def test_nonzero_terms_equal_the_full_scan(monkeypatch):
     # the dominant pairs of the box take the 17-term path and the rest the
     # full one; both must list what the full scan lists, in its order.  A
     # pair with lam >= 0 whose lam - mu, the identity's coefficient vector,
-    # has a negative or a half-integral coordinate ends before any row is
-    # scanned, and no other pair does: _doubled_rows, which evaluates the
-    # rows to scan, is called once for every other pair and not for it
+    # has a negative or a half-integral coordinate ends before any element is
+    # scanned, and no other pair does: the table's elements or its terms,
+    # which only the scan iterates, are iterated once for every other pair
+    # and not for it
     scans = []
 
-    def counted(*args):
-        scans.append(args)
-        return _doubled_rows(*args)
+    class Counted(tuple):
+        def __iter__(self):
+            scans.append(self)
+            return super().__iter__()
 
-    monkeypatch.setattr(multiplicity, "_doubled_rows", counted)
+    table = sigma_table()
+    counted = table._replace(elements=Counted(table.elements), terms=Counted(table.terms))
+    monkeypatch.setattr(multiplicity, "sigma_table", lambda: counted)
     box = list(itertools.product(range(-2, 4), repeat=3))
     assert len(box) ** 2 == 46_656
     nonempty = 0

@@ -116,4 +116,6 @@ def test_signed_sum_rejects_other_signs():
     with pytest.raises(ValueError):
         signed_sum([(1, QPoly((1,))), (2, QPoly((1,)))])
     with pytest.raises(ValueError):
+        signed_sum([(0, QPoly((1,)))])  # the first term, which is copied, not added
+    with pytest.raises(ValueError):
         add_signed(QPoly(), 0, QPoly((1,)))

@@ -93,10 +93,17 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("sigma-dominance-bound-unchecked", MULT,
            "if any(c > t or (c - t) & 1 for c, t in zip(rows[r][:4], top)):", "if False:", (T_MULT,)),
     # multiplicity: the alternating sum and the case dispatch
-    Mutant("nonzero-term-at-zero", MULT, "if (d1 := doubled[r1]) >= 0 and", "if (d1 := doubled[r1]) > 0 and", (T_MULT,)),
+    Mutant("lam-parts-untyped", MULT, "@lru_cache(maxsize=1 << 10, typed=True)", "@lru_cache(maxsize=1 << 10)",
+           (T_MULT,)),
+    Mutant("profile-wrong-coordinate", MULT, "[part - alpha[i] for part,", "[part - alpha[i - 1] for part,", (T_MULT,)),
+    Mutant("nonzero-term-at-zero", MULT, "if (d1 := parts[r1] - a0) >= 0 and", "if (d1 := parts[r1] - a0) > 0 and",
+           (T_MULT,)),
     Mutant("scan-parity-dropped", MULT, "        and not (d1 | d2 | d3) & 1\n", "", (T_MULT,)),
-    Mutant("early-out-widened", MULT, "if d < 0 or d & 1:", "if d < -2 or d & 1:", (T_MULT,)),
-    Mutant("early-out-parity-dropped", MULT, "if d < 0 or d & 1:", "if d < 0:", (T_MULT,)),
+    Mutant("early-out-widened", MULT, "if d1 < 0 or d2 < 0 or d3 < 0 or", "if d1 < -2 or d2 < -2 or d3 < -2 or",
+           (T_MULT,)),
+    Mutant("early-out-parity-dropped", MULT, "d3 < 0 or (d1 | d2 | d3) & 1:", "d3 < 0:", (T_MULT,)),
+    Mutant("early-out-wrong-coordinate", MULT, "parts[i0] - a0, parts[i1] - a1,", "parts[i0] - a1, parts[i1] - a0,",
+           (T_MULT,)),
     Mutant("dominant-scan-mu-widened", MULT, "min(mu) >= 0:", "min(mu) >= -2:", (T_MULT,)),
     Mutant("dominant-scan-lam-widened", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -2:", (T_MULT,)),
     Mutant("dominant-scan-lam-by-one", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -1:", (T_MULT,)),
@@ -134,6 +141,7 @@ MUTANTS: tuple[Mutant, ...] = (
     # qpoly
     Mutant("qpoly-not-normalised", QPOLY, "        while end and c[end - 1] == 0:\n            end -= 1\n", "", (T_QPOLY,)),
     Mutant("signed-sum-any-sign", QPOLY, "op = _SIGNED.get(s)", "op = _SIGNED.get(s, add)", (T_QPOLY,)),
+    Mutant("signed-sum-copies-a-negative-first-term", QPOLY, "if not out and op is add:", "if not out:", (T_QPOLY,)),
     # weyl
     Mutant("weyl-words-degenerate-unchecked", WEYL, "        if el in by_element:", "        if False:", (T_WEYL,)),
     Mutant("weyl-group-order-unchecked", WEYL, "    if len(elements) != 48:", "    if False:", (T_WEYL,)),
