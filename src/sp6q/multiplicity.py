@@ -18,18 +18,29 @@ of mu; sigma_table checks this and stores every row in that one form,
 the profile variables' rows first.  _lam_parts evaluates the lam parts of
 all 26 rows once per lam and caches them, so a weight pair costs mu's
 three doubled alpha coordinates and one subtraction per row it reads.
-When m + k + x + z is even, each of the 17 terms contributes exactly when
-its three variables are nonnegative.
+
+One gate settles parity for the whole pair (root_lattice_parity): when
+m + k + x + z is odd, lam - mu lies outside the root lattice and every
+term is zero, for any lam.  When it is even, lam - mu, the identity's
+vector, is integral, and sigma_table proves that every element's doubled
+coordinate differs from the identity's by an even amount; so past the
+gate only signs are read: a term contributes exactly when its three
+coordinates are nonnegative, and each of the 17 terms exactly when its
+three variables are.
 
 sigma_table proves two bounds once.  For lam >= 0 and any mu, no
-element's coordinate exceeds the identity's, which is that of lam - mu,
-or differs from it in parity; so when lam - mu is not a nonnegative
-integral sum of simple roots, the identity's three rows alone show that
-no term is nonzero, and no other row is read.  And the 12 rows past the
-14 profile rows are negative at every dominant pair, and every element
-outside the 17 terms reads one of them, so a dominant pair scans only the
-17 terms, which read only the 14 profile rows; any other pair scans all
-48 elements.
+element's coordinate exceeds the identity's; so an even pair with lam >=
+0 and a negative identity coordinate has no nonzero term, which the
+identity's three rows alone show, and no other row is read.  And the 12
+rows past the 14 profile rows are negative at every dominant pair, and
+every element outside the 17 terms reads one of them, so a dominant pair
+scans only the 17 terms, which read only the 14 profile rows; any other
+pair scans all 48 elements.
+
+A weight is a triple of Python ints: alternation_set, mult_q_direct,
+mult_q_cases, coefficient_profile and the Freudenthal route raise
+TypeError for a bool, float or numpy coordinate, whatever its value,
+before any arithmetic, as kpf_q does.
 
 Two independent evaluation routes are implemented:
 
@@ -112,9 +123,19 @@ TERMS: tuple[Term, ...] = (
 LETTER_INDEX = {t.letter: i for i, t in enumerate(TERMS)}  # position in TERMS; bit i of a term mask
 
 
+def _check_weights(lam, mu=(0, 0, 0)) -> None:
+    """Raise TypeError unless all six coordinates are Python ints; bool is not."""
+    (m, n, k), (x, y, z) = lam, mu
+    if not type(m) is type(n) is type(k) is type(x) is type(y) is type(z) is int:
+        bad = next(v for v in (m, n, k, x, y, z) if type(v) is not int)
+        raise TypeError(f"weight coordinates must be integers, got {bad!r}")
+
+
 def root_lattice_parity(lam, mu) -> bool:
     """True iff sigma(lam) - mu lies in the root lattice for every sigma,
-    which happens exactly when m + k + x + z is even."""
+    which happens exactly when m + k + x + z is even: the one parity gate
+    of the q-routes.  Raises TypeError unless every coordinate is an int."""
+    _check_weights(lam, mu)
     (m, _n, k), (x, _y, z) = lam, mu
     return (m + k + x + z) % 2 == 0
 
@@ -145,8 +166,11 @@ class SigmaTable(NamedTuple):
     48 elements x 3 coordinates use 26 distinct rows, and the 17
     contributing elements use 14 of them, one per profile variable.
     rows[f] is the row of PROFILE_FIELDS[f] for f < 14; the other 12 follow,
-    each negative at every dominant pair (sigma_table checks this, and that
-    no row exceeds the identity's at lam >= 0 or differs from it in parity).
+    each negative at every dominant pair.  sigma_table checks this, and that
+    in each coordinate every row differs from the identity's by even
+    coefficients and, at lam >= 0, is at most the identity's: parity is then
+    the pair's alone (root_lattice_parity), and a negative identity
+    coordinate ends the pair.
     """
 
     rows: tuple[tuple[int, int, int, int, int], ...]
@@ -254,11 +278,9 @@ def symbolic_sigma_rows():
     return tuple((group[idx], tuple(affine[r] for r in ids)) for idx, _sign, ids in table.elements)
 
 
-# One entry per distinct lam, keyed by type as kpf_q is, so that a float or
-# bool coordinate never reads an int entry's values.  maxsize 1024: an entry
-# is about 1.3 KB (26 ints and the key) while every coordinate is below 2**30
-# in magnitude, so a full cache holds about 1.3 MB.
-@lru_cache(maxsize=1 << 10, typed=True)
+# maxsize 1024: an entry is about 1.3 KB (26 ints and the key) while every
+# coordinate is below 2**30 in magnitude, so a full cache holds about 1.3 MB.
+@lru_cache(maxsize=1 << 10)
 def _lam_parts(m, n, k) -> tuple[int, ...]:
     """The lam part cm*m + cn*n + ck*k + c1 of every row of sigma_table, by
     row id: the half of sigma(lam+rho) - rho - mu that sigma moves.  The
@@ -293,6 +315,7 @@ class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELD
 
 def coefficient_profile(lam, mu) -> CoefficientProfile:
     """The profile rows of sigma_table, its first 14, evaluated at the pair, unhalved."""
+    _check_weights(lam, mu)
     alpha = _mu_parts(*mu)
     return CoefficientProfile._make(
         [part - alpha[i] for part, (_cm, _cn, _ck, _c1, i) in zip(_lam_parts(*lam), sigma_table().rows[:14])]
@@ -350,27 +373,28 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
     """(canonical index, sign, alpha triple) of every sigma whose term is nonzero.
 
     A term is nonzero exactly when its coefficient vector is integral and
-    coordinate-wise nonnegative, i.e. all three doubled coordinates are
-    even and nonnegative.  For lam >= 0 and any mu, the identity's three
-    rows come first: they are lam - mu, and sigma_table proves that every
-    element's coordinate is at most the identity's and of its parity, so
-    if one of them is negative or odd, no term is nonzero.  Otherwise a
-    dominant pair scans only the 17 TERMS elements, the only ones
-    sigma_table proves it can admit, and any other pair all 48.  A row's
-    value is its lam part, cached per lam by _lam_parts, minus one of mu's
-    three doubled alpha coordinates, computed once per call; the scan
-    subtracts only for the rows it reads, since an element ends at its
-    first failing coordinate, and the early-out's three rows are read once
-    more there.
+    coordinate-wise nonnegative.  One gate decides integrality for every
+    element: an odd pair (root_lattice_parity) has no nonzero term, for any
+    lam, and at an even pair every doubled coordinate is even (sigma_table),
+    so past the gate only signs are tested.  For lam >= 0 the identity's
+    three rows, lam - mu, come next: sigma_table proves that no element's
+    coordinate exceeds the identity's, so if one of them is negative, no
+    term is nonzero.  Otherwise a dominant pair scans only the 17 TERMS
+    elements, the only ones sigma_table proves it can admit, and any other
+    pair all 48.  A row's value is its lam part, cached per lam by
+    _lam_parts, minus one of mu's three doubled alpha coordinates, computed
+    once per call; the scan subtracts only for the rows it reads, since an
+    element ends at its first negative coordinate.
     """
+    if not root_lattice_parity(lam, mu):
+        return []
     table = sigma_table()
     parts = _lam_parts(*lam)
     a0, a1, a2 = _mu_parts(*mu)
     elements = table.elements
     if min(lam) >= 0:
         i0, i1, i2 = table.terms[0][2]  # the identity's rows, one per alpha coordinate
-        d1, d2, d3 = parts[i0] - a0, parts[i1] - a1, parts[i2] - a2
-        if d1 < 0 or d2 < 0 or d3 < 0 or (d1 | d2 | d3) & 1:
+        if parts[i0] < a0 or parts[i1] < a1 or parts[i2] < a2:
             return []
         if min(mu) >= 0:
             elements = table.terms
@@ -378,7 +402,6 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
         (idx, sign, (d1 >> 1, d2 >> 1, d3 >> 1))
         for idx, sign, (r1, r2, r3) in elements
         if (d1 := parts[r1] - a0) >= 0 and (d2 := parts[r2] - a1) >= 0 and (d3 := parts[r3] - a2) >= 0
-        and not (d1 | d2 | d3) & 1
     ]
 
 
@@ -386,11 +409,13 @@ def alternation_set(lam, mu) -> AlternationSet:
     """All sigma with kpf_q(sigma(lam+rho) - rho - mu) nonzero.
 
     Membership needs the coefficient vector to be integral and
-    coordinate-wise nonnegative.  For lam >= 0 the set is empty unless lam
-    - mu is a nonnegative integral sum of simple roots, which the identity's
-    rows alone decide; past that, a dominant pair is checked over the 17
-    elements of TERMS, the only ones that can qualify (sigma_table proves
-    both), and any other pair over all 48.
+    coordinate-wise nonnegative.  The set is empty when m + k + x + z is
+    odd, for any lam; then, for lam >= 0, it is empty when a coordinate of
+    lam - mu, the identity's, is negative, which the identity's rows alone
+    decide.  Past that, a dominant pair is checked over the 17 elements of
+    TERMS, the only ones that can qualify (sigma_table proves both bounds),
+    and any other pair over all 48.  Raises TypeError unless every
+    coordinate is an int.
     """
     return AlternationSet(frozenset(idx for idx, _sign, _v in _nonzero_terms(lam, mu)))
 
@@ -644,6 +669,7 @@ def dominant_multiplicities(lam) -> dict[tuple[int, int, int], int]:
     """m(lam, mu) for every dominant weight mu of the irreducible of highest
     weight lam, keyed by mu's fundamental-weight triple, in ascending height
     of lam - mu: one Freudenthal pass.  Requires lam dominant."""
+    _check_weights(lam)
     return {(a - b, b - c, c): m for (a, b, c), m in _freudenthal_pass(_lam_eps(lam), (0, 0, 0))}
 
 
@@ -655,6 +681,7 @@ def mult_freudenthal(lam, mu) -> int:
     reads for one of them lies higher and is one of them too.  If mu+ is
     not below lam the pass is empty and the multiplicity is 0; a mu+ in the
     other coset of the root lattice is answered 0 without walking it."""
+    _check_weights(lam, mu)
     lam_eps = _lam_eps(lam)
     mu_eps = tuple(sorted(map(abs, _fw_to_eps(mu)), reverse=True))
     if (sum(lam_eps) - sum(mu_eps)) % 2:  # lam - mu+ is in the root lattice exactly when its ambient sum is even

@@ -45,9 +45,9 @@ _PEELS = ((1, 2, 1, 1, add), (2, 2, 1, 1, add), (3, 4, 2, 2, sub))
 
 
 def _check_int(*vals):
-    # bool is a subclass of int, but True is not a coordinate
+    # exactly int: bool is a subclass of int, but True is not a coordinate
     for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if type(v) is not int:
             raise TypeError(f"alpha coordinates must be integers, got {v!r}")
 
 
@@ -67,16 +67,19 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     v = sigma(lam+rho) - rho - mu >= gamma, then v - gamma is the term of
     (lam, mu + gamma), and mu + gamma is dominant (gamma = omega2) and at
     most sigma(lam+rho) - rho <= lam; likewise for theta = 2 omega1.  A cold
-    isolated vector instead caches every nonnegative v - j theta - l gamma:
-    (210, 315, 175) leaves about 9,800 entries and peaks near 100 MB.
+    isolated vector instead caches every nonnegative v - j theta - l gamma.
 
     This cache is the only memo: cache_clear() makes every vector cold.
-    It bounds entries (maxsize 65,536), not bytes.  An entry at the height
-    bound holds 701 coefficients, each below 2**60 and so at most 32 bytes,
-    about 28 KB in all, so a full cache of such entries would hold about
-    1.9 GB; the 9,800 entries (210, 315, 175) leaves take about 85 MB.
-    Arguments must be Python ints: bool is not a coordinate, and with
-    typed=True an np.int64 would key a second entry for the same vector.
+    It bounds entries, not bytes, and maxsize 65,536 is what measured
+    traffic needs: from a cold cache, kpf_q(210, 315, 175) leaves 9,805
+    entries (peak near 100 MB), and mult_q_direct((60, 60, 60), (0, 0, 0)),
+    the m_q KPF_MAX_HEIGHT is sized for, leaves 36,421 (peak 272 MB).
+    An entry at the height bound holds 701 coefficients, each below 2**60
+    and so at most 32 bytes, about 28 KB in all, so a full cache of such
+    entries would hold about 1.9 GB.
+    Arguments must be Python ints, exactly: bool, float and numpy integers
+    raise TypeError.  The check runs on a miss, and typed=True keys 1.0 or
+    True apart from 1, so such an argument always misses.
     A nonnegative vector with m+n+k above KPF_MAX_HEIGHT raises ValueError.
     """
     _check_int(m, n, k)

@@ -122,17 +122,34 @@ def test_split_rows_equal_the_full_rows():
             assert [got[r] for r in ids] == want, (lam, mu, idx)
 
 
-def test_lam_parts_are_keyed_by_type():
-    # a float coordinate reaches the parity test as a float and raises, before
-    # and after the int entry of the same value is cached: an untyped key
-    # would hand it the int entry's values
+@pytest.mark.parametrize("bad", [float, bool, np.int64], ids=lambda t: t.__name__)
+def test_non_int_coordinates_raise_on_every_entry(bad):
+    # a coordinate that is not a Python int raises TypeError on every entry,
+    # whatever its value and wherever it stands, before and after the int
+    # pair of the same values is cached.  Every coordinate is 0 or 1, so that
+    # bool keeps the value; the pairs are even and odd, with mu below lam and
+    # above it
+    pairs = [((1, 0, 1), (0, 0, 0)), ((1, 0, 0), (0, 0, 0)), ((0, 0, 0), (1, 0, 1)), ((0, 0, 0), (0, 0, 1))]
+    assert [root_lattice_parity(lam, mu) for lam, mu in pairs] == [True, False, True, False]
+    assert [min(sigma_coeffs(weyl.IDENTITY, lam, mu).coeffs()) >= 0 for lam, mu in pairs] == [True, True, False, False]
+    entries = (alternation_set, mult_q_direct, mult_q_cases, coefficient_profile, mult_freudenthal)
     _lam_parts.cache_clear()
-    with pytest.raises(TypeError, match="float"):
-        mult_q_direct((1.0, 0, 0), (1, 0, 0))
-    assert mult_q_direct((1, 0, 0), (1, 0, 0)) == QPoly((1,))
-    with pytest.raises(TypeError, match="float"):
-        mult_q_direct((1.0, 0, 0), (1, 0, 0))
-    assert _lam_parts.cache_info().currsize == 2
+    for lam, mu in pairs:
+        for warm in (False, True):
+            if warm:
+                for entry in entries:
+                    entry(lam, mu)
+                dominant_multiplicities(lam)
+            for pos in range(6):
+                coords = [*lam, *mu]
+                coords[pos] = bad(coords[pos])
+                bad_lam, bad_mu = tuple(coords[:3]), tuple(coords[3:])
+                for entry in entries:
+                    with pytest.raises(TypeError, match="integers"):
+                        entry(bad_lam, bad_mu)
+                if pos < 3:
+                    with pytest.raises(TypeError, match="integers"):
+                        dominant_multiplicities(bad_lam)
 
 
 def test_sigma_table_and_weyl_action_are_int_only():
@@ -302,12 +319,13 @@ def _full_scan(lam, mu):
 
 def test_nonzero_terms_equal_the_full_scan(monkeypatch):
     # the dominant pairs of the box take the 17-term path and the rest the
-    # full one; both must list what the full scan lists, in its order.  A
+    # full one; both must list what the full scan lists, in its order.  Two
+    # kinds of pair end before any element is scanned, and no other pair
+    # does: every odd pair, for any lam, at the parity gate; and every even
     # pair with lam >= 0 whose lam - mu, the identity's coefficient vector,
-    # has a negative or a half-integral coordinate ends before any element is
-    # scanned, and no other pair does: the table's elements or its terms,
-    # which only the scan iterates, are iterated once for every other pair
-    # and not for it
+    # has a negative coordinate.  The table's elements or its terms, which
+    # only the scan iterates, are iterated once for every other pair and
+    # not for those
     scans = []
 
     class Counted(tuple):
@@ -329,18 +347,22 @@ def test_nonzero_terms_equal_the_full_scan(monkeypatch):
             assert _nonzero_terms(lam, mu) == want, (lam, mu)
             nonempty += bool(want)
             identity = sigma_coeffs(weyl.IDENTITY, lam, mu)
-            if min(lam) >= 0 and not (identity.is_integral() and min(identity.coeffs()) >= 0):
+            even = root_lattice_parity(lam, mu)
+            assert even == identity.is_integral(), (lam, mu)
+            if not even or (min(lam) >= 0 and min(identity.coeffs()) < 0):
                 assert len(scans) == before, (lam, mu)
-                odd_only = min(identity.coeffs()) >= 0
-                early[root_lattice_parity(lam, mu), odd_only, min(mu) >= 0] += 1
+                early[even, min(lam) >= 0, min(mu) >= 0] += 1
             else:
                 assert len(scans) == before + 1, (lam, mu)
     assert nonempty > 10_000
-    # both parities, both reasons and mu of either sign end early; an even
-    # pair has integral coordinates, so only a negative one ends it
-    reasons = {(True, False), (False, False), (False, True)}  # (even pair, no coordinate negative)
-    assert set(early) == {(*reason, nonneg) for reason in reasons for nonneg in (True, False)}
-    assert sum(early.values()) == 8_457
+    # odd pairs end early with lam and mu of either sign, even pairs only
+    # with lam >= 0, and with mu of either sign
+    signs = (True, False)
+    assert set(early) == {(False, lam_sign, mu_sign) for lam_sign in signs for mu_sign in signs} | {
+        (True, True, mu_sign) for mu_sign in signs
+    }
+    assert sum(n for (even, _l, _m), n in early.items() if not even) == 46_656 // 2
+    assert sum(early.values()) == 24_873
 
 
 def test_mult_q_direct_examples():

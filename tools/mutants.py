@@ -93,17 +93,17 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("sigma-dominance-bound-unchecked", MULT,
            "if any(c > t or (c - t) & 1 for c, t in zip(rows[r][:4], top)):", "if False:", (T_MULT,)),
     # multiplicity: the alternating sum and the case dispatch
-    Mutant("lam-parts-untyped", MULT, "@lru_cache(maxsize=1 << 10, typed=True)", "@lru_cache(maxsize=1 << 10)",
-           (T_MULT,)),
+    Mutant("weight-check-weakened", MULT,
+           "if not type(m) is type(n) is type(k) is type(x) is type(y) is type(z) is int:",
+           "if not isinstance(m + n + k + x + y + z, int):", (T_MULT,)),
     Mutant("profile-wrong-coordinate", MULT, "[part - alpha[i] for part,", "[part - alpha[i - 1] for part,", (T_MULT,)),
     Mutant("nonzero-term-at-zero", MULT, "if (d1 := parts[r1] - a0) >= 0 and", "if (d1 := parts[r1] - a0) > 0 and",
            (T_MULT,)),
-    Mutant("scan-parity-dropped", MULT, "        and not (d1 | d2 | d3) & 1\n", "", (T_MULT,)),
-    Mutant("early-out-widened", MULT, "if d1 < 0 or d2 < 0 or d3 < 0 or", "if d1 < -2 or d2 < -2 or d3 < -2 or",
-           (T_MULT,)),
-    Mutant("early-out-parity-dropped", MULT, "d3 < 0 or (d1 | d2 | d3) & 1:", "d3 < 0:", (T_MULT,)),
-    Mutant("early-out-wrong-coordinate", MULT, "parts[i0] - a0, parts[i1] - a1,", "parts[i0] - a1, parts[i1] - a0,",
-           (T_MULT,)),
+    Mutant("scan-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return []\n", "", (T_MULT,)),
+    Mutant("early-out-widened", MULT, "if parts[i0] < a0 or parts[i1] < a1 or parts[i2] < a2:",
+           "if parts[i0] < a0 - 2 or parts[i1] < a1 - 2 or parts[i2] < a2 - 2:", (T_MULT,)),
+    Mutant("early-out-wrong-coordinate", MULT, "if parts[i0] < a0 or parts[i1] < a1 or",
+           "if parts[i0] < a1 or parts[i1] < a0 or", (T_MULT,)),
     Mutant("dominant-scan-mu-widened", MULT, "min(mu) >= 0:", "min(mu) >= -2:", (T_MULT,)),
     Mutant("dominant-scan-lam-widened", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -2:", (T_MULT,)),
     Mutant("dominant-scan-lam-by-one", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -1:", (T_MULT,)),
@@ -128,8 +128,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("floor-raised", MULT, "_freudenthal_pass(_lam_eps(lam), (0, 0, 0))",
            "_freudenthal_pass(_lam_eps(lam), (1, 0, 0))", (T_MULT,)),
     # partition
-    Mutant("check-int-accepts-bool", PART, "if not isinstance(v, int) or isinstance(v, bool):",
-           "if not isinstance(v, int):", (T_PART,)),
+    Mutant("check-int-accepts-bool", PART, "if type(v) is not int:", "if type(v) not in (int, bool):", (T_PART,)),
     Mutant("stride2-parity-zero", PART, "runs2[total & 1::2] = accumulate(runs2[total & 1::2])",
            "runs2[0::2] = accumulate(runs2[0::2])", (T_PART,)),
     Mutant("f-star-unclamped", PART, "            if fs < 0:\n                fs = 0\n", "", (T_PART,)),
