@@ -16,23 +16,28 @@ sigma_table, derived once from the Weyl action.  sigma moves lam + rho
 and not mu, so each row is a lam part minus one doubled alpha coordinate
 of mu; sigma_table checks this and stores every row in that one form,
 the profile variables' rows first.  _lam_parts evaluates the lam parts of
-all 26 rows once per lam and caches them, so a weight pair costs mu's
-three doubled alpha coordinates and one subtraction per row it reads.
+all 26 rows once per lam and caches them, with each alpha coordinate's
+parts sorted: a row's sign is one bisect per alpha coordinate; the sign
+pattern is the low 14 bits.  So a weight pair costs mu's three doubled
+alpha coordinates and three bisects for one row mask, the signs of all
+26 rows (_row_mask), which the alternation set and both q-routes read;
+a coefficient is computed, by one subtraction, only where a kpf_q
+argument needs it.
 
 One gate settles parity for the whole pair (root_lattice_parity): when
 m + k + x + z is odd, lam - mu lies outside the root lattice and every
 term is zero, for any lam.  When it is even, lam - mu, the identity's
 vector, is integral, and sigma_table proves that every element's doubled
 coordinate differs from the identity's by an even amount; so past the
-gate only signs are read: a term contributes exactly when its three
-coordinates are nonnegative, and each of the 17 terms exactly when its
-three variables are.
+gate only signs are read: a term contributes exactly when its three rows'
+bits are all set in the row mask, and each of the 17 terms exactly when
+its three variables are nonnegative.
 
 sigma_table proves two bounds once.  For lam >= 0 and any mu, no
 element's coordinate exceeds the identity's; so an even pair with lam >=
 0 and a negative identity coordinate has no nonzero term, which the
-identity's three rows alone show, and no other row is read.  And the 12
-rows past the 14 profile rows are negative at every dominant pair, and
+identity's three row bits alone show, and no element is scanned.  And the
+12 rows past the 14 profile rows are negative at every dominant pair, and
 every element outside the 17 terms reads one of them, so a dominant pair
 scans only the 17 terms, which read only the 14 profile rows; any other
 pair scans all 48 elements.
@@ -48,7 +53,8 @@ Two independent evaluation routes are implemented:
   - mult_q_cases: a closed dispatch over 45 sign-pattern cases (plus a
     final zero case), each mapping to a fixed signed combination of the
     seventeen term polynomials A_q..Q_q.  case_table holds the one case
-    each sign pattern matches, if any, so the dispatch is one lookup.
+    each sign pattern matches, if any, so the dispatch is one lookup of
+    the row mask's low 14 bits.
 
 Both routes add their signed terms in one qpoly.signed_sum.
 
@@ -63,17 +69,21 @@ whole pass; mult_freudenthal walks only the dominant weights between mu's
 dominant conjugate and lam, which hold every weight the recursion reads.
 
 A sign pattern over the profile variables has one form, field_mask: the
-case dispatch here and the contradiction catalog, filter and sweep of
-census all use it.  Everything here is plain integer arithmetic, with no
-array library, except symbolic_sigma_rows, which halves the rows of
-sigma_table into exact fractions.Fraction.
+case dispatch here (the row mask's low bits), CoefficientProfile.signs()
+and the contradiction catalog, filter and sweep of census all use it.
+Everything here is plain integer arithmetic, with no array library,
+except symbolic_sigma_rows, which halves the rows of sigma_table into
+exact fractions.Fraction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, NamedTuple
 
 from . import weyl
@@ -160,26 +170,31 @@ class SigmaTable(NamedTuple):
     lam part minus the doubled i-th alpha coordinate of mu, the same mu
     part for every element.  Each row is stored once in that form,
     (cm, cn, ck, c1, i): its value at a pair is cm*m + cn*n + ck*k + c1
-    minus mu_alpha[i] . (x, y, z).  The lam part is evaluated once per lam
-    (_lam_parts), so a pair costs three dot products for alpha(mu)
-    (_mu_parts) and one subtraction per row it reads.  Elements share rows:
-    48 elements x 3 coordinates use 26 distinct rows, and the 17
-    contributing elements use 14 of them, one per profile variable.
-    rows[f] is the row of PROFILE_FIELDS[f] for f < 14; the other 12 follow,
-    each negative at every dominant pair.  sigma_table checks this, and that
-    in each coordinate every row differs from the identity's by even
-    coefficients and, at lam >= 0, is at most the identity's: parity is then
-    the pair's alone (root_lattice_parity), and a negative identity
-    coordinate ends the pair.
+    minus mu_alpha[i] . (x, y, z).  The lam part is evaluated and indexed
+    once per lam (_lam_parts), so a pair costs three dot products for
+    alpha(mu) (_mu_parts) and three bisects for the signs of all rows, its
+    row mask (_row_mask), with bit r for row r.  Elements share rows: 48
+    elements x 3 coordinates use 26 distinct rows, and the 17 contributing
+    elements use 14 of them, one per profile variable.  rows[f] is the row
+    of PROFILE_FIELDS[f] for f < 14; the other 12 follow, each negative at
+    every dominant pair.  Each element carries its row mask, the bits of its
+    three rows, so its term is nonzero at an even pair exactly when the
+    pair's row mask holds all three.  sigma_table checks that the 12 rows
+    are negative at every dominant pair; that the identity's rows are odd
+    exactly in m, k, x and z of the third; and that in each coordinate
+    every row differs from the identity's by even coefficients and, at lam
+    >= 0, is at most the identity's: parity is then the pair's alone
+    (root_lattice_parity), and a negative identity coordinate ends the pair.
     """
 
     rows: tuple[tuple[int, int, int, int, int], ...]
-    # (canonical index, sign, row ids of the three alpha coordinates)
-    elements: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    # (canonical index, sign, row ids of the three alpha coordinates, row mask:
+    # the OR of 1 << r over those three row ids)
+    elements: tuple[tuple[int, int, tuple[int, int, int], int], ...]
     # the entries of elements for the TERMS, in TERMS order (canonical order):
     # the only elements a dominant pair can admit, and the only ones whose
     # rows are all profile rows
-    terms: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    terms: tuple[tuple[int, int, tuple[int, int, int], int], ...]
     # doubled alpha coordinates of mu: row i holds the coefficients of (x, y, z)
     mu_alpha: tuple[tuple[int, int, int], ...]
 
@@ -231,7 +246,8 @@ def sigma_table() -> SigmaTable:
     order += [row for row in range(len(affine)) if row not in order]
     new_id = {row: r for r, row in enumerate(order)}
     rows = tuple((*affine[row][:3], affine[row][6], coordinate[row]) for row in order)
-    elements = tuple((idx, sign, tuple(map(new_id.__getitem__, ids))) for idx, sign, ids in elements)
+    renumbered = [tuple(map(new_id.__getitem__, ids)) for _idx, _sign, ids in elements]
+    elements = tuple((idx, sign, ids, sum(1 << r for r in ids)) for (idx, sign, _old), ids in zip(elements, renumbered))
     # The type-1 rule.  A row whose lam part has every coefficient <= 0 and a
     # negative constant is negative at every dominant pair: its mu part,
     # minus mu_alpha[i] . (x, y, z), is never positive for dominant mu, since
@@ -244,7 +260,7 @@ def sigma_table() -> SigmaTable:
     if type1 != [r >= 14 for r in range(len(rows))]:
         raise RuntimeError("the type-1 rows (lam part <= 0, constant < 0) are not exactly the rows past the profile rows")
     dominant = tuple(el for el in elements if max(el[2]) < 14)
-    if tuple(idx for idx, _sign, _ids in dominant) != terms:
+    if tuple(idx for idx, _sign, _ids, _mask in dominant) != terms:
         raise RuntimeError("the elements that read profile rows alone are not the TERMS, in order")
     # The dominance bound.  For dominant lam, lam + rho - sigma(lam + rho) is a
     # sum of positive roots with nonnegative integer coefficients, so in each
@@ -253,8 +269,17 @@ def sigma_table() -> SigmaTable:
     # the same mu part.  At lam >= 0 and any mu, every element's coordinate
     # is then at most the identity's, with its parity: where a coordinate of
     # lam - mu, the identity's, is negative or odd, no term is nonzero.
+    # The parity gate.  The identity's rows are lam - mu, doubled: its first
+    # two have even coefficients and an even constant, and its third is odd
+    # exactly in m, k, x and z, so lam - mu is integral exactly when
+    # m + k + x + z is even (root_lattice_parity); the bound below carries
+    # that parity to every element.
+    parity = [tuple(c & 1 for c in (*rows[r][:3], *mu_alpha[i], rows[r][3])) for i, r in enumerate(dominant[0][2])]
+    if parity != [(0,) * 7, (0,) * 7, (1, 0, 1, 1, 0, 1, 0)]:
+        raise RuntimeError(f"the identity's rows have parities {parity} over (m, n, k, x, y, z, 1), "
+                           "not odd exactly in m, k, x and z of the third")
     identity = [rows[r][:4] for r in dominant[0][2]]
-    for _idx, _sign, ids in elements:
+    for _idx, _sign, ids, _mask in elements:
         for top, r in zip(identity, ids):
             if any(c > t or (c - t) & 1 for c, t in zip(rows[r][:4], top)):
                 raise RuntimeError(f"row {rows[r]} lies above the identity's {top} or differs from it by an odd amount")
@@ -275,17 +300,39 @@ def symbolic_sigma_rows():
         tuple(Fraction(c, 2) for c in (cm, cn, ck, *(-c for c in table.mu_alpha[i]), c1))
         for cm, cn, ck, c1, i in table.rows
     ]
-    return tuple((group[idx], tuple(affine[r] for r in ids)) for idx, _sign, ids in table.elements)
+    return tuple((group[idx], tuple(affine[r] for r in ids)) for idx, _sign, ids, _mask in table.elements)
 
 
-# maxsize 1024: an entry is about 1.3 KB (26 ints and the key) while every
-# coordinate is below 2**30 in magnitude, so a full cache holds about 1.3 MB.
+# maxsize 1024: an entry is about 2.4 KB (the key, 26 lam parts, three
+# sorted part tuples and three suffix-mask tuples) while every coordinate is
+# below 2**30 in magnitude, so a full cache holds about 2.5 MB.
 @lru_cache(maxsize=1 << 10)
-def _lam_parts(m, n, k) -> tuple[int, ...]:
-    """The lam part cm*m + cn*n + ck*k + c1 of every row of sigma_table, by
-    row id: the half of sigma(lam+rho) - rho - mu that sigma moves.  The
-    row (cm, cn, ck, c1, i) has the value lam part minus _mu_parts(mu)[i]."""
-    return tuple(cm * m + cn * n + ck * k + c1 for cm, cn, ck, c1, _i in sigma_table().rows)
+def _lam_parts(m, n, k) -> tuple[tuple[int, ...], ...]:
+    """(parts, v0, s0, v1, s1, v2, s2): the half of sigma(lam+rho) - rho - mu
+    that sigma moves, and per alpha coordinate i the index that signs its rows.
+
+    parts[r] is the lam part cm*m + cn*n + ck*k + c1 of the row (cm, cn, ck,
+    c1, i) of sigma_table, which has the value parts[r] - _mu_parts(mu)[i].
+    vi holds the lam parts of coordinate i's rows (those with rows[r][4] ==
+    i) in ascending order, and si[j] the OR of the row-id bits 1 << r of the
+    rows at vi[j:], with si[len(vi)] = 0; so si[bisect_left(vi, a)] is the
+    mask of coordinate i's rows that are >= 0 where mu's coordinate is a.
+    The index pays only where lam repeats: an entry takes about 14 us to
+    build, against 4 us for the 26 lam parts alone, so a pair whose lam is
+    not cached pays about 10 us more than with the parts alone (2-core
+    Xeon VM, Python 3.11), about two thirds of a cached pair's three routes.
+    """
+    rows = sigma_table().rows
+    parts = tuple(cm * m + cn * n + ck * k + c1 for cm, cn, ck, c1, _i in rows)
+    values, bits = ([], [], []), ([], [], [])
+    for part, r in sorted(zip(parts, range(len(rows)))):
+        i = rows[r][4]
+        values[i].append(part)
+        bits[i].append(1 << r)
+    index = []
+    for v, b in zip(values, bits):
+        index += tuple(v), tuple(accumulate(reversed(b), or_, initial=0))[::-1]
+    return (parts, *index)
 
 
 def _mu_parts(x, y, z) -> tuple[int, int, int]:
@@ -293,6 +340,18 @@ def _mu_parts(x, y, z) -> tuple[int, int, int]:
     half of sigma(lam+rho) - rho - mu, the same for every element."""
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = sigma_table().mu_alpha
     return c00 * x + c01 * y + c02 * z, c10 * x + c11 * y + c12 * z, c20 * x + c21 * y + c22 * z
+
+
+def _row_mask(lam, mu) -> tuple[int, tuple[int, ...], tuple[int, int, int]]:
+    """(ok, lam parts, mu parts) at a weight pair: bit r of ok is set exactly
+    when row r of sigma_table is >= 0 there, read from _lam_parts' index at
+    mu's three doubled alpha coordinates.  Rows 0..13 are the profile
+    variables in PROFILE_FIELDS order, so ok & 0x3FFF is the field_mask of
+    the variables that are >= 0.
+    """
+    parts, v0, s0, v1, s1, v2, s2 = _lam_parts(*lam)
+    alpha = a0, a1, a2 = _mu_parts(*mu)
+    return s0[bisect_left(v0, a0)] | s1[bisect_left(v1, a1)] | s2[bisect_left(v2, a2)], parts, alpha
 
 
 class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELDS])):
@@ -318,7 +377,7 @@ def coefficient_profile(lam, mu) -> CoefficientProfile:
     _check_weights(lam, mu)
     alpha = _mu_parts(*mu)
     return CoefficientProfile._make(
-        [part - alpha[i] for part, (_cm, _cn, _ck, _c1, i) in zip(_lam_parts(*lam), sigma_table().rows[:14])]
+        [part - alpha[i] for part, (_cm, _cn, _ck, _c1, i) in zip(_lam_parts(*lam)[0], sigma_table().rows[:14])]
     )
 
 
@@ -326,7 +385,7 @@ def coefficient_profile(lam, mu) -> CoefficientProfile:
 def _term_chunks() -> tuple[tuple[frozenset[int], ...], ...]:
     """Canonical indices of the TERMS each 6-bit chunk of a term mask names:
     entry [c][v] holds those of the set bits of v at positions 6c..6c+5."""
-    terms = [idx for idx, _sign, _ids in sigma_table().terms]
+    terms = [idx for idx, _sign, _ids, _mask in sigma_table().terms]
     return tuple(
         tuple(frozenset(terms[c + j] for j in range(6) if v >> j & 1 and c + j < len(terms)) for v in range(64))
         for c in range(0, len(terms), 6)
@@ -369,39 +428,53 @@ class AlternationSet:
         return self.names()
 
 
-def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
-    """(canonical index, sign, alpha triple) of every sigma whose term is nonzero.
+_NO_CANDIDATES = (0, (), (), (0, 0, 0))
+
+
+def _candidates(lam, mu):
+    """(ok, elements, lam parts, mu parts): the row mask of the pair and the
+    elements that can have a nonzero term, the one front of _nonzero_terms
+    and alternation_set.
 
     A term is nonzero exactly when its coefficient vector is integral and
     coordinate-wise nonnegative.  One gate decides integrality for every
-    element: an odd pair (root_lattice_parity) has no nonzero term, for any
+    element: an odd pair (root_lattice_parity) has no candidate, for any
     lam, and at an even pair every doubled coordinate is even (sigma_table),
-    so past the gate only signs are tested.  For lam >= 0 the identity's
-    three rows, lam - mu, come next: sigma_table proves that no element's
-    coordinate exceeds the identity's, so if one of them is negative, no
-    term is nonzero.  Otherwise a dominant pair scans only the 17 TERMS
+    so past the gate only signs are read, from the row mask (_row_mask).
+    For lam >= 0 the identity's three rows, lam - mu, come next:
+    sigma_table proves that no element's coordinate exceeds the identity's,
+    so if one of those three bits is missing from the mask, there is no
+    candidate.  Otherwise a dominant pair's candidates are the 17 TERMS
     elements, the only ones sigma_table proves it can admit, and any other
-    pair all 48.  A row's value is its lam part, cached per lam by
-    _lam_parts, minus one of mu's three doubled alpha coordinates, computed
-    once per call; the scan subtracts only for the rows it reads, since an
-    element ends at its first negative coordinate.
+    pair's all 48.  An element is nonzero exactly when its row mask m has
+    ok & m == m.
     """
     if not root_lattice_parity(lam, mu):
-        return []
+        return _NO_CANDIDATES
     table = sigma_table()
-    parts = _lam_parts(*lam)
-    a0, a1, a2 = _mu_parts(*mu)
-    elements = table.elements
+    ok, parts, alpha = _row_mask(lam, mu)
     if min(lam) >= 0:
-        i0, i1, i2 = table.terms[0][2]  # the identity's rows, one per alpha coordinate
-        if parts[i0] < a0 or parts[i1] < a1 or parts[i2] < a2:
-            return []
+        identity = table.terms[0][3]  # the identity's three rows, one per alpha coordinate
+        if ok & identity != identity:
+            return _NO_CANDIDATES
         if min(mu) >= 0:
-            elements = table.terms
+            return ok, table.terms, parts, alpha
+    return ok, table.elements, parts, alpha
+
+
+def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
+    """(canonical index, sign, alpha triple) of every sigma whose term is nonzero.
+
+    The candidates and the row mask come from _candidates; a coefficient
+    vector is computed only for an element whose three row bits are all
+    set, from the cached lam parts minus mu's three doubled alpha
+    coordinates, halved.
+    """
+    ok, elements, parts, (a0, a1, a2) = _candidates(lam, mu)
     return [
-        (idx, sign, (d1 >> 1, d2 >> 1, d3 >> 1))
-        for idx, sign, (r1, r2, r3) in elements
-        if (d1 := parts[r1] - a0) >= 0 and (d2 := parts[r2] - a1) >= 0 and (d3 := parts[r3] - a2) >= 0
+        (idx, sign, ((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1, (parts[r2] - a2) >> 1))
+        for idx, sign, (r0, r1, r2), m in elements
+        if ok & m == m
     ]
 
 
@@ -414,10 +487,12 @@ def alternation_set(lam, mu) -> AlternationSet:
     lam - mu, the identity's, is negative, which the identity's rows alone
     decide.  Past that, a dominant pair is checked over the 17 elements of
     TERMS, the only ones that can qualify (sigma_table proves both bounds),
-    and any other pair over all 48.  Raises TypeError unless every
-    coordinate is an int.
+    and any other pair over all 48: each element by its three bits of the
+    pair's row mask, with no coefficient vector built (_candidates).
+    Raises TypeError unless every coordinate is an int.
     """
-    return AlternationSet(frozenset(idx for idx, _sign, _v in _nonzero_terms(lam, mu)))
+    ok, elements, _parts, _alpha = _candidates(lam, mu)
+    return AlternationSet(frozenset([idx for idx, _sign, _ids, m in elements if ok & m == m]))
 
 
 def mult_q_direct(lam, mu) -> QPoly:
@@ -544,15 +619,19 @@ def mult_q_cases(lam, mu) -> QPoly:
     the defining alternating sum (the two agree on every dominant pair,
     which the acceptance suite checks exhaustively).  There is no
     early-out: a zero pair is settled by the case table, apart from
-    mult_q_direct's route.
+    mult_q_direct's route.  The sign pattern is the low 14 bits of the row
+    mask (_row_mask), and only the matched case's slots are evaluated: a
+    slot is a term's three profile rows, one per alpha coordinate in order
+    (sigma_table numbers them so), each its lam part minus mu's doubled
+    coordinate, halved.
     """
     if not root_lattice_parity(lam, mu):
         return QPoly()
-    profile = coefficient_profile(lam, mu)
-    number, _letters = match_case(profile)
+    ok, parts, (a0, a1, a2) = _row_mask(lam, mu)
     # even under the parity condition, so halving is exact
     return signed_sum(
-        (sign, kpf_q(profile[u] >> 1, profile[v] >> 1, profile[w] >> 1)) for sign, (u, v, w) in _CASE_SLOTS[number]
+        (sign, kpf_q((parts[u] - a0) >> 1, (parts[v] - a1) >> 1, (parts[w] - a2) >> 1))
+        for sign, (u, v, w) in _CASE_SLOTS[case_table()[ok & 0x3FFF]]
     )
 
 

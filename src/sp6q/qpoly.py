@@ -23,7 +23,10 @@ class QPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        c = tuple(self.coeffs)
+        c = self.coeffs
+        if type(c) is tuple and (not c or c[-1] != 0):
+            return  # already trimmed: keep it as it is
+        c = tuple(c)
         end = len(c)
         while end and c[end - 1] == 0:
             end -= 1

@@ -28,6 +28,7 @@ from sp6q.multiplicity import (
     _lam_parts,
     _mu_parts,
     _nonzero_terms,
+    _row_mask,
     alternation_set,
     case_table,
     coefficient_profile,
@@ -80,24 +81,28 @@ def test_symbolic_rows_match_fixture():
 
 def test_sigma_table_shares_rows():
     # 26 distinct rows serve all 48 elements; the 17 terms use exactly the
-    # 14 profile rows, rows[:14], one per variable in PROFILE_FIELDS order
+    # 14 profile rows, rows[:14], one per variable in PROFILE_FIELDS order;
+    # each element's row mask has the bits of its three rows, one per
+    # alpha coordinate
     table = sigma_table()
     assert len(table.rows) == 26
     assert table.terms == tuple(table.elements[weyl.canonical_index(weyl.evaluate_word(t.word))] for t in TERMS)
-    for term, (_idx, _sign, ids) in zip(TERMS, table.terms):
+    for term, (_idx, _sign, ids, _mask) in zip(TERMS, table.terms):
         assert ids == _TERM_SLOTS[term.letter][1], term.letter
-    assert {r for _idx, _sign, ids in table.terms for r in ids} == set(range(14))
-    assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
+    assert {r for _idx, _sign, ids, _mask in table.terms for r in ids} == set(range(14))
+    for _idx, _sign, ids, mask in table.elements:
+        assert [table.rows[r][4] for r in ids] == [0, 1, 2]
+        assert mask == (1 << ids[0]) + (1 << ids[1]) + (1 << ids[2])
+    assert [sign for _idx, sign, _ids, _mask in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
 
 
 def _rows_at(lam, mu):
     # every row of sigma_table at the pair, straight from its stored form:
     # cm*m + cn*n + ck*k + c1 minus mu_alpha[i] . (x, y, z)
     table = sigma_table()
-    return [
-        cm * lam[0] + cn * lam[1] + ck * lam[2] + c1 - sum(c * v for c, v in zip(table.mu_alpha[i], mu))
-        for cm, cn, ck, c1, i in table.rows
-    ]
+    (m, n, k), (x, y, z) = lam, mu
+    alpha = [cx * x + cy * y + cz * z for cx, cy, cz in table.mu_alpha]
+    return [cm * m + cn * n + ck * k + c1 - alpha[i] for cm, cn, ck, c1, i in table.rows]
 
 
 def test_split_rows_equal_the_full_rows():
@@ -112,14 +117,35 @@ def test_split_rows_equal_the_full_rows():
     pairs += [(tuple(rng.randint(-6, 8) for _ in range(3)), tuple(rng.randint(-6, 8) for _ in range(3))) for _ in range(200)]
     assert {(lam[0] + lam[2] + mu[0] + mu[2]) % 2 for lam, mu in pairs} == {0, 1}
     for lam, mu in pairs:
-        parts, alpha = _lam_parts(*lam), _mu_parts(*mu)
-        assert (_lam_parts(*WeightFW(*lam)), _mu_parts(*WeightFW(*mu))) == (parts, alpha), (lam, mu)
+        parts, alpha = _lam_parts(*lam)[0], _mu_parts(*mu)
+        assert (_lam_parts(*WeightFW(*lam)), _mu_parts(*WeightFW(*mu))) == (_lam_parts(*lam), alpha), (lam, mu)
         got = [part - alpha[i] for part, (*_lam, i) in zip(parts, table.rows)]
         assert got == _rows_at(lam, mu), (lam, mu)
         assert coefficient_profile(WeightFW(*lam), WeightFW(*mu)) == coefficient_profile(lam, mu) == tuple(got[:14])
-        for idx, _sign, ids in table.elements:
+        for idx, _sign, ids, _mask in table.elements:
             want = [2 * sum(c * v for c, v in zip(row, (*lam, *mu, 1))) for row in fixture[weyl.name(group[idx])]]
             assert [got[r] for r in ids] == want, (lam, mu, idx)
+
+
+BOX = list(itertools.product(range(-3, 5), repeat=3))  # [-3, 4]^3: weights of either sign
+
+
+def test_row_mask_signs_every_row():
+    # bit r of the row mask, three bisects into the cached index, is set
+    # exactly when row r read straight from its stored form is >= 0, for all
+    # 26 rows at every pair of [-3, 4]^6, either parity
+    for lam in BOX:
+        for mu in BOX:
+            want = sum(1 << r for r, value in enumerate(_rows_at(lam, mu)) if value >= 0)
+            assert _row_mask(lam, mu)[0] == want, (lam, mu)
+
+
+def test_row_mask_low_bits_are_the_profile_signs():
+    # the low 14 bits of the row mask are the field_mask sign pattern that
+    # CoefficientProfile.signs() reads off the profile, at every pair of [-3, 4]^6
+    for lam in BOX:
+        for mu in BOX:
+            assert coefficient_profile(lam, mu).signs() == _row_mask(lam, mu)[0] & (1 << 14) - 1, (lam, mu)
 
 
 @pytest.mark.parametrize("bad", [float, bool, np.int64], ids=lambda t: t.__name__)
@@ -202,10 +228,20 @@ def _row_above_the_identity(rows, elements):
     return tuple(row[:6] + (2,) if r == g else row for r, row in enumerate(rows)), elements
 
 
+def _identity_constant_odd(rows, elements):
+    # the identity's coordinate-3 row, profile variable j, gets the constant
+    # 1: lam - mu would then be integral at odd m + k + x + z, against the
+    # parity gate; j stays a profile row and below no other row, so only the
+    # parity guard catches it
+    j = elements[0][2][2]
+    return tuple(row[:6] + (row[6] + 1,) if r == j else row for r, row in enumerate(rows)), elements
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_positive_constant, "rows past the profile rows"),
     (_excluded_reads_profile_rows, "not the TERMS"),
     (_row_above_the_identity, "above the identity"),
+    (_identity_constant_odd, "not odd exactly in m, k, x and z"),
 ])
 def test_sigma_table_rejects_a_broken_type1_rule(monkeypatch, corrupt, message):
     derive = multiplicity._affine_rows
@@ -310,7 +346,7 @@ def _full_scan(lam, mu):
     table = sigma_table()
     doubled = _rows_at(lam, mu)
     out = []
-    for idx, sign, ids in table.elements:
+    for idx, sign, ids, _mask in table.elements:
         values = [doubled[r] for r in ids]
         if all(d >= 0 and d % 2 == 0 for d in values):
             out.append((idx, sign, tuple(d // 2 for d in values)))
@@ -319,13 +355,16 @@ def _full_scan(lam, mu):
 
 def test_nonzero_terms_equal_the_full_scan(monkeypatch):
     # the dominant pairs of the box take the 17-term path and the rest the
-    # full one; both must list what the full scan lists, in its order.  Two
-    # kinds of pair end before any element is scanned, and no other pair
-    # does: every odd pair, for any lam, at the parity gate; and every even
-    # pair with lam >= 0 whose lam - mu, the identity's coefficient vector,
-    # has a negative coordinate.  The table's elements or its terms, which
-    # only the scan iterates, are iterated once for every other pair and
-    # not for those
+    # full one; both must list what the full scan lists, in its order, and
+    # alternation_set its indices.  Two kinds of pair end before any element
+    # is scanned, and no other pair does: every odd pair, for any lam, at
+    # the parity gate; and every even pair with lam >= 0 whose lam - mu, the
+    # identity's coefficient vector, has a negative coordinate, a missing
+    # identity row bit in the row mask.  A scan is one iteration of the
+    # candidates _candidates returns, the table's elements or its terms,
+    # which _nonzero_terms and alternation_set iterate to test each
+    # element's row mask against the pair's; so both together iterate them
+    # twice for every other pair and not at all for those
     scans = []
 
     class Counted(tuple):
@@ -345,6 +384,7 @@ def test_nonzero_terms_equal_the_full_scan(monkeypatch):
             want = _full_scan(lam, mu)
             before = len(scans)
             assert _nonzero_terms(lam, mu) == want, (lam, mu)
+            assert alternation_set(lam, mu).indices == {idx for idx, _sign, _v in want}, (lam, mu)
             nonempty += bool(want)
             identity = sigma_coeffs(weyl.IDENTITY, lam, mu)
             even = root_lattice_parity(lam, mu)
@@ -353,7 +393,7 @@ def test_nonzero_terms_equal_the_full_scan(monkeypatch):
                 assert len(scans) == before, (lam, mu)
                 early[even, min(lam) >= 0, min(mu) >= 0] += 1
             else:
-                assert len(scans) == before + 1, (lam, mu)
+                assert len(scans) == before + 2, (lam, mu)
     assert nonempty > 10_000
     # odd pairs end early with lam and mu of either sign, even pairs only
     # with lam >= 0, and with mu of either sign

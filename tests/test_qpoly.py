@@ -43,6 +43,20 @@ def test_normal_form():
     assert QPoly((0, 1, 0, 0)) == QPoly((0, 1))
 
 
+def test_trimmed_tuple_is_kept_and_other_input_is_trimmed():
+    # a tuple that is empty or ends in a nonzero is stored as it is; any other
+    # input is made a tuple and trimmed, and equality and hashing see only
+    # the trimmed coefficients
+    trimmed = (0, 1, 0, 2)
+    assert QPoly(trimmed).coeffs is trimmed
+    assert QPoly(()).coeffs == ()
+    assert QPoly([0, 1, 0, 2, 0]).coeffs == trimmed
+    assert QPoly(iter((0, 1, 0, 2))).coeffs == trimmed
+    assert QPoly((0, 1, 0, 2, 0, 0)) == QPoly(trimmed) == QPoly([0, 1, 0, 2])
+    assert len({QPoly(trimmed), QPoly((0, 1, 0, 2, 0)), QPoly(list(trimmed))}) == 1
+    assert type(QPoly([3]).coeffs) is tuple
+
+
 def test_str_rendering():
     assert str(QPoly()) == "0"
     assert str(QPoly((1,))) == "1"

@@ -88,27 +88,36 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("sigma-mu-alpha-sign-unchecked", MULT, "if min(c for row in mu_alpha for c in row) < 0:", "if False:",
            (T_MULT,)),
     Mutant("sigma-type1-rows-unchecked", MULT, "    if type1 != [", "    if False and type1 != [", (T_MULT,)),
-    Mutant("sigma-terms-unchecked", MULT, "if tuple(idx for idx, _sign, _ids in dominant) != terms:", "if False:",
-           (T_MULT,)),
+    Mutant("sigma-terms-unchecked", MULT, "if tuple(idx for idx, _sign, _ids, _mask in dominant) != terms:",
+           "if False:", (T_MULT,)),
+    Mutant("sigma-identity-parity-unchecked", MULT, "    if parity != [", "    if False and parity != [", (T_MULT,)),
     Mutant("sigma-dominance-bound-unchecked", MULT,
            "if any(c > t or (c - t) & 1 for c, t in zip(rows[r][:4], top)):", "if False:", (T_MULT,)),
-    # multiplicity: the alternating sum and the case dispatch
+    # multiplicity: the weight check and the coefficient profile
     Mutant("weight-check-weakened", MULT,
            "if not type(m) is type(n) is type(k) is type(x) is type(y) is type(z) is int:",
            "if not isinstance(m + n + k + x + y + z, int):", (T_MULT,)),
     Mutant("profile-wrong-coordinate", MULT, "[part - alpha[i] for part,", "[part - alpha[i - 1] for part,", (T_MULT,)),
-    Mutant("nonzero-term-at-zero", MULT, "if (d1 := parts[r1] - a0) >= 0 and", "if (d1 := parts[r1] - a0) > 0 and",
+    # multiplicity: the per-lam index and the row mask
+    Mutant("row-mask-bisect-right", MULT, "s0[bisect_left(v0, a0)]", "s0[__import__('bisect').bisect_right(v0, a0)]",
            (T_MULT,)),
-    Mutant("scan-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return []\n", "", (T_MULT,)),
-    Mutant("early-out-widened", MULT, "if parts[i0] < a0 or parts[i1] < a1 or parts[i2] < a2:",
-           "if parts[i0] < a0 - 2 or parts[i1] < a1 - 2 or parts[i2] < a2 - 2:", (T_MULT,)),
-    Mutant("early-out-wrong-coordinate", MULT, "if parts[i0] < a0 or parts[i1] < a1 or",
-           "if parts[i0] < a1 or parts[i1] < a0 or", (T_MULT,)),
+    Mutant("nonzero-term-at-zero", MULT, "s1[bisect_left(v1, a1)]", "s1[bisect_left(v1, a1 + 1)]", (T_MULT,)),
+    Mutant("suffix-mask-off-by-one", MULT, "initial=0))[::-1]", "initial=0))[::-1][1:] + (0,)", (T_MULT,)),
+    Mutant("element-mask-missing-row", MULT, "sum(1 << r for r in ids)", "sum(1 << r for r in ids[:2])", (T_MULT,)),
+    # multiplicity: the alternating sum and the case dispatch
+    Mutant("scan-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return _NO_CANDIDATES\n", "",
+           (T_MULT,)),
+    Mutant("early-out-widened", MULT, "if ok & identity != identity:", "if not ok & identity:", (T_MULT,)),
+    Mutant("early-out-wrong-coordinate", MULT, "identity = table.terms[0][3]", "identity = table.terms[1][3]",
+           (T_MULT,)),
     Mutant("dominant-scan-mu-widened", MULT, "min(mu) >= 0:", "min(mu) >= -2:", (T_MULT,)),
     Mutant("dominant-scan-lam-widened", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -2:", (T_MULT,)),
     Mutant("dominant-scan-lam-by-one", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -1:", (T_MULT,)),
     Mutant("cases-parity-unchecked", MULT, "    if not root_lattice_parity(lam, mu):\n        return QPoly()\n", "",
            (T_MULT,)),
+    Mutant("sign-pattern-13-bits", MULT, "case_table()[ok & 0x3FFF]", "case_table()[ok & 0x1FFF]", (T_MULT,)),
+    Mutant("cases-slot-wrong-coordinate", MULT, "kpf_q((parts[u] - a0) >> 1, (parts[v] - a1) >> 1,",
+           "kpf_q((parts[u] - a1) >> 1, (parts[v] - a0) >> 1,", (T_MULT,)),
     Mutant("case-table-skips-sub-0", MULT,
            "                table[nonneg | sub] = number\n                if not sub:\n                    break\n",
            "                if not sub:\n                    break\n                table[nonneg | sub] = number\n",
@@ -139,6 +148,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("peel-guard", PART, "if m >= dm and", "if m > dm and", (T_PART,)),
     # qpoly
     Mutant("qpoly-not-normalised", QPOLY, "        while end and c[end - 1] == 0:\n            end -= 1\n", "", (T_QPOLY,)),
+    Mutant("qpoly-keeps-a-trailing-zero", QPOLY, "c[-1] != 0)", "c[-1] is not None)", (T_QPOLY,)),
     Mutant("signed-sum-any-sign", QPOLY, "op = _SIGNED.get(s)", "op = _SIGNED.get(s, add)", (T_QPOLY,)),
     Mutant("signed-sum-copies-a-negative-first-term", QPOLY, "if not out and op is add:", "if not out:", (T_QPOLY,)),
     # weyl
