@@ -246,7 +246,7 @@ def type1_excluded() -> list[weyl.WeylElement]:
     every dominant pair; sigma_table proves this rule once, when it builds
     the table.
     """
-    contributing = {idx for idx, _sign, _ids, _mask in sigma_table().terms}
+    contributing = {idx for idx, _sign, _ids in sigma_table().terms}
     return [el for idx, el in enumerate(weyl.enumerate_group()) if idx not in contributing]
 
 

@@ -17,30 +17,30 @@ and not mu, so each row is a lam part minus one doubled alpha coordinate
 of mu; sigma_table checks this and stores every row in that one form,
 the profile variables' rows first.  _lam_parts evaluates the lam parts of
 all 26 rows once per lam and caches them, with each alpha coordinate's
-parts sorted: a row's sign is one bisect per alpha coordinate; the sign
-pattern is the low 14 bits.  So a weight pair costs mu's three doubled
-alpha coordinates and three bisects for one row mask, the signs of all
-26 rows (_row_mask), which the alternation set and both q-routes read;
-a coefficient is computed, by one subtraction, only where a kpf_q
-argument needs it.
+parts sorted: a row's sign is one bisect per alpha coordinate.  So a
+weight pair costs mu's three doubled alpha coordinates and three bisects
+for one row mask (_row_mask): bit r is set when row r is >= 0, so the
+sign pattern is the low 14 bits, and bit 26 + idx when all three rows of
+element idx are.  The alternation set and both q-routes read it; a
+coefficient is computed, by one subtraction, only where a kpf_q argument
+needs it.
 
 One gate settles parity for the whole pair (root_lattice_parity): when
 m + k + x + z is odd, lam - mu lies outside the root lattice and every
 term is zero, for any lam.  When it is even, lam - mu, the identity's
 vector, is integral, and sigma_table proves that every element's doubled
 coordinate differs from the identity's by an even amount; so past the
-gate only signs are read: a term contributes exactly when its three rows'
-bits are all set in the row mask, and each of the 17 terms exactly when
-its three variables are nonnegative.
+gate only signs are read: the nonzero terms are exactly the elements
+whose bits are set in the row mask, and each of the 17 terms is nonzero
+exactly when its three variables are nonnegative.
 
-sigma_table proves two bounds once.  For lam >= 0 and any mu, no
-element's coordinate exceeds the identity's; so an even pair with lam >=
-0 and a negative identity coordinate has no nonzero term, which the
-identity's three row bits alone show, and no element is scanned.  And the
-12 rows past the 14 profile rows are negative at every dominant pair, and
-every element outside the 17 terms reads one of them, so a dominant pair
-scans only the 17 terms, which read only the 14 profile rows; any other
-pair scans all 48 elements.
+sigma_table also proves two bounds, which the row mask applies with no
+code of its own.  For lam >= 0 and any mu, no element's coordinate
+exceeds the identity's, so where a coordinate of lam - mu is negative no
+element is admitted.  And the 12 rows past the 14 profile rows are
+negative at every dominant pair, and every element outside the 17 terms
+reads one of them, so a dominant pair admits only TERMS elements, whose
+rows are the profile rows: the case dispatch and the census rest on this.
 
 A weight is a triple of Python ints: alternation_set, mult_q_direct,
 mult_q_cases, coefficient_profile and the Freudenthal route raise
@@ -172,29 +172,28 @@ class SigmaTable(NamedTuple):
     (cm, cn, ck, c1, i): its value at a pair is cm*m + cn*n + ck*k + c1
     minus mu_alpha[i] . (x, y, z).  The lam part is evaluated and indexed
     once per lam (_lam_parts), so a pair costs three dot products for
-    alpha(mu) (_mu_parts) and three bisects for the signs of all rows, its
-    row mask (_row_mask), with bit r for row r.  Elements share rows: 48
-    elements x 3 coordinates use 26 distinct rows, and the 17 contributing
-    elements use 14 of them, one per profile variable.  rows[f] is the row
-    of PROFILE_FIELDS[f] for f < 14; the other 12 follow, each negative at
-    every dominant pair.  Each element carries its row mask, the bits of its
-    three rows, so its term is nonzero at an even pair exactly when the
-    pair's row mask holds all three.  sigma_table checks that the 12 rows
-    are negative at every dominant pair; that the identity's rows are odd
-    exactly in m, k, x and z of the third; and that in each coordinate
-    every row differs from the identity's by even coefficients and, at lam
-    >= 0, is at most the identity's: parity is then the pair's alone
-    (root_lattice_parity), and a negative identity coordinate ends the pair.
+    alpha(mu) (_mu_parts) and three bisects for its row mask (_row_mask):
+    bit r for row r >= 0, and bit 26 + idx for element idx, whose term is
+    nonzero at an even pair exactly when its three rows are >= 0.  Elements
+    share rows: 48 elements x 3 coordinates use 26 distinct rows, and the
+    17 contributing elements use 14 of them, one per profile variable.
+    rows[f] is the row of PROFILE_FIELDS[f] for f < 14; the other 12
+    follow, each negative at every dominant pair.  sigma_table checks that
+    the 12 rows are negative at every dominant pair; that the identity's
+    rows are odd exactly in m, k, x and z of the third; and that in each
+    coordinate every row differs from the identity's by even coefficients
+    and, at lam >= 0, is at most the identity's: parity is then the pair's
+    alone (root_lattice_parity), and signs alone decide the rest.
     """
 
     rows: tuple[tuple[int, int, int, int, int], ...]
-    # (canonical index, sign, row ids of the three alpha coordinates, row mask:
-    # the OR of 1 << r over those three row ids)
-    elements: tuple[tuple[int, int, tuple[int, int, int], int], ...]
+    # (canonical index, sign, row ids of the three alpha coordinates); the
+    # index equals the position, so bit 26 + idx of a row mask is elements[idx]
+    elements: tuple[tuple[int, int, tuple[int, int, int]], ...]
     # the entries of elements for the TERMS, in TERMS order (canonical order):
     # the only elements a dominant pair can admit, and the only ones whose
     # rows are all profile rows
-    terms: tuple[tuple[int, int, tuple[int, int, int], int], ...]
+    terms: tuple[tuple[int, int, tuple[int, int, int]], ...]
     # doubled alpha coordinates of mu: row i holds the coefficients of (x, y, z)
     mu_alpha: tuple[tuple[int, int, int], ...]
 
@@ -247,7 +246,7 @@ def sigma_table() -> SigmaTable:
     new_id = {row: r for r, row in enumerate(order)}
     rows = tuple((*affine[row][:3], affine[row][6], coordinate[row]) for row in order)
     renumbered = [tuple(map(new_id.__getitem__, ids)) for _idx, _sign, ids in elements]
-    elements = tuple((idx, sign, ids, sum(1 << r for r in ids)) for (idx, sign, _old), ids in zip(elements, renumbered))
+    elements = tuple((idx, sign, ids) for (idx, sign, _old), ids in zip(elements, renumbered))
     # The type-1 rule.  A row whose lam part has every coefficient <= 0 and a
     # negative constant is negative at every dominant pair: its mu part,
     # minus mu_alpha[i] . (x, y, z), is never positive for dominant mu, since
@@ -260,7 +259,7 @@ def sigma_table() -> SigmaTable:
     if type1 != [r >= 14 for r in range(len(rows))]:
         raise RuntimeError("the type-1 rows (lam part <= 0, constant < 0) are not exactly the rows past the profile rows")
     dominant = tuple(el for el in elements if max(el[2]) < 14)
-    if tuple(idx for idx, _sign, _ids, _mask in dominant) != terms:
+    if tuple(idx for idx, _sign, _ids in dominant) != terms:
         raise RuntimeError("the elements that read profile rows alone are not the TERMS, in order")
     # The dominance bound.  For dominant lam, lam + rho - sigma(lam + rho) is a
     # sum of positive roots with nonnegative integer coefficients, so in each
@@ -279,7 +278,7 @@ def sigma_table() -> SigmaTable:
         raise RuntimeError(f"the identity's rows have parities {parity} over (m, n, k, x, y, z, 1), "
                            "not odd exactly in m, k, x and z of the third")
     identity = [rows[r][:4] for r in dominant[0][2]]
-    for _idx, _sign, ids, _mask in elements:
+    for _idx, _sign, ids in elements:
         for top, r in zip(identity, ids):
             if any(c > t or (c - t) & 1 for c, t in zip(rows[r][:4], top)):
                 raise RuntimeError(f"row {rows[r]} lies above the identity's {top} or differs from it by an odd amount")
@@ -300,38 +299,51 @@ def symbolic_sigma_rows():
         tuple(Fraction(c, 2) for c in (cm, cn, ck, *(-c for c in table.mu_alpha[i]), c1))
         for cm, cn, ck, c1, i in table.rows
     ]
-    return tuple((group[idx], tuple(affine[r] for r in ids)) for idx, _sign, ids, _mask in table.elements)
+    return tuple((group[idx], tuple(affine[r] for r in ids)) for idx, _sign, ids in table.elements)
 
 
-# maxsize 1024: an entry is about 2.4 KB (the key, 26 lam parts, three
-# sorted part tuples and three suffix-mask tuples) while every coordinate is
-# below 2**30 in magnitude, so a full cache holds about 2.5 MB.
+# maxsize 1024: an entry is 2.7 to 3.0 KB (the key, 26 lam parts, three
+# sorted part tuples and three prefix-mask tuples of 74-bit ints) while
+# every coordinate is below 2**30 in magnitude, so a full cache holds
+# about 3 MB.
 @lru_cache(maxsize=1 << 10)
 def _lam_parts(m, n, k) -> tuple[tuple[int, ...], ...]:
-    """(parts, v0, s0, v1, s1, v2, s2): the half of sigma(lam+rho) - rho - mu
-    that sigma moves, and per alpha coordinate i the index that signs its rows.
+    """(parts, v0, n0, v1, n1, v2, n2): the half of sigma(lam+rho) - rho - mu
+    that sigma moves, and per alpha coordinate i the index that signs its
+    rows and the elements that read them.
 
     parts[r] is the lam part cm*m + cn*n + ck*k + c1 of the row (cm, cn, ck,
     c1, i) of sigma_table, which has the value parts[r] - _mu_parts(mu)[i].
     vi holds the lam parts of coordinate i's rows (those with rows[r][4] ==
-    i) in ascending order, and si[j] the OR of the row-id bits 1 << r of the
-    rows at vi[j:], with si[len(vi)] = 0; so si[bisect_left(vi, a)] is the
-    mask of coordinate i's rows that are >= 0 where mu's coordinate is a.
-    The index pays only where lam repeats: an entry takes about 14 us to
-    build, against 4 us for the 26 lam parts alone, so a pair whose lam is
-    not cached pays about 10 us more than with the parts alone (2-core
-    Xeon VM, Python 3.11), about two thirds of a cached pair's three routes.
+    i) in ascending order, and ni[j] the OR, over the rows r at vi[:j], of
+    readers[r]: the row bit 1 << r and the bit 1 << (26 + idx) of every
+    element idx whose coordinate-i row is r.  So ni[bisect_left(vi, a)]
+    marks coordinate i's rows that are negative where mu's coordinate is a,
+    and every element that reads one of them.  Each row belongs to one
+    coordinate, and an element is out if any one of its rows is negative,
+    so the OR over the three coordinates marks exactly the negative rows
+    and the elements that are out.
+    The index pays only where lam repeats: an entry takes about 33 us to
+    build, half of it readers, against 4 us for the 26 lam parts alone
+    (2-core Xeon VM, Python 3.11).
     """
-    rows = sigma_table().rows
+    table = sigma_table()
+    rows = table.rows
     parts = tuple(cm * m + cn * n + ck * k + c1 for cm, cn, ck, c1, _i in rows)
+    readers = [1 << r for r in range(len(rows))]
+    for idx, _sign, (r0, r1, r2) in table.elements:
+        bit = 1 << (26 + idx)
+        readers[r0] |= bit
+        readers[r1] |= bit
+        readers[r2] |= bit
     values, bits = ([], [], []), ([], [], [])
     for part, r in sorted(zip(parts, range(len(rows)))):
         i = rows[r][4]
         values[i].append(part)
-        bits[i].append(1 << r)
+        bits[i].append(readers[r])
     index = []
     for v, b in zip(values, bits):
-        index += tuple(v), tuple(accumulate(reversed(b), or_, initial=0))[::-1]
+        index += tuple(v), tuple(accumulate(b, or_, initial=0))
     return (parts, *index)
 
 
@@ -343,15 +355,17 @@ def _mu_parts(x, y, z) -> tuple[int, int, int]:
 
 
 def _row_mask(lam, mu) -> tuple[int, tuple[int, ...], tuple[int, int, int]]:
-    """(ok, lam parts, mu parts) at a weight pair: bit r of ok is set exactly
-    when row r of sigma_table is >= 0 there, read from _lam_parts' index at
-    mu's three doubled alpha coordinates.  Rows 0..13 are the profile
-    variables in PROFILE_FIELDS order, so ok & 0x3FFF is the field_mask of
-    the variables that are >= 0.
+    """(ok, lam parts, mu parts) at a weight pair, read from _lam_parts' index
+    at mu's three doubled alpha coordinates: bit r of ok is set exactly when
+    row r of sigma_table is >= 0 there, and bit 26 + idx exactly when all
+    three rows of element idx are.  Rows 0..13 are the profile variables in
+    PROFILE_FIELDS order, so ok & 0x3FFF is the field_mask of the variables
+    that are >= 0.
     """
-    parts, v0, s0, v1, s1, v2, s2 = _lam_parts(*lam)
+    parts, v0, n0, v1, n1, v2, n2 = _lam_parts(*lam)
     alpha = a0, a1, a2 = _mu_parts(*mu)
-    return s0[bisect_left(v0, a0)] | s1[bisect_left(v1, a1)] | s2[bisect_left(v2, a2)], parts, alpha
+    bad = n0[bisect_left(v0, a0)] | n1[bisect_left(v1, a1)] | n2[bisect_left(v2, a2)]
+    return ((1 << 26 + 48) - 1) ^ bad, parts, alpha
 
 
 class CoefficientProfile(NamedTuple("_Profile", [(f, int) for f in PROFILE_FIELDS])):
@@ -385,7 +399,7 @@ def coefficient_profile(lam, mu) -> CoefficientProfile:
 def _term_chunks() -> tuple[tuple[frozenset[int], ...], ...]:
     """Canonical indices of the TERMS each 6-bit chunk of a term mask names:
     entry [c][v] holds those of the set bits of v at positions 6c..6c+5."""
-    terms = [idx for idx, _sign, _ids, _mask in sigma_table().terms]
+    terms = [idx for idx, _sign, _ids in sigma_table().terms]
     return tuple(
         tuple(frozenset(terms[c + j] for j in range(6) if v >> j & 1 and c + j < len(terms)) for v in range(64))
         for c in range(0, len(terms), 6)
@@ -428,71 +442,37 @@ class AlternationSet:
         return self.names()
 
 
-_NO_CANDIDATES = (0, (), (), (0, 0, 0))
-
-
-def _candidates(lam, mu):
-    """(ok, elements, lam parts, mu parts): the row mask of the pair and the
-    elements that can have a nonzero term, the one front of _nonzero_terms
-    and alternation_set.
+def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
+    """(canonical index, sign, alpha triple) of every sigma whose term is
+    nonzero, in canonical order.
 
     A term is nonzero exactly when its coefficient vector is integral and
     coordinate-wise nonnegative.  One gate decides integrality for every
-    element: an odd pair (root_lattice_parity) has no candidate, for any
+    element: an odd pair (root_lattice_parity) has no nonzero term, for any
     lam, and at an even pair every doubled coordinate is even (sigma_table),
-    so past the gate only signs are read, from the row mask (_row_mask).
-    For lam >= 0 the identity's three rows, lam - mu, come next:
-    sigma_table proves that no element's coordinate exceeds the identity's,
-    so if one of those three bits is missing from the mask, there is no
-    candidate.  Otherwise a dominant pair's candidates are the 17 TERMS
-    elements, the only ones sigma_table proves it can admit, and any other
-    pair's all 48.  An element is nonzero exactly when its row mask m has
-    ok & m == m.
+    so past the gate only signs are read: the nonzero terms are the elements
+    whose bits are set in the row mask (_row_mask).  A coefficient vector is
+    computed only for those, from the cached lam parts minus mu's three
+    doubled alpha coordinates, halved.
     """
     if not root_lattice_parity(lam, mu):
-        return _NO_CANDIDATES
-    table = sigma_table()
-    ok, parts, alpha = _row_mask(lam, mu)
-    if min(lam) >= 0:
-        identity = table.terms[0][3]  # the identity's three rows, one per alpha coordinate
-        if ok & identity != identity:
-            return _NO_CANDIDATES
-        if min(mu) >= 0:
-            return ok, table.terms, parts, alpha
-    return ok, table.elements, parts, alpha
-
-
-def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
-    """(canonical index, sign, alpha triple) of every sigma whose term is nonzero.
-
-    The candidates and the row mask come from _candidates; a coefficient
-    vector is computed only for an element whose three row bits are all
-    set, from the cached lam parts minus mu's three doubled alpha
-    coordinates, halved.
-    """
-    ok, elements, parts, (a0, a1, a2) = _candidates(lam, mu)
-    return [
-        (idx, sign, ((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1, (parts[r2] - a2) >> 1))
-        for idx, sign, (r0, r1, r2), m in elements
-        if ok & m == m
-    ]
+        return []
+    ok, parts, (a0, a1, a2) = _row_mask(lam, mu)
+    elements = sigma_table().elements
+    out = []
+    admitted = ok >> 26
+    while admitted:
+        low = admitted & -admitted
+        idx, sign, (r0, r1, r2) = elements[low.bit_length() - 1]
+        out.append((idx, sign, ((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1, (parts[r2] - a2) >> 1)))
+        admitted ^= low
+    return out
 
 
 def alternation_set(lam, mu) -> AlternationSet:
-    """All sigma with kpf_q(sigma(lam+rho) - rho - mu) nonzero.
-
-    Membership needs the coefficient vector to be integral and
-    coordinate-wise nonnegative.  The set is empty when m + k + x + z is
-    odd, for any lam; then, for lam >= 0, it is empty when a coordinate of
-    lam - mu, the identity's, is negative, which the identity's rows alone
-    decide.  Past that, a dominant pair is checked over the 17 elements of
-    TERMS, the only ones that can qualify (sigma_table proves both bounds),
-    and any other pair over all 48: each element by its three bits of the
-    pair's row mask, with no coefficient vector built (_candidates).
-    Raises TypeError unless every coordinate is an int.
-    """
-    ok, elements, _parts, _alpha = _candidates(lam, mu)
-    return AlternationSet(frozenset([idx for idx, _sign, _ids, m in elements if ok & m == m]))
+    """All sigma with kpf_q(sigma(lam+rho) - rho - mu) nonzero: the indices of
+    _nonzero_terms.  Raises TypeError unless every coordinate is an int."""
+    return AlternationSet(frozenset([idx for idx, _sign, _v in _nonzero_terms(lam, mu)]))
 
 
 def mult_q_direct(lam, mu) -> QPoly:
@@ -617,13 +597,12 @@ def mult_q_cases(lam, mu) -> QPoly:
     The case table is a theorem about dominant weight pairs; the function
     is total, but outside the dominant chamber only mult_q_direct carries
     the defining alternating sum (the two agree on every dominant pair,
-    which the acceptance suite checks exhaustively).  There is no
-    early-out: a zero pair is settled by the case table, apart from
-    mult_q_direct's route.  The sign pattern is the low 14 bits of the row
-    mask (_row_mask), and only the matched case's slots are evaluated: a
-    slot is a term's three profile rows, one per alpha coordinate in order
-    (sigma_table numbers them so), each its lam part minus mu's doubled
-    coordinate, halved.
+    which the acceptance suite checks exhaustively).  Past the parity
+    gate a zero pair is settled by the case table.  The sign pattern is
+    the low 14 bits of the row mask (_row_mask), and only the matched
+    case's slots are evaluated: a slot is a term's three profile rows, one
+    per alpha coordinate in order (sigma_table numbers them so), each its
+    lam part minus mu's doubled coordinate, halved.
     """
     if not root_lattice_parity(lam, mu):
         return QPoly()

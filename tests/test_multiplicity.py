@@ -82,18 +82,18 @@ def test_symbolic_rows_match_fixture():
 def test_sigma_table_shares_rows():
     # 26 distinct rows serve all 48 elements; the 17 terms use exactly the
     # 14 profile rows, rows[:14], one per variable in PROFILE_FIELDS order;
-    # each element's row mask has the bits of its three rows, one per
-    # alpha coordinate
+    # each element reads one row per alpha coordinate, and sits at its
+    # canonical index
     table = sigma_table()
     assert len(table.rows) == 26
     assert table.terms == tuple(table.elements[weyl.canonical_index(weyl.evaluate_word(t.word))] for t in TERMS)
-    for term, (_idx, _sign, ids, _mask) in zip(TERMS, table.terms):
+    for term, (_idx, _sign, ids) in zip(TERMS, table.terms):
         assert ids == _TERM_SLOTS[term.letter][1], term.letter
-    assert {r for _idx, _sign, ids, _mask in table.terms for r in ids} == set(range(14))
-    for _idx, _sign, ids, mask in table.elements:
+    assert {r for _idx, _sign, ids in table.terms for r in ids} == set(range(14))
+    for _idx, _sign, ids in table.elements:
         assert [table.rows[r][4] for r in ids] == [0, 1, 2]
-        assert mask == (1 << ids[0]) + (1 << ids[1]) + (1 << ids[2])
-    assert [sign for _idx, sign, _ids, _mask in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
+    assert [idx for idx, _sign, _ids in table.elements] == list(range(48))
+    assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
 
 
 def _rows_at(lam, mu):
@@ -122,7 +122,7 @@ def test_split_rows_equal_the_full_rows():
         got = [part - alpha[i] for part, (*_lam, i) in zip(parts, table.rows)]
         assert got == _rows_at(lam, mu), (lam, mu)
         assert coefficient_profile(WeightFW(*lam), WeightFW(*mu)) == coefficient_profile(lam, mu) == tuple(got[:14])
-        for idx, _sign, ids, _mask in table.elements:
+        for idx, _sign, ids in table.elements:
             want = [2 * sum(c * v for c, v in zip(row, (*lam, *mu, 1))) for row in fixture[weyl.name(group[idx])]]
             assert [got[r] for r in ids] == want, (lam, mu, idx)
 
@@ -133,10 +133,14 @@ BOX = list(itertools.product(range(-3, 5), repeat=3))  # [-3, 4]^3: weights of e
 def test_row_mask_signs_every_row():
     # bit r of the row mask, three bisects into the cached index, is set
     # exactly when row r read straight from its stored form is >= 0, for all
-    # 26 rows at every pair of [-3, 4]^6, either parity
+    # 26 rows at every pair of [-3, 4]^6, either parity; and bit 26 + idx
+    # exactly when all three rows of element idx are, with no other bit set
+    elements = sigma_table().elements
     for lam in BOX:
         for mu in BOX:
-            want = sum(1 << r for r, value in enumerate(_rows_at(lam, mu)) if value >= 0)
+            values = _rows_at(lam, mu)
+            want = sum(1 << r for r, value in enumerate(values) if value >= 0)
+            want += sum(1 << (26 + idx) for idx, _sign, ids in elements if min(values[r] for r in ids) >= 0)
             assert _row_mask(lam, mu)[0] == want, (lam, mu)
 
 
@@ -330,7 +334,7 @@ def test_alternation_set_examples():
 def test_membership_matches_defining_condition():
     # membership iff the coefficient vector is integral and nonnegative,
     # checked against the exact vectors over all 48 elements, for weights
-    # of either sign and for dominant pairs, which scan only the 17 terms
+    # of either sign and for dominant pairs
     rng = random.Random(6)
     pairs = [[WeightFW(*(rng.randint(low, 6) for _ in range(3))) for _ in range(2)] for low in (-6, 0) for _ in range(12)]
     assert any(min(lam) < 0 or min(mu) < 0 for lam, mu in pairs)
@@ -346,63 +350,28 @@ def _full_scan(lam, mu):
     table = sigma_table()
     doubled = _rows_at(lam, mu)
     out = []
-    for idx, sign, ids, _mask in table.elements:
+    for idx, sign, ids in table.elements:
         values = [doubled[r] for r in ids]
         if all(d >= 0 and d % 2 == 0 for d in values):
             out.append((idx, sign, tuple(d // 2 for d in values)))
     return out
 
 
-def test_nonzero_terms_equal_the_full_scan(monkeypatch):
-    # the dominant pairs of the box take the 17-term path and the rest the
-    # full one; both must list what the full scan lists, in its order, and
-    # alternation_set its indices.  Two kinds of pair end before any element
-    # is scanned, and no other pair does: every odd pair, for any lam, at
-    # the parity gate; and every even pair with lam >= 0 whose lam - mu, the
-    # identity's coefficient vector, has a negative coordinate, a missing
-    # identity row bit in the row mask.  A scan is one iteration of the
-    # candidates _candidates returns, the table's elements or its terms,
-    # which _nonzero_terms and alternation_set iterate to test each
-    # element's row mask against the pair's; so both together iterate them
-    # twice for every other pair and not at all for those
-    scans = []
-
-    class Counted(tuple):
-        def __iter__(self):
-            scans.append(self)
-            return super().__iter__()
-
-    table = sigma_table()
-    counted = table._replace(elements=Counted(table.elements), terms=Counted(table.terms))
-    monkeypatch.setattr(multiplicity, "sigma_table", lambda: counted)
+def test_nonzero_terms_equal_the_full_scan():
+    # _nonzero_terms must list what the full scan lists, in its order, and
+    # alternation_set its indices, at every pair of [-2, 3]^6: weights of
+    # either sign and parity, dominant or not
     box = list(itertools.product(range(-2, 4), repeat=3))
     assert len(box) ** 2 == 46_656
     nonempty = 0
-    early = collections.Counter()
     for lam in box:
         for mu in box:
             want = _full_scan(lam, mu)
-            before = len(scans)
             assert _nonzero_terms(lam, mu) == want, (lam, mu)
             assert alternation_set(lam, mu).indices == {idx for idx, _sign, _v in want}, (lam, mu)
             nonempty += bool(want)
-            identity = sigma_coeffs(weyl.IDENTITY, lam, mu)
-            even = root_lattice_parity(lam, mu)
-            assert even == identity.is_integral(), (lam, mu)
-            if not even or (min(lam) >= 0 and min(identity.coeffs()) < 0):
-                assert len(scans) == before, (lam, mu)
-                early[even, min(lam) >= 0, min(mu) >= 0] += 1
-            else:
-                assert len(scans) == before + 2, (lam, mu)
+            assert root_lattice_parity(lam, mu) == sigma_coeffs(weyl.IDENTITY, lam, mu).is_integral(), (lam, mu)
     assert nonempty > 10_000
-    # odd pairs end early with lam and mu of either sign, even pairs only
-    # with lam >= 0, and with mu of either sign
-    signs = (True, False)
-    assert set(early) == {(False, lam_sign, mu_sign) for lam_sign in signs for mu_sign in signs} | {
-        (True, True, mu_sign) for mu_sign in signs
-    }
-    assert sum(n for (even, _l, _m), n in early.items() if not even) == 46_656 // 2
-    assert sum(early.values()) == 24_873
 
 
 def test_mult_q_direct_examples():
@@ -655,7 +624,7 @@ def test_freudenthal_nondominant_mu_via_conjugate():
 def test_full_scan_outside_dominant_chamber():
     # outside the dominant chamber the 17 terms are not enough: deep in
     # the antidominant region other group elements satisfy the membership
-    # predicate, and the scan must cover all 48
+    # predicate, and membership must range over all 48
     aset = alternation_set((-3, -3, -3), (-3, -3, -3))
     assert weyl.element_from_name("s1*s2*s3") in aset
     contributing = {weyl.evaluate_word(t.word) for t in TERMS}

@@ -88,7 +88,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("sigma-mu-alpha-sign-unchecked", MULT, "if min(c for row in mu_alpha for c in row) < 0:", "if False:",
            (T_MULT,)),
     Mutant("sigma-type1-rows-unchecked", MULT, "    if type1 != [", "    if False and type1 != [", (T_MULT,)),
-    Mutant("sigma-terms-unchecked", MULT, "if tuple(idx for idx, _sign, _ids, _mask in dominant) != terms:",
+    Mutant("sigma-terms-unchecked", MULT, "if tuple(idx for idx, _sign, _ids in dominant) != terms:",
            "if False:", (T_MULT,)),
     Mutant("sigma-identity-parity-unchecked", MULT, "    if parity != [", "    if False and parity != [", (T_MULT,)),
     Mutant("sigma-dominance-bound-unchecked", MULT,
@@ -99,20 +99,16 @@ MUTANTS: tuple[Mutant, ...] = (
            "if not isinstance(m + n + k + x + y + z, int):", (T_MULT,)),
     Mutant("profile-wrong-coordinate", MULT, "[part - alpha[i] for part,", "[part - alpha[i - 1] for part,", (T_MULT,)),
     # multiplicity: the per-lam index and the row mask
-    Mutant("row-mask-bisect-right", MULT, "s0[bisect_left(v0, a0)]", "s0[__import__('bisect').bisect_right(v0, a0)]",
+    Mutant("row-mask-bisect-right", MULT, "n0[bisect_left(v0, a0)]", "n0[__import__('bisect').bisect_right(v0, a0)]",
            (T_MULT,)),
-    Mutant("nonzero-term-at-zero", MULT, "s1[bisect_left(v1, a1)]", "s1[bisect_left(v1, a1 + 1)]", (T_MULT,)),
-    Mutant("suffix-mask-off-by-one", MULT, "initial=0))[::-1]", "initial=0))[::-1][1:] + (0,)", (T_MULT,)),
-    Mutant("element-mask-missing-row", MULT, "sum(1 << r for r in ids)", "sum(1 << r for r in ids[:2])", (T_MULT,)),
+    Mutant("nonzero-term-at-zero", MULT, "n1[bisect_left(v1, a1)]", "n1[bisect_left(v1, a1 + 1)]", (T_MULT,)),
+    Mutant("prefix-mask-off-by-one", MULT, "tuple(accumulate(b, or_, initial=0))",
+           "(0, *accumulate(b, or_, initial=0))[:-1]", (T_MULT,)),
+    Mutant("element-mask-missing-row", MULT, "        readers[r2] |= bit\n", "", (T_MULT,)),
+    Mutant("element-bits-unshifted", MULT, "bit = 1 << (26 + idx)", "bit = 1 << idx", (T_MULT,)),
     # multiplicity: the alternating sum and the case dispatch
-    Mutant("scan-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return _NO_CANDIDATES\n", "",
+    Mutant("scan-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return []\n", "",
            (T_MULT,)),
-    Mutant("early-out-widened", MULT, "if ok & identity != identity:", "if not ok & identity:", (T_MULT,)),
-    Mutant("early-out-wrong-coordinate", MULT, "identity = table.terms[0][3]", "identity = table.terms[1][3]",
-           (T_MULT,)),
-    Mutant("dominant-scan-mu-widened", MULT, "min(mu) >= 0:", "min(mu) >= -2:", (T_MULT,)),
-    Mutant("dominant-scan-lam-widened", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -2:", (T_MULT,)),
-    Mutant("dominant-scan-lam-by-one", MULT, "    if min(lam) >= 0:", "    if min(lam) >= -1:", (T_MULT,)),
     Mutant("cases-parity-unchecked", MULT, "    if not root_lattice_parity(lam, mu):\n        return QPoly()\n", "",
            (T_MULT,)),
     Mutant("sign-pattern-13-bits", MULT, "case_table()[ok & 0x3FFF]", "case_table()[ok & 0x1FFF]", (T_MULT,)),
@@ -169,9 +165,6 @@ EQUIVALENT: tuple[tuple[Mutant, str], ...] = (
      "an int % 2 is 0 or 1, so == 0 and != 1 agree on every input"),
     (Mutant("type1-constant-nonpositive", MULT, "and c1 < 0 for", "and c1 <= 0 for", ()),
      "no row of sigma_table has a lam part with every coefficient <= 0 and a constant of 0"),
-    (Mutant("dominant-scan-mu-by-one", MULT, "min(mu) >= 0:", "min(mu) >= -1:", ()),
-     "a row past the profile rows stays negative for lam >= 0 and mu >= -1: its constant plus the sum of "
-     "its coordinate's mu_alpha row is at most -2"),
     (Mutant("group-tuple-shared", WEYL, "return list(_tables()[0])", "return _tables()[0]", ()),
      "no caller mutates the list enumerate_group returns"),
     (Mutant("case-table-reversed", MULT, "alternatives in _CASE_MASKS:", "alternatives in reversed(_CASE_MASKS):", ()),
