@@ -21,8 +21,9 @@ parts sorted: a row's sign is one bisect per alpha coordinate.  So a
 weight pair costs mu's three doubled alpha coordinates and three bisects
 for one row mask (_row_mask): bit r is set when row r is >= 0, so the
 sign pattern is the low 14 bits, and bit 26 + idx when all three rows of
-element idx are.  The alternation set and both q-routes read it; a
-coefficient is computed, by one subtraction, only where a kpf_q argument
+element idx are.  The alternation set and both q-routes read it, and both
+routes evaluate the elements an element mask names in one walk (_terms):
+a coefficient is computed, by one subtraction, only where a kpf_q argument
 needs it.
 
 One gate settles parity for the whole pair (root_lattice_parity): when
@@ -54,7 +55,7 @@ Two independent evaluation routes are implemented:
     final zero case), each mapping to a fixed signed combination of the
     seventeen term polynomials A_q..Q_q.  case_table holds the one case
     each sign pattern matches, if any, so the dispatch is one lookup of
-    the row mask's low 14 bits.
+    the row mask's low 14 bits, and a case is the element mask of its terms.
 
 Both routes add their signed terms in one qpoly.signed_sum.
 
@@ -174,7 +175,8 @@ class SigmaTable(NamedTuple):
     once per lam (_lam_parts), so a pair costs three dot products for
     alpha(mu) (_mu_parts) and three bisects for its row mask (_row_mask):
     bit r for row r >= 0, and bit 26 + idx for element idx, whose term is
-    nonzero at an even pair exactly when its three rows are >= 0.  Elements
+    nonzero at an even pair exactly when its three rows are >= 0.  readers
+    holds, per coordinate, the bits a negative row clears.  Elements
     share rows: 48 elements x 3 coordinates use 26 distinct rows, and the
     17 contributing elements use 14 of them, one per profile variable.
     rows[f] is the row of PROFILE_FIELDS[f] for f < 14; the other 12
@@ -196,6 +198,10 @@ class SigmaTable(NamedTuple):
     terms: tuple[tuple[int, int, tuple[int, int, int]], ...]
     # doubled alpha coordinates of mu: row i holds the coefficients of (x, y, z)
     mu_alpha: tuple[tuple[int, int, int], ...]
+    # per alpha coordinate i, (r, bits) for each row r of coordinate i, in row
+    # order: bits is the row bit 1 << r and the bit 26 + idx of every element
+    # idx whose coordinate-i row is r
+    readers: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _affine_rows():
@@ -282,7 +288,9 @@ def sigma_table() -> SigmaTable:
         for top, r in zip(identity, ids):
             if any(c > t or (c - t) & 1 for c, t in zip(rows[r][:4], top)):
                 raise RuntimeError(f"row {rows[r]} lies above the identity's {top} or differs from it by an odd amount")
-    return SigmaTable(rows, elements, dominant, mu_alpha)
+    bits = [1 << r | sum(1 << (26 + idx) for idx, _sign, ids in elements if r in ids) for r in range(len(rows))]
+    readers = tuple(tuple((r, bits[r]) for r in range(len(rows)) if rows[r][4] == i) for i in range(3))
+    return SigmaTable(rows, elements, dominant, mu_alpha, readers)
 
 
 @lru_cache(maxsize=1)
@@ -314,36 +322,24 @@ def _lam_parts(m, n, k) -> tuple[tuple[int, ...], ...]:
 
     parts[r] is the lam part cm*m + cn*n + ck*k + c1 of the row (cm, cn, ck,
     c1, i) of sigma_table, which has the value parts[r] - _mu_parts(mu)[i].
-    vi holds the lam parts of coordinate i's rows (those with rows[r][4] ==
-    i) in ascending order, and ni[j] the OR, over the rows r at vi[:j], of
-    readers[r]: the row bit 1 << r and the bit 1 << (26 + idx) of every
-    element idx whose coordinate-i row is r.  So ni[bisect_left(vi, a)]
-    marks coordinate i's rows that are negative where mu's coordinate is a,
-    and every element that reads one of them.  Each row belongs to one
-    coordinate, and an element is out if any one of its rows is negative,
-    so the OR over the three coordinates marks exactly the negative rows
-    and the elements that are out.
-    The index pays only where lam repeats: an entry takes about 33 us to
-    build, half of it readers, against 4 us for the 26 lam parts alone
-    (2-core Xeon VM, Python 3.11).
+    vi holds the lam parts of coordinate i's rows in ascending order (ties
+    by row id), and ni[j] the OR of sigma_table's readers bits over the rows
+    at vi[:j]: each row's bit and the bit of every element that reads it in
+    coordinate i.  So ni[bisect_left(vi, a)] marks coordinate i's rows that
+    are negative where mu's coordinate is a, and every element that reads
+    one of them.  Each row belongs to one coordinate, and an element is out
+    if any one of its rows is negative, so the OR over the three coordinates
+    marks exactly the negative rows and the elements that are out.
+    The index pays only where lam repeats: an entry takes about 15 us to
+    build, against 4 us for the 26 lam parts alone (2-core Xeon VM,
+    Python 3.11).
     """
     table = sigma_table()
-    rows = table.rows
-    parts = tuple(cm * m + cn * n + ck * k + c1 for cm, cn, ck, c1, _i in rows)
-    readers = [1 << r for r in range(len(rows))]
-    for idx, _sign, (r0, r1, r2) in table.elements:
-        bit = 1 << (26 + idx)
-        readers[r0] |= bit
-        readers[r1] |= bit
-        readers[r2] |= bit
-    values, bits = ([], [], []), ([], [], [])
-    for part, r in sorted(zip(parts, range(len(rows)))):
-        i = rows[r][4]
-        values[i].append(part)
-        bits[i].append(readers[r])
+    parts = tuple(cm * m + cn * n + ck * k + c1 for cm, cn, ck, c1, _i in table.rows)
     index = []
-    for v, b in zip(values, bits):
-        index += tuple(v), tuple(accumulate(b, or_, initial=0))
+    for readers in table.readers:
+        values, _ids, bits = zip(*sorted([(parts[r], r, b) for r, b in readers]))
+        index += values, tuple(accumulate(bits, or_, initial=0))
     return (parts, *index)
 
 
@@ -442,6 +438,22 @@ class AlternationSet:
         return self.names()
 
 
+def _terms(admitted: int, parts, alpha) -> list[tuple[int, int, tuple[int, int, int]]]:
+    """(canonical index, sign, alpha triple) of each element idx whose bit idx
+    is set in admitted, in canonical order, from _row_mask's parts and alpha:
+    each coordinate is a row's lam part minus mu's, halved (exact past the
+    parity gate).  Both q-routes evaluate their terms here."""
+    a0, a1, a2 = alpha
+    elements = sigma_table().elements
+    out = []
+    while admitted:
+        low = admitted & -admitted
+        idx, sign, (r0, r1, r2) = elements[low.bit_length() - 1]
+        out.append((idx, sign, ((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1, (parts[r2] - a2) >> 1)))
+        admitted ^= low
+    return out
+
+
 def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
     """(canonical index, sign, alpha triple) of every sigma whose term is
     nonzero, in canonical order.
@@ -451,22 +463,13 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
     element: an odd pair (root_lattice_parity) has no nonzero term, for any
     lam, and at an even pair every doubled coordinate is even (sigma_table),
     so past the gate only signs are read: the nonzero terms are the elements
-    whose bits are set in the row mask (_row_mask).  A coefficient vector is
-    computed only for those, from the cached lam parts minus mu's three
-    doubled alpha coordinates, halved.
+    whose bits are set in the row mask (_row_mask), and _terms evaluates
+    those alone.
     """
     if not root_lattice_parity(lam, mu):
         return []
-    ok, parts, (a0, a1, a2) = _row_mask(lam, mu)
-    elements = sigma_table().elements
-    out = []
-    admitted = ok >> 26
-    while admitted:
-        low = admitted & -admitted
-        idx, sign, (r0, r1, r2) = elements[low.bit_length() - 1]
-        out.append((idx, sign, ((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1, (parts[r2] - a2) >> 1)))
-        admitted ^= low
-    return out
+    ok, parts, alpha = _row_mask(lam, mu)
+    return _terms(ok >> 26, parts, alpha)
 
 
 def alternation_set(lam, mu) -> AlternationSet:
@@ -541,9 +544,6 @@ CASES: tuple[tuple[tuple[tuple[str, str], ...], str], ...] = (
 
 OTHERWISE_CASE = len(CASES) + 1  # dispatch number reported when nothing matches
 
-# letter -> (sign, profile positions of its three variables), per term
-_TERM_SLOTS = {t.letter: ((-1) ** len(t.word), tuple(map(PROFILE_FIELDS.index, t.fields))) for t in TERMS}
-
 # (number, letters, ((constrained mask, nonnegative mask), ...)) per case
 _CASE_MASKS = tuple(
     (number, letters, tuple((field_mask(pos + neg), field_mask(pos)) for pos, neg in patterns))
@@ -561,8 +561,11 @@ def matching_cases(profile: CoefficientProfile) -> list[int]:
 
 # term letters by case number; number 0 is unused and OTHERWISE_CASE has none
 _CASE_LETTERS = ("", *(letters for _patterns, letters in CASES), "")
-# the _TERM_SLOTS entry of each of those letters, by case number
-_CASE_SLOTS = tuple(tuple(map(_TERM_SLOTS.__getitem__, letters)) for letters in _CASE_LETTERS)
+# element mask by case number, laid out as bits 26+ of the row mask: bit idx
+# for the canonical index idx of each of the case's letters
+_CASE_ELEMENTS = tuple(
+    sum(1 << weyl.CANONICAL_WORDS.index(t.word) for t in TERMS if t.letter in letters) for letters in _CASE_LETTERS
+)
 
 
 @lru_cache(maxsize=1)
@@ -599,18 +602,14 @@ def mult_q_cases(lam, mu) -> QPoly:
     the defining alternating sum (the two agree on every dominant pair,
     which the acceptance suite checks exhaustively).  Past the parity
     gate a zero pair is settled by the case table.  The sign pattern is
-    the low 14 bits of the row mask (_row_mask), and only the matched
-    case's slots are evaluated: a slot is a term's three profile rows, one
-    per alpha coordinate in order (sigma_table numbers them so), each its
-    lam part minus mu's doubled coordinate, halved.
+    the low 14 bits of the row mask (_row_mask); the matched case is an
+    element mask (_CASE_ELEMENTS), and _terms evaluates its terms alone.
     """
     if not root_lattice_parity(lam, mu):
         return QPoly()
-    ok, parts, (a0, a1, a2) = _row_mask(lam, mu)
-    # even under the parity condition, so halving is exact
+    ok, parts, alpha = _row_mask(lam, mu)
     return signed_sum(
-        (sign, kpf_q((parts[u] - a0) >> 1, (parts[v] - a1) >> 1, (parts[w] - a2) >> 1))
-        for sign, (u, v, w) in _CASE_SLOTS[case_table()[ok & 0x3FFF]]
+        (sign, kpf_q(*v)) for _idx, sign, v in _terms(_CASE_ELEMENTS[case_table()[ok & 0x3FFF]], parts, alpha)
     )
 
 

@@ -23,8 +23,8 @@ from sp6q.multiplicity import (
     AlternationSet,
     CoefficientProfile,
     SigmaTable,
+    _CASE_ELEMENTS,
     _CASE_MASKS,
-    _TERM_SLOTS,
     _lam_parts,
     _mu_parts,
     _nonzero_terms,
@@ -83,17 +83,22 @@ def test_sigma_table_shares_rows():
     # 26 distinct rows serve all 48 elements; the 17 terms use exactly the
     # 14 profile rows, rows[:14], one per variable in PROFILE_FIELDS order;
     # each element reads one row per alpha coordinate, and sits at its
-    # canonical index
+    # canonical index; each coordinate's readers hold exactly its rows, each
+    # with its row bit and bit 26 + idx of every element idx that reads it
     table = sigma_table()
     assert len(table.rows) == 26
     assert table.terms == tuple(table.elements[weyl.canonical_index(weyl.evaluate_word(t.word))] for t in TERMS)
     for term, (_idx, _sign, ids) in zip(TERMS, table.terms):
-        assert ids == _TERM_SLOTS[term.letter][1], term.letter
+        assert ids == tuple(map(PROFILE_FIELDS.index, term.fields)), term.letter
     assert {r for _idx, _sign, ids in table.terms for r in ids} == set(range(14))
     for _idx, _sign, ids in table.elements:
         assert [table.rows[r][4] for r in ids] == [0, 1, 2]
     assert [idx for idx, _sign, _ids in table.elements] == list(range(48))
     assert [sign for _idx, sign, _ids in table.elements] == [weyl.sign(el) for el in weyl.enumerate_group()]
+    for i, readers in enumerate(table.readers):
+        assert [r for r, _bits in readers] == [r for r, row in enumerate(table.rows) if row[4] == i]
+        for r, bits in readers:
+            assert bits == 1 << r | sum(1 << (26 + idx) for idx, _sign, ids in table.elements if ids[i] == r), (i, r)
 
 
 def _rows_at(lam, mu):
@@ -133,23 +138,18 @@ BOX = list(itertools.product(range(-3, 5), repeat=3))  # [-3, 4]^3: weights of e
 def test_row_mask_signs_every_row():
     # bit r of the row mask, three bisects into the cached index, is set
     # exactly when row r read straight from its stored form is >= 0, for all
-    # 26 rows at every pair of [-3, 4]^6, either parity; and bit 26 + idx
-    # exactly when all three rows of element idx are, with no other bit set
-    elements = sigma_table().elements
+    # 26 rows at every pair of [-3, 4]^6, either parity; bit 26 + idx exactly
+    # when all three rows of element idx are, with no other bit set; and the
+    # low 14 bits are the field_mask sign pattern that
+    # CoefficientProfile.signs() reads off the profile
+    elements = [(idx, sum(1 << r for r in set(ids))) for idx, _sign, ids in sigma_table().elements]
     for lam in BOX:
         for mu in BOX:
-            values = _rows_at(lam, mu)
-            want = sum(1 << r for r, value in enumerate(values) if value >= 0)
-            want += sum(1 << (26 + idx) for idx, _sign, ids in elements if min(values[r] for r in ids) >= 0)
-            assert _row_mask(lam, mu)[0] == want, (lam, mu)
-
-
-def test_row_mask_low_bits_are_the_profile_signs():
-    # the low 14 bits of the row mask are the field_mask sign pattern that
-    # CoefficientProfile.signs() reads off the profile, at every pair of [-3, 4]^6
-    for lam in BOX:
-        for mu in BOX:
-            assert coefficient_profile(lam, mu).signs() == _row_mask(lam, mu)[0] & (1 << 14) - 1, (lam, mu)
+            rows = sum(1 << r for r, value in enumerate(_rows_at(lam, mu)) if value >= 0)
+            want = rows | sum(1 << (26 + idx) for idx, m in elements if rows & m == m)
+            ok = _row_mask(lam, mu)[0]
+            assert ok == want, (lam, mu)
+            assert coefficient_profile(lam, mu).signs() == ok & (1 << 14) - 1, (lam, mu)
 
 
 @pytest.mark.parametrize("bad", [float, bool, np.int64], ids=lambda t: t.__name__)
@@ -187,7 +187,7 @@ def test_sigma_table_and_weyl_action_are_int_only():
     # every stored row is (cm, cn, ck, c1, i), and the mu part it stands for,
     # minus mu_alpha[i] . (x, y, z), is never positive for dominant mu
     table = sigma_table()
-    assert SigmaTable._fields == ("rows", "elements", "terms", "mu_alpha")
+    assert SigmaTable._fields == ("rows", "elements", "terms", "mu_alpha", "readers")
     assert all(len(row) == 5 and row[4] in range(3) for row in table.rows)
     assert all(type(c) is int for row in table.rows + table.mu_alpha for c in row)
     assert min(c for row in table.mu_alpha for c in row) >= 0
@@ -451,15 +451,16 @@ def test_parity_biconditional_on_action():
 
 
 def test_sign_table_matches_group():
-    # the dispatch reads each term's sign and the profile positions of its
-    # three variables from one table
-    assert list(_TERM_SLOTS) == [t.letter for t in TERMS]
-    for term in TERMS:
+    # both routes read each term's sign from sigma_table, and the dispatch
+    # names a case's terms by their bits in the element layout of the row mask
+    terms = sigma_table().terms
+    for term, (_idx, sign, _ids) in zip(TERMS, terms, strict=True):
         el = weyl.evaluate_word(term.word)
-        sign, positions = _TERM_SLOTS[term.letter]
-        assert sign == weyl.sign(el) == (-1) ** weyl.length(el)
-        assert tuple(PROFILE_FIELDS[i] for i in positions) == term.fields
+        assert sign == (-1) ** len(term.word) == weyl.sign(el) == (-1) ** weyl.length(el), term.letter
         assert TERMS[LETTER_INDEX[term.letter]] == term
+    assert len(_CASE_ELEMENTS) == OTHERWISE_CASE + 1 and _CASE_ELEMENTS[0] == _CASE_ELEMENTS[OTHERWISE_CASE] == 0
+    for number, (_patterns, letters) in enumerate(CASES, start=1):
+        assert _CASE_ELEMENTS[number] == sum(1 << terms[LETTER_INDEX[c]][0] for c in letters), number
 
 
 def _mask_fields(mask):
@@ -554,6 +555,8 @@ def test_every_realized_sign_pattern_dispatches_to_its_covered_terms():
         assert coefficient_profile(lam, mu).signs() == s, w
         want = "".join(t.letter for i, t in enumerate(TERMS) if int(covered[s]) >> i & 1)
         assert match_case(coefficient_profile(lam, mu))[1] == want, w
+        # the case theorem in mask form: the matched case admits exactly the nonzero terms
+        assert _CASE_ELEMENTS[case_table()[s]] == _row_mask(lam, mu)[0] >> 26, w
         assert mult_q_cases(lam, mu) == mult_q_direct(lam, mu), w
 
 

@@ -102,18 +102,20 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("row-mask-bisect-right", MULT, "n0[bisect_left(v0, a0)]", "n0[__import__('bisect').bisect_right(v0, a0)]",
            (T_MULT,)),
     Mutant("nonzero-term-at-zero", MULT, "n1[bisect_left(v1, a1)]", "n1[bisect_left(v1, a1 + 1)]", (T_MULT,)),
-    Mutant("prefix-mask-off-by-one", MULT, "tuple(accumulate(b, or_, initial=0))",
-           "(0, *accumulate(b, or_, initial=0))[:-1]", (T_MULT,)),
-    Mutant("element-mask-missing-row", MULT, "        readers[r2] |= bit\n", "", (T_MULT,)),
-    Mutant("element-bits-unshifted", MULT, "bit = 1 << (26 + idx)", "bit = 1 << idx", (T_MULT,)),
+    Mutant("prefix-mask-off-by-one", MULT, "tuple(accumulate(bits, or_, initial=0))",
+           "(0, *accumulate(bits, or_, initial=0))[:-1]", (T_MULT,)),
+    Mutant("element-mask-missing-row", MULT, "elements if r in ids)", "elements if r in ids[:2])", (T_MULT,)),
+    Mutant("element-bits-unshifted", MULT, "sum(1 << (26 + idx) for", "sum(1 << idx for", (T_MULT,)),
     # multiplicity: the alternating sum and the case dispatch
     Mutant("scan-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return []\n", "",
            (T_MULT,)),
     Mutant("cases-parity-unchecked", MULT, "    if not root_lattice_parity(lam, mu):\n        return QPoly()\n", "",
            (T_MULT,)),
     Mutant("sign-pattern-13-bits", MULT, "case_table()[ok & 0x3FFF]", "case_table()[ok & 0x1FFF]", (T_MULT,)),
-    Mutant("cases-slot-wrong-coordinate", MULT, "kpf_q((parts[u] - a0) >> 1, (parts[v] - a1) >> 1,",
-           "kpf_q((parts[u] - a1) >> 1, (parts[v] - a0) >> 1,", (T_MULT,)),
+    Mutant("terms-wrong-coordinate", MULT, "((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1,",
+           "((parts[r0] - a1) >> 1, (parts[r1] - a0) >> 1,", (T_MULT,)),
+    Mutant("case-elements-bit-shifted", MULT, "1 << weyl.CANONICAL_WORDS.index(t.word) for",
+           "1 << weyl.CANONICAL_WORDS.index(t.word) + (t.letter == 'Q') for", (T_MULT,)),
     Mutant("case-table-skips-sub-0", MULT,
            "                table[nonneg | sub] = number\n                if not sub:\n                    break\n",
            "                if not sub:\n                    break\n                table[nonneg | sub] = number\n",
