@@ -15,7 +15,8 @@ Two independent routes establish the same family of 46 sets:
      multiplicity.CASES are, as (nonnegative, negative) field strings, and
      compiled to mask pairs (pre nonnegative forces post nonnegative).
      The survivors stay term masks (bit i for TERMS[i]), put in family
-     order in numpy; AlternationSet.from_mask turns one into a set.
+     order in numpy; AlternationSet.from_mask turns one into a set, itself
+     one int: an element mask, bit idx for canonical index idx.
 
   2. An empirical sweep of alternation sets over a box of weight pairs,
      cut into fixed-size blocks.  Each profile variable is a lam part
@@ -466,9 +467,9 @@ class CensusReport:
 
     def add_family(self, name: str, got: list[AlternationSet], want: list[AlternationSet], detail: str):
         """Pass when got and want hold the same sets and as many entries; else say how they differ."""
-        gs, ws = set(a.indices for a in got), set(a.indices for a in want)
-        extra = [str(AlternationSet(s)) for s in sorted(gs - ws, key=lambda x: (len(x), sorted(x)))]
-        missing = [str(AlternationSet(s)) for s in sorted(ws - gs, key=lambda x: (len(x), sorted(x)))]
+        gs, ws = set(got), set(want)
+        extra = [str(a) for a in sorted(gs - ws, key=lambda a: (len(a), sorted(a.indices)))]
+        missing = [str(a) for a in sorted(ws - gs, key=lambda a: (len(a), sorted(a.indices)))]
         diff = f"extra={extra[:5]} missing={missing[:5]}" if gs != ws else f"got {len(got)} sets, want {len(want)}"
         passed = gs == ws and len(got) == len(want)
         self.add(name, passed, detail if passed else diff)
@@ -507,7 +508,7 @@ def verify_census(
     bad = []
     for want_set, lam, mu in witnesses:
         got = alternation_set(lam, mu)
-        if got.indices != want_set.indices:
+        if got != want_set:
             bad.append(f"{lam.coeffs()},{mu.coeffs()}: got {got}, want {want_set}")
     report.add(
         "witness-rows",

@@ -21,10 +21,11 @@ parts sorted: a row's sign is one bisect per alpha coordinate.  So a
 weight pair costs mu's three doubled alpha coordinates and three bisects
 for one row mask (_row_mask): bit r is set when row r is >= 0, so the
 sign pattern is the low 14 bits, and bit 26 + idx when all three rows of
-element idx are.  The alternation set and both q-routes read it, and both
-routes evaluate the elements an element mask names in one walk (_terms):
-a coefficient is computed, by one subtraction, only where a kpf_q argument
-needs it.
+element idx are.  The alternation set is those element bits, held as one
+int (AlternationSet.mask, bit idx for canonical index idx).  Both q-routes
+read the same row mask and evaluate the elements an element mask names in
+one walk (_terms): a coefficient is computed, by one subtraction, only
+where a kpf_q argument needs it.
 
 One gate settles parity for the whole pair (root_lattice_parity): when
 m + k + x + z is odd, lam - mu lies outside the root lattice and every
@@ -48,7 +49,7 @@ mult_q_cases, coefficient_profile and the Freudenthal route raise
 TypeError for a bool, float or numpy coordinate, whatever its value,
 before any arithmetic, as kpf_q does.
 
-Two independent evaluation routes are implemented:
+Two evaluation routes are implemented:
 
   - mult_q_direct: the alternating sum itself;
   - mult_q_cases: a closed dispatch over 45 sign-pattern cases (plus a
@@ -57,7 +58,11 @@ Two independent evaluation routes are implemented:
     each sign pattern matches, if any, so the dispatch is one lookup of
     the row mask's low 14 bits, and a case is the element mask of its terms.
 
-Both routes add their signed terms in one qpoly.signed_sum.
+They are not independent: both share the parity gate, _lam_parts,
+_row_mask, _terms, kpf_q and qpoly.signed_sum, and differ only in the
+element mask they walk, so comparing them checks the case lookup alone.
+The independent checks are the Freudenthal route below, kpf_q_oracle
+against kpf_q, and census verification of the alternation sets.
 
 A third route computes the plain multiplicity by the Freudenthal
 recursion over the weight system and shares no code with the
@@ -82,10 +87,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import weyl
 from .partition import kpf_q
@@ -391,22 +396,34 @@ def coefficient_profile(lam, mu) -> CoefficientProfile:
     )
 
 
+def _set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending: the one walk over an
+    element mask, for an AlternationSet and for _terms."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @lru_cache(maxsize=1)
-def _term_chunks() -> tuple[tuple[frozenset[int], ...], ...]:
-    """Canonical indices of the TERMS each 6-bit chunk of a term mask names:
-    entry [c][v] holds those of the set bits of v at positions 6c..6c+5."""
+def _term_chunks() -> tuple[tuple[int, ...], ...]:
+    """Element mask of the TERMS each 6-bit chunk of a term mask names:
+    entry [c][v] has bit idx set for the canonical index idx of each set bit
+    of v at positions 6c..6c+5."""
     terms = [idx for idx, _sign, _ids in sigma_table().terms]
     return tuple(
-        tuple(frozenset(terms[c + j] for j in range(6) if v >> j & 1 and c + j < len(terms)) for v in range(64))
+        tuple(sum(1 << terms[c + j] for j in range(6) if v >> j & 1 and c + j < len(terms)) for v in range(64))
         for c in range(0, len(terms), 6)
     )
 
 
 @dataclass(frozen=True)
 class AlternationSet:
-    """A subset of the Weyl group, stored as canonical listing indices."""
+    """A subset of the Weyl group as an element mask: bit idx set for the
+    element of canonical index idx, the layout of the row mask's element
+    bits (_row_mask) and of _CASE_ELEMENTS."""
 
-    indices: frozenset[int]
+    mask: int
 
     @classmethod
     def from_mask(cls, mask: int) -> "AlternationSet":
@@ -416,20 +433,25 @@ class AlternationSet:
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "AlternationSet":
-        return cls(frozenset(map(weyl.index_from_name, names)))
+        return cls(reduce(or_, (1 << weyl.index_from_name(name) for name in names), 0))
+
+    @property
+    def indices(self) -> frozenset[int]:
+        """The canonical indices of the members."""
+        return frozenset(_set_bits(self.mask))
 
     def elements(self) -> list[weyl.WeylElement]:
         group = weyl.enumerate_group()
-        return [group[i] for i in sorted(self.indices)]
+        return [group[i] for i in _set_bits(self.mask)]
 
     def names(self) -> list[str]:
-        return [weyl.NAMES[i] for i in sorted(self.indices)]
+        return [weyl.NAMES[i] for i in _set_bits(self.mask)]
 
     def __contains__(self, el: weyl.WeylElement) -> bool:
-        return weyl.canonical_index(el) in self.indices
+        return self.mask >> weyl.canonical_index(el) & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.mask.bit_count()
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.names()) + "}"
@@ -438,25 +460,23 @@ class AlternationSet:
         return self.names()
 
 
-def _terms(admitted: int, parts, alpha) -> list[tuple[int, int, tuple[int, int, int]]]:
-    """(canonical index, sign, alpha triple) of each element idx whose bit idx
-    is set in admitted, in canonical order, from _row_mask's parts and alpha:
-    each coordinate is a row's lam part minus mu's, halved (exact past the
-    parity gate).  Both q-routes evaluate their terms here."""
+def _terms(admitted: int, parts, alpha) -> list[tuple[int, tuple[int, int, int]]]:
+    """(sign, alpha triple) of each element idx whose bit idx is set in
+    admitted, in canonical order, from _row_mask's parts and alpha: each
+    coordinate is a row's lam part minus mu's, halved (exact past the parity
+    gate).  Both q-routes evaluate their terms here."""
     a0, a1, a2 = alpha
     elements = sigma_table().elements
     out = []
-    while admitted:
-        low = admitted & -admitted
-        idx, sign, (r0, r1, r2) = elements[low.bit_length() - 1]
-        out.append((idx, sign, ((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1, (parts[r2] - a2) >> 1)))
-        admitted ^= low
+    for idx in _set_bits(admitted):
+        _idx, sign, (r0, r1, r2) = elements[idx]
+        out.append((sign, ((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1, (parts[r2] - a2) >> 1)))
     return out
 
 
-def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
-    """(canonical index, sign, alpha triple) of every sigma whose term is
-    nonzero, in canonical order.
+def _nonzero_terms(lam, mu) -> list[tuple[int, tuple[int, int, int]]]:
+    """(sign, alpha triple) of every sigma whose term is nonzero, in
+    canonical order.
 
     A term is nonzero exactly when its coefficient vector is integral and
     coordinate-wise nonnegative.  One gate decides integrality for every
@@ -473,14 +493,17 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, int, tuple[int, int, int]]]:
 
 
 def alternation_set(lam, mu) -> AlternationSet:
-    """All sigma with kpf_q(sigma(lam+rho) - rho - mu) nonzero: the indices of
-    _nonzero_terms.  Raises TypeError unless every coordinate is an int."""
-    return AlternationSet(frozenset([idx for idx, _sign, _v in _nonzero_terms(lam, mu)]))
+    """All sigma with kpf_q(sigma(lam+rho) - rho - mu) nonzero: past the
+    parity gate, the row mask's element bits, with no term evaluated.
+    Raises TypeError unless every coordinate is an int."""
+    if not root_lattice_parity(lam, mu):
+        return AlternationSet(0)
+    return AlternationSet(_row_mask(lam, mu)[0] >> 26)
 
 
 def mult_q_direct(lam, mu) -> QPoly:
     """The alternating sum over the alternation set."""
-    return signed_sum((sign, kpf_q(*v)) for _idx, sign, v in _nonzero_terms(lam, mu))
+    return signed_sum((sign, kpf_q(*v)) for sign, v in _nonzero_terms(lam, mu))
 
 
 # Sign-pattern dispatch table.  Each entry is one case: a tuple of
@@ -609,7 +632,7 @@ def mult_q_cases(lam, mu) -> QPoly:
         return QPoly()
     ok, parts, alpha = _row_mask(lam, mu)
     return signed_sum(
-        (sign, kpf_q(*v)) for _idx, sign, v in _terms(_CASE_ELEMENTS[case_table()[ok & 0x3FFF]], parts, alpha)
+        (sign, kpf_q(*v)) for sign, v in _terms(_CASE_ELEMENTS[case_table()[ok & 0x3FFF]], parts, alpha)
     )
 
 

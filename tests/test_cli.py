@@ -130,15 +130,15 @@ def test_census_verify_fixture_mismatch_exit_code(capsys, tmp_path):
         "[FAIL] pipeline-final: got 46 sets, want 47",
         "[FAIL] sweep-family: got 46 sets, want 47",
     ]
-    # two sets of different sizes dropped: the extra sets are listed by size, then by members
+    # three sets of two sizes dropped: the extra sets are listed by size, then by members
     stage1 = json.loads((_PACKAGED / "alt_sets_stage1.json").read_text())
-    dropped = [row for row in stage1 if row not in (["1"], ["1", "s1"])]
-    assert len(dropped) == len(stage1) - 2
+    dropped = [row for row in stage1 if row not in (["1"], ["1", "s1"], ["s2"])]
+    assert len(dropped) == len(stage1) - 3
     short = _fixture_copy(tmp_path / "short", "alt_sets_stage1.json", json.dumps(dropped))
     code, out, _ = run(capsys, "census", "verify", "--fixtures", short)
     assert code == 4
     assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
-        "[FAIL] pipeline-stage1: extra=['{1}', '{1, s1}'] missing=[]",
+        "[FAIL] pipeline-stage1: extra=['{1}', '{s2}', '{1, s1}'] missing=[]",
     ]
 
 

@@ -362,17 +362,19 @@ def _full_scan(lam, mu):
 
 
 def test_nonzero_terms_equal_the_full_scan():
-    # _nonzero_terms must list what the full scan lists, in its order, and
-    # alternation_set its indices, at every pair of [-2, 3]^6: weights of
-    # either sign and parity, dominant or not
+    # _nonzero_terms must list the full scan's (sign, vector) terms, in its
+    # order, and alternation_set's mask must hold exactly its indices, at
+    # every pair of [-2, 3]^6: weights of either sign and parity, dominant or
+    # not.  The set reads the row mask alone and the terms go through _terms,
+    # so each is checked against the scan on its own.
     box = list(itertools.product(range(-2, 4), repeat=3))
     assert len(box) ** 2 == 46_656
     nonempty = 0
     for lam in box:
         for mu in box:
             want = _full_scan(lam, mu)
-            assert _nonzero_terms(lam, mu) == want, (lam, mu)
-            assert alternation_set(lam, mu).indices == {idx for idx, _sign, _v in want}, (lam, mu)
+            assert _nonzero_terms(lam, mu) == [(sign, v) for _idx, sign, v in want], (lam, mu)
+            assert alternation_set(lam, mu).mask == sum(1 << idx for idx, _sign, _v in want), (lam, mu)
             nonempty += bool(want)
             assert root_lattice_parity(lam, mu) == sigma_coeffs(weyl.IDENTITY, lam, mu).is_integral(), (lam, mu)
     assert nonempty > 10_000
@@ -900,3 +902,33 @@ def test_alternation_set_type():
     assert AlternationSet.from_names(aset.to_json()) == aset
     assert weyl.IDENTITY in aset
     assert weyl.evaluate_word((3, 2, 3, 2)) not in aset
+
+
+def test_alternation_set_mask_matches_a_frozenset_model():
+    # from_mask reads a term mask 6 bits at a time; the plain model adds the
+    # terms one at a time, so that entry t of want is the element mask of
+    # term mask t, over all 2^17 term masks
+    want = [0]
+    for idx, _sign, _ids in sigma_table().terms:
+        want += [w | 1 << idx for w in want]
+    assert len(want) == 1 << 17
+    assert [AlternationSet.from_mask(t).mask for t in range(1 << 17)] == want
+    # the bit-reading methods agree with a frozenset of canonical indices, on
+    # term sets and on arbitrary subsets of the group
+    rng = random.Random(36)
+    group = weyl.enumerate_group()
+    sample = [AlternationSet.from_mask(rng.getrandbits(17)) for _ in range(150)]
+    sample += [AlternationSet(rng.getrandbits(48) & rng.getrandbits(48)) for _ in range(150)]
+    sample += [AlternationSet(0), AlternationSet((1 << 48) - 1)]
+    models = [frozenset(i for i in range(48) if a.mask >> i & 1) for a in sample]
+    for aset, model in zip(sample, models):
+        assert aset.indices == model
+        assert len(aset) == len(model)
+        assert [el in aset for el in group] == [i in model for i in range(48)]
+        assert aset.names() == [weyl.NAMES[i] for i in sorted(model)]
+        assert aset.elements() == [group[i] for i in sorted(model)]
+        twin = AlternationSet.from_names(reversed(aset.names() * 2))
+        assert twin == aset and hash(twin) == hash(aset)
+    for (a, ma), (b, mb) in itertools.product(list(zip(sample, models))[::10], repeat=2):
+        assert (a == b) == (ma == mb)
+    assert len(set(sample)) == len(set(models))

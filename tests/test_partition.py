@@ -138,7 +138,7 @@ def test_whole_character_misses_only_its_own_terms():
     # once per term vector
     lam = (4, 4, 4)
     mus = list(product(range(sum(lam) + 1), repeat=3))
-    terms = {v for mu in mus for _idx, _sign, v in _nonzero_terms(lam, mu)}
+    terms = {v for mu in mus for _sign, v in _nonzero_terms(lam, mu)}
     closure, todo = set(), list(terms)
     while todo:
         v = todo.pop()

@@ -74,10 +74,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("fixture-not-an-array", CENSUS, "        if type(rows) is not list:", "        if False:", (T_CLI,)),
     Mutant("fixture-set-not-a-list", CENSUS, "    if type(names) is not list:", "    if False:", (T_CLI,)),
     Mutant("family-counts-ignored", CENSUS, "gs == ws and len(got) == len(want)", "gs == ws", (T_CLI,)),
-    Mutant("family-extra-unsorted", CENSUS, "sorted(gs - ws, key=lambda x: (len(x), sorted(x)))", "gs - ws",
+    Mutant("family-extra-unsorted", CENSUS, "sorted(gs - ws, key=lambda a: (len(a), sorted(a.indices)))", "gs - ws",
            (T_CLI,)),
-    Mutant("family-missing-unsorted", CENSUS, "sorted(ws - gs, key=lambda x: (len(x), sorted(x)))", "ws - gs",
-           (T_CLI,)),
+    Mutant("family-missing-unsorted", CENSUS, "sorted(ws - gs, key=lambda a: (len(a), sorted(a.indices)))",
+           "ws - gs", (T_CLI,)),
     Mutant("witness-got-want-swapped", CENSUS, "got {got}, want {want_set}", "got {want_set}, want {got}", (T_CLI,)),
     # multiplicity: sigma_table and its guards
     Mutant("sigma-mu-part-unchecked", MULT, "if affine[row][3:6] != tuple(-c for c in mu_alpha[i]):", "if False:",
@@ -106,6 +106,12 @@ MUTANTS: tuple[Mutant, ...] = (
            "(0, *accumulate(bits, or_, initial=0))[:-1]", (T_MULT,)),
     Mutant("element-mask-missing-row", MULT, "elements if r in ids)", "elements if r in ids[:2])", (T_MULT,)),
     Mutant("element-bits-unshifted", MULT, "sum(1 << (26 + idx) for", "sum(1 << idx for", (T_MULT,)),
+    # multiplicity: the alternation set as an element mask
+    Mutant("altset-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return AlternationSet(0)\n",
+           "", (T_MULT,)),
+    Mutant("from-mask-middle-chunk-shift", MULT, "mid[mask >> 6 & 63]", "mid[mask >> 5 & 63]", (T_MULT,)),
+    Mutant("contains-next-bit", MULT, "self.mask >> weyl.canonical_index(el) & 1",
+           "self.mask >> weyl.canonical_index(el) + 1 & 1", (T_MULT,)),
     # multiplicity: the alternating sum and the case dispatch
     Mutant("scan-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return []\n", "",
            (T_MULT,)),
