@@ -70,9 +70,13 @@ partition-function path.  One pass per highest weight yields the dominant
 multiplicities in ascending height of lam - mu, on plain integers.  Each
 weight keeps nine chain sums, one per positive root, and gets each from a
 single step up the root and the sums of that step's dominant conjugate,
-which lies higher and is already final.  dominant_multiplicities runs the
-whole pass; mult_freudenthal walks only the dominant weights between mu's
-dominant conjugate and lam, which hold every weight the recursion reads.
+which lies higher and is already final.  Where a step lands and which
+root it turns into depend only on the weight's wall class, its distances
+to the walls of the dominant chamber capped at 2, so each step is read
+from a table of the 27 classes built at first use.
+dominant_multiplicities runs the whole pass; mult_freudenthal walks only
+the dominant weights between mu's dominant conjugate and lam, which hold
+every weight the recursion reads.
 
 A sign pattern over the profile variables has one form, field_mask: the
 case dispatch here (the row mask's low bits), CoefficientProfile.signs()
@@ -88,7 +92,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -666,6 +670,62 @@ _POSITIVE_EPS = (
     (1, 1, 0), (2, 0, 0), (0, 2, 0),
 )
 _ROOT_INDEX = {root: i for i, root in enumerate(_POSITIVE_EPS)}
+# A pass packs a weight (v1, v2, v3) into one int key, v1 << 2 * bits |
+# v2 << bits | v3; every coordinate it packs lies in [0, L1 + 2], L1 lam's
+# first ambient coordinate.  bits is the fewest that hold L1 + 2, but at
+# least _MIN_KEY_BITS: up to L1 = 1021 a key is below 2**30, one CPython
+# digit, which adds and hashes fastest, and the step table is built once.
+# A lam with L1 + 2 >= 2**_KEY_BITS is refused: it has about 4 * 10**12
+# dominant weights or more (L1**3 / 72 at lam = (L1, 0, 0)), far beyond
+# any pass that could finish; (60, 60, 60) has 399,771.
+_MIN_KEY_BITS = 10
+_KEY_BITS = 16
+# every root coordinate lies in [-1, 2], so a step's conjugation is the
+# same at every distance to a wall from 2 up
+_WALL_CAP = 2
+
+
+def _conjugate_step(nu, root) -> tuple[tuple[int, int, int], int]:
+    """(u+, i) for a dominant nu and a positive root beta_j: the dominant
+    conjugate u+ of u = nu + beta_j, and the index i of the root beta_i that
+    the signed permutation taking u to u+ (W acts by signed permutations)
+    takes beta_j to."""
+    n1, n2, n3 = nu
+    r1, r2, r3 = root
+    # a >= 0, as n1 >= 0 (nu is dominant) and r1 >= 0 for every positive root
+    a, b, c = n1 + r1, n2 + r2, n3 + r3
+    if b < 0:
+        b, r2 = -b, -r2
+    if c < 0:
+        c, r3 = -c, -r3
+    if a < b:
+        a, b, r1, r2 = b, a, r2, r1
+    if b < c:
+        b, c, r2, r3 = c, b, r3, r2
+        if a < b:
+            a, b, r1, r2 = b, a, r2, r1
+    return (a, b, c), _ROOT_INDEX[r1, r2, r3]
+
+
+@lru_cache(maxsize=1)
+def _step_table(bits: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per wall class, the nine steps of a dominant weight nu of the class,
+    one per positive root beta_j in order: (u+ - nu packed with bits bits
+    per coordinate, i), from _conjugate_step at the class's least weight.
+
+    The class of nu = (n1, n2, n3) is its distances (w1, w2, w3) to the
+    walls n1 = n2, n2 = n3 and n3 = 0, each capped at _WALL_CAP; its index
+    in the table reads them as the digits of a number in base _WALL_CAP + 1.
+    """
+    table = []
+    for w1, w2, w3 in product(range(_WALL_CAP + 1), repeat=3):
+        nu = (w1 + w2 + w3, w2 + w3, w3)
+        steps = []
+        for root in _POSITIVE_EPS:
+            (a, b, c), i = _conjugate_step(nu, root)
+            steps.append((((a - nu[0]) << 2 * bits) + ((b - nu[1]) << bits) + c - nu[2], i))
+        table.append(tuple(steps))
+    return tuple(table)
 
 
 def _freudenthal_pass(lam_eps, floor):
@@ -682,17 +742,34 @@ def _freudenthal_pass(lam_eps, floor):
     swaps w that take u to its dominant conjugate u+ (W acts by signed
     permutations) take beta_j to a root beta_i, and W-invariance turns the
     rest of the chain into the chain of u+ along beta_i:
-    S_j(nu) = m(u+) <u, beta_j> + S_i(u+).  beta_i is positive, since
-    <u+, beta_i> = <u, beta_j> = <nu, beta_j> + |beta_j|^2 > 0 and u+ is
-    dominant, so no chain is turned down a negative root.  u+ lies above
-    nu, so it has been yielded, with final sums, before nu is reached; it
-    lies above floor too, so the weights from floor up are closed under
-    the step.
+    S_j(nu) = m(u+) <u, beta_j> + S_i(u+) = C_i(u+), the closed chain sum
+    C_i(w) = S_i(w) + m(w) <w, beta_i>, summed from t = 0.  beta_i is
+    positive, since <u+, beta_i> = <u, beta_j> = <nu, beta_j> + |beta_j|^2
+    > 0 and u+ is dominant, so no chain is turned down a negative root.
+    u+ lies above nu, so its sums are final before nu is reached; it lies
+    above floor too, so the weights from floor up are closed under the step.
+
+    The step itself is read from a table.  For nu = (n1, n2, n3), u+ is
+    nu + delta, and (delta, i) depends only on nu's wall class
+    (min(n1 - n2, 2), min(n2 - n3, 2), min(n3, 2)), one of 27: every root
+    coordinate lies in [-1, 2], so adding beta_j can reorder two
+    coordinates only where they lie less than 2 apart, and can make one
+    negative only where it is 0.  _step_table conjugates once per class,
+    at its least weight, and holds delta packed like a key, so that u+'s
+    key is nu's key plus it.  The closed sums sit in one flat list, nine
+    per weight in the order of _POSITIVE_EPS, at the offset the key maps
+    to; offset 0 holds nine zeros, which a key that is no weight reads.
     """
     L1, L2, L3 = lam_eps
+    if L1 + 2 >= 1 << _KEY_BITS:
+        raise ValueError(f"highest weight too large: its first ambient coordinate {L1} + 2 "
+                         f"does not fit a {_KEY_BITS}-bit key coordinate")
+    bits = max(_MIN_KEY_BITS, (L1 + 2).bit_length())
     F1, F2, F3 = floor
     # lam - nu and nu - floor have nonnegative simple-root coordinates,
-    # read off their partial sums c1, c2 and 2 c3
+    # read off their partial sums c1, c2 and 2 c3; a weight is listed as
+    # its key under its height, so the sort orders by height, then by key
+    top = 3 * bits
     weights = []
     for v1 in range(F1, L1 + 1):
         c1 = L1 - v1
@@ -701,48 +778,44 @@ def _freudenthal_pass(lam_eps, floor):
             # v3 <= v2, and 2 c3 = c2 + L3 - v3 is even and nonnegative
             low = max(0, F1 + F2 + F3 - v1 - v2)
             low += (low + c2 + L3) & 1
+            high = v1 << 2 * bits | v2 << bits
             for v3 in range(low, min(v2, c2 + L3) + 1, 2):
-                weights.append((c1 + c2 + (c2 + L3 - v3) // 2, (v1, v2, v3)))
+                weights.append((c1 + c2 + (c2 + L3 - v3) // 2) << top | high | v3)
     weights.sort()
+    steps = _step_table(bits)
+    cap = _WALL_CAP
+    radix = cap + 1
     norm_lam = (L1 + 3) ** 2 + (L2 + 2) ** 2 + (L3 + 1) ** 2  # |lam + rho|^2, rho = (3, 2, 1)
-    # nu -> (S_0(nu), ..., S_8(nu), m(nu))
-    table: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    get = table.get
-    for height, nu in weights:
-        if not height:
+    key_mask, coordinate = (1 << top) - 1, (1 << bits) - 1
+    closed = [0] * 9
+    offset: dict[int, int] = {}
+    get = offset.get
+    for w in weights:
+        key = w & key_mask
+        n1, n2, n3 = key >> 2 * bits, key >> bits & coordinate, key & coordinate
+        if w == key:  # height 0: nu is lam
             m = 1
             sums = (0,) * 9
         else:
-            n1, n2, n3 = nu
+            # nu's wall class, indexed as in _step_table
+            d1, d2 = n1 - n2, n2 - n3
+            wall = ((d1 if d1 < cap else cap) * radix + (d2 if d2 < cap else cap)) * radix + (n3 if n3 < cap else cap)
+            # a loop: a list comprehension would cost a frame per weight
             sums = []
-            for r1, r2, r3 in _POSITIVE_EPS:
-                # the dominant conjugate (a, b, c) of u = nu + beta_j, with
-                # the same signed permutation applied to beta_j; a >= 0, as
-                # n1 >= 0 (nu is dominant) and r1 >= 0 for every positive root
-                a, b, c = n1 + r1, n2 + r2, n3 + r3
-                if b < 0:
-                    b, r2 = -b, -r2
-                if c < 0:
-                    c, r3 = -c, -r3
-                if a < b:
-                    a, b, r1, r2 = b, a, r2, r1
-                if b < c:
-                    b, c, r2, r3 = c, b, r3, r2
-                    if a < b:
-                        a, b, r1, r2 = b, a, r2, r1
-                up = get((a, b, c))
-                if up is None:
-                    sums.append(0)
-                else:
-                    # <u, beta_j> = <u+, beta_i>
-                    sums.append(up[9] * (a * r1 + b * r2 + c * r3) + up[_ROOT_INDEX[r1, r2, r3]])
-            acc = sum(sums)
+            for delta, i in steps[wall]:
+                sums.append(closed[get(key + delta, 0) + i])
+            acc = 2 * sum(sums)
             denom = norm_lam - (n1 + 3) ** 2 - (n2 + 2) ** 2 - (n3 + 1) ** 2
-            if 2 * acc % denom:
+            if acc % denom:
                 raise ArithmeticError("Freudenthal numerator not divisible by denominator")
-            m = 2 * acc // denom
-        table[nu] = (*sums, m)
-        yield nu, m
+            m = acc // denom
+        offset[key] = len(closed)
+        s0, s1, s2, s3, s4, s5, s6, s7, s8 = sums
+        a, b, c = m * n1, m * n2, m * n3
+        # C_j(nu) = S_j(nu) + <m nu, beta_j>, beta_j as in _POSITIVE_EPS
+        closed += (a - b + s0, b - c + s1, 2 * c + s2, a - c + s3, b + c + s4,
+                   a + c + s5, a + b + s6, 2 * a + s7, 2 * b + s8)
+        yield (n1, n2, n3), m
 
 
 def dominant_multiplicities(lam) -> dict[tuple[int, int, int], int]:

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import os
@@ -601,14 +602,69 @@ def test_freudenthal_rejects_non_dominant():
 
 
 def test_freudenthal_rejects_an_indivisible_numerator(monkeypatch):
-    # without a1 among the positive roots the chain sums are wrong, and the
-    # numerator at the weight 0 of lam = omega2 is not a multiple of its denominator
-    roots = multiplicity._POSITIVE_EPS[1:]
+    # with a1's step dropped from every wall class (sent below every key, so
+    # it reads the zero row, as a step off the weights does) the chain sums
+    # are wrong, and the numerator at the weight 0 of lam = omega2 is not a
+    # multiple of its denominator
     assert multiplicity._POSITIVE_EPS[0] == (1, -1, 0)
-    monkeypatch.setattr(multiplicity, "_POSITIVE_EPS", roots)
-    monkeypatch.setattr(multiplicity, "_ROOT_INDEX", {root: i for i, root in enumerate(roots)})
+    step_table = multiplicity._step_table
+
+    def faulted(bits):
+        return tuple(((-(1 << 3 * bits), 0), *steps[1:]) for steps in step_table(bits))
+
+    monkeypatch.setattr(multiplicity, "_step_table", faulted)
     with pytest.raises(ArithmeticError, match="not divisible"):
         dominant_multiplicities((0, 1, 0))
+
+
+def test_step_table_is_the_conjugation_per_wall_class():
+    # for every dominant nu with ambient coordinates <= 12 and every
+    # positive root, the table's step of nu's wall class is the step
+    # _conjugate_step takes from nu itself
+    bits = multiplicity._MIN_KEY_BITS
+    table = multiplicity._step_table(bits)
+    key = lambda v: v[0] << 2 * bits | v[1] << bits | v[2]
+    classes = set()
+    for nu in itertools.product(range(13), repeat=3):
+        n1, n2, n3 = nu
+        if not n1 >= n2 >= n3:
+            continue
+        wall = (min(n1 - n2, 2) * 3 + min(n2 - n3, 2)) * 3 + min(n3, 2)
+        classes.add(wall)
+        for root, (delta, i) in zip(multiplicity._POSITIVE_EPS, table[wall], strict=True):
+            up, want = multiplicity._conjugate_step(nu, root)
+            u = tuple(a + r for a, r in zip(nu, root))
+            assert up == _dominant_eps(u), (nu, root)
+            assert (key(nu) + delta, i) == (key(up), want), (nu, root)
+            # <u+, beta_i> = <u, beta_j>
+            beta = multiplicity._POSITIVE_EPS[i]
+            assert sum(a * r for a, r in zip(up, beta)) == sum(a * r for a, r in zip(u, root)), (nu, root)
+    assert len(table) == 27 and classes == set(range(27))
+
+
+def test_freudenthal_key_width_guard(monkeypatch):
+    # with at most 4-bit key coordinates the largest first ambient
+    # coordinate, m + n + k, is 13: the step along 2 e1 from lam reaches
+    # 15 = 2**4 - 1; with no least width, such a pass packs 4 bits
+    at_limit = ((13, 0, 0), (0, 12, 1), (2, 5, 6))
+    want = [dominant_multiplicities(lam) for lam in at_limit]
+    monkeypatch.setattr(multiplicity, "_KEY_BITS", 4)
+    monkeypatch.setattr(multiplicity, "_MIN_KEY_BITS", 1)
+    assert [dominant_multiplicities(lam) for lam in at_limit] == want
+    assert mult_freudenthal((13, 0, 0), (1, 0, 0)) == want[0][1, 0, 0]
+    for lam in ((14, 0, 0), (0, 13, 1), (2, 6, 6)):
+        with pytest.raises(ValueError, match="highest weight too large"):
+            dominant_multiplicities(lam)
+        with pytest.raises(ValueError, match="highest weight too large"):
+            mult_freudenthal(lam, lam)
+
+
+def test_dominant_multiplicities_at_20_20_20_are_pinned():
+    # entries and their order, as computed before the step table
+    mults = dominant_multiplicities((20, 20, 20))
+    assert len(mults) == 15_791
+    digest = hashlib.sha256(repr(list(mults.items())).encode()).hexdigest()
+    assert digest == "948f2519be0e68f4205dafdf1c6248f1755042a0c3a90e62a9728a079d12dfe1"
 
 
 def test_freudenthal_agrees_with_kostant_sample():

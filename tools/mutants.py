@@ -129,14 +129,15 @@ MUTANTS: tuple[Mutant, ...] = (
     # multiplicity: Freudenthal
     Mutant("lam-dominance-unchecked", MULT, "    if min(lam) < 0:", "    if min(lam) < -1:", (T_MULT,)),
     Mutant("freudenthal-no-default", MULT, "if nu == mu_eps), 0)", "if nu == mu_eps))", (T_MULT,)),
-    Mutant("freudenthal-b-unflipped", MULT, "                if b < 0:\n                    b, r2 = -b, -r2\n", "",
-           (T_MULT,)),
-    Mutant("freudenthal-c-unflipped", MULT, "                if c < 0:\n                    c, r3 = -c, -r3\n", "",
-           (T_MULT,)),
+    Mutant("freudenthal-b-unflipped", MULT, "    if b < 0:\n        b, r2 = -b, -r2\n", "", (T_MULT,)),
+    Mutant("freudenthal-c-unflipped", MULT, "    if c < 0:\n        c, r3 = -c, -r3\n", "", (T_MULT,)),
     Mutant("freudenthal-first-swap-dropped", MULT,
-           "                if a < b:\n                    a, b, r1, r2 = b, a, r2, r1\n                if b < c:",
-           "                if b < c:", (T_MULT,)),
-    Mutant("freudenthal-indivisible-accepted", MULT, "            if 2 * acc % denom:", "            if False:",
+           "    if a < b:\n        a, b, r1, r2 = b, a, r2, r1\n    if b < c:", "    if b < c:", (T_MULT,)),
+    Mutant("wall-cap-1", MULT, "_WALL_CAP = 2", "_WALL_CAP = 1", (T_MULT,)),
+    Mutant("step-root-index-ignored", MULT, "c - nu[2], i))", "c - nu[2], _POSITIVE_EPS.index(root)))", (T_MULT,)),
+    Mutant("key-width-guard-by-one", MULT, "if L1 + 2 >= 1 << _KEY_BITS:", "if L1 + 2 > 1 << _KEY_BITS:",
+           (T_MULT,)),
+    Mutant("freudenthal-indivisible-accepted", MULT, "            if acc % denom:", "            if False:",
            (T_MULT,)),
     Mutant("floor-raised", MULT, "_freudenthal_pass(_lam_eps(lam), (0, 0, 0))",
            "_freudenthal_pass(_lam_eps(lam), (1, 0, 0))", (T_MULT,)),
