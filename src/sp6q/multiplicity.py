@@ -25,7 +25,9 @@ element idx are.  The alternation set is those element bits, held as one
 int (AlternationSet.mask, bit idx for canonical index idx).  Both q-routes
 read the same row mask and evaluate the elements an element mask names in
 one walk (_terms): a coefficient is computed, by one subtraction, only
-where a kpf_q argument needs it.
+where a kpf_q argument needs it.  They add their terms' packed values
+(partition.kpf_packed, one int each) by sign into one int and unpack it
+once (_alternating_sum), so a term costs one big-int add.
 
 One gate settles parity for the whole pair (root_lattice_parity): when
 m + k + x + z is odd, lam - mu lies outside the root lattice and every
@@ -59,10 +61,12 @@ Two evaluation routes are implemented:
     the row mask's low 14 bits, and a case is the element mask of its terms.
 
 They are not independent: both share the parity gate, _lam_parts,
-_row_mask, _terms, kpf_q and qpoly.signed_sum, and differ only in the
-element mask they walk, so comparing them checks the case lookup alone.
-The independent checks are the Freudenthal route below, kpf_q_oracle
-against kpf_q, and census verification of the alternation sets.
+_row_mask, _terms, _alternating_sum, partition.kpf_packed and
+qpoly.unpack, and differ only in the element mask they walk, so comparing
+them checks the case lookup alone.  The independent checks are the
+Freudenthal route below, kpf_q_oracle against kpf_q (which unpacks, while
+the oracle builds its coefficients directly), and census verification of
+the alternation sets.
 
 A third route computes the plain multiplicity by the Freudenthal
 recursion over the weight system and shares no code with the
@@ -97,8 +101,8 @@ from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 from . import weyl
-from .partition import kpf_q
-from .qpoly import QPoly, eval_at_one, signed_sum
+from .partition import kpf_packed
+from .qpoly import QPoly, eval_at_one, unpack
 from .root_system import FUNDAMENTAL_EPS, RHO_EPS, AlphaVector, doubled_alpha
 
 PROFILE_FIELDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "l", "o", "p", "r")
@@ -401,8 +405,8 @@ def coefficient_profile(lam, mu) -> CoefficientProfile:
 
 
 def _set_bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, ascending: the one walk over an
-    element mask, for an AlternationSet and for _terms."""
+    """The positions of the set bits of mask, ascending: the walk over an
+    AlternationSet's element mask."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -464,23 +468,38 @@ class AlternationSet:
         return self.names()
 
 
-def _terms(admitted: int, parts, alpha) -> list[tuple[int, tuple[int, int, int]]]:
+def _terms(admitted: int, parts, alpha) -> Iterator[tuple[int, tuple[int, int, int]]]:
     """(sign, alpha triple) of each element idx whose bit idx is set in
     admitted, in canonical order, from _row_mask's parts and alpha: each
     coordinate is a row's lam part minus mu's, halved (exact past the parity
-    gate).  Both q-routes evaluate their terms here."""
+    gate).  Both q-routes evaluate their terms here.  The bit walk is
+    written out rather than taken from _set_bits: a second generator per
+    call would cost about what a term does."""
     a0, a1, a2 = alpha
     elements = sigma_table().elements
-    out = []
-    for idx in _set_bits(admitted):
-        _idx, sign, (r0, r1, r2) = elements[idx]
-        out.append((sign, ((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1, (parts[r2] - a2) >> 1)))
-    return out
+    while admitted:
+        low = admitted & -admitted
+        _idx, sign, (r0, r1, r2) = elements[low.bit_length() - 1]
+        yield sign, ((parts[r0] - a0) >> 1, (parts[r1] - a1) >> 1, (parts[r2] - a2) >> 1)
+        admitted ^= low
 
 
-def _nonzero_terms(lam, mu) -> list[tuple[int, tuple[int, int, int]]]:
+def _alternating_sum(terms) -> QPoly:
+    """The sum of sign * kpf_q(v) over the (sign, v) terms: their packed
+    values (partition.kpf_packed) added or subtracted into one int, unpacked
+    once.  Both q-routes sum here."""
+    total = 0
+    for sign, (m, n, k) in terms:
+        if sign > 0:
+            total += kpf_packed(m, n, k)
+        else:
+            total -= kpf_packed(m, n, k)
+    return unpack(total)
+
+
+def _nonzero_terms(lam, mu) -> Iterator[tuple[int, tuple[int, int, int]]]:
     """(sign, alpha triple) of every sigma whose term is nonzero, in
-    canonical order.
+    canonical order, as an iterator.
 
     A term is nonzero exactly when its coefficient vector is integral and
     coordinate-wise nonnegative.  One gate decides integrality for every
@@ -491,7 +510,7 @@ def _nonzero_terms(lam, mu) -> list[tuple[int, tuple[int, int, int]]]:
     those alone.
     """
     if not root_lattice_parity(lam, mu):
-        return []
+        return iter(())
     ok, parts, alpha = _row_mask(lam, mu)
     return _terms(ok >> 26, parts, alpha)
 
@@ -507,7 +526,7 @@ def alternation_set(lam, mu) -> AlternationSet:
 
 def mult_q_direct(lam, mu) -> QPoly:
     """The alternating sum over the alternation set."""
-    return signed_sum((sign, kpf_q(*v)) for sign, v in _nonzero_terms(lam, mu))
+    return _alternating_sum(_nonzero_terms(lam, mu))
 
 
 # Sign-pattern dispatch table.  Each entry is one case: a tuple of
@@ -635,9 +654,7 @@ def mult_q_cases(lam, mu) -> QPoly:
     if not root_lattice_parity(lam, mu):
         return QPoly()
     ok, parts, alpha = _row_mask(lam, mu)
-    return signed_sum(
-        (sign, kpf_q(*v)) for sign, v in _terms(_CASE_ELEMENTS[case_table()[ok & 0x3FFF]], parts, alpha)
-    )
+    return _alternating_sum(_terms(_CASE_ELEMENTS[case_table()[ok & 0x3FFF]], parts, alpha))
 
 
 def mult(lam, mu) -> int:

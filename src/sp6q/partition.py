@@ -12,6 +12,9 @@ positive roots.  Two independent implementations are provided:
     sums closed, counts those with g = h = 0, K_0.  Peeling the dominant
     roots gamma = a1+2a2+a3 and theta = 2a1+2a2+a3 from prod 1/(1 - q x^alpha)
     gives K(v) = K_0(v) + q K(v-gamma) + q K(v-theta) - q^2 K(v-gamma-theta).
+    The kernel, kpf_packed, caches each value packed (qpoly.pack), as one
+    int, so the identity's three peels are one big-int expression, and
+    kpf_q unpacks its value.
 
   - kpf_q_oracle: exhaustive enumeration of the multiplicities of the
     six positive roots other than a1, a2, a3, which then take the
@@ -27,21 +30,21 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, sub
+from operator import add
 
-from .qpoly import QPoly
+from .qpoly import PACK_BITS, QPoly, pack, unpack
 from .root_system import POSITIVE_ROOTS
 
 # Largest m+n+k kpf_q accepts; its time grows about as the third power.  Above
 # 660, the identity term of m_q((60,60,60), 0); the slowest vectors of this
-# height, such as (210, 315, 175), take about 2 s and 100 MB on a 2-core host.
+# height, such as (210, 315, 175), take about 1 s and 60 MB on a 2-core host.
+# Packed sums of kpf values decode exactly while 48 comb(KPF_MAX_HEIGHT // 2 + 6, 6)
+# stays below 2**63 (qpoly), up to a height of about 4,500.
 KPF_MAX_HEIGHT = 700
 # Largest m+n+k kpf_q_oracle accepts; its time grows about as the fifth
 # power.  At this height (25, 25, 25) takes about 0.08 s and the slowest
 # vectors, such as (21, 33, 21), 0.14-0.18 s on a 2-core host.
 KPF_ORACLE_MAX_HEIGHT = 75
-# The recursive terms of kpf_q's identity as (dm, dn, dk, q-shift, add or sub).
-_PEELS = ((1, 2, 1, 1, add), (2, 2, 1, 1, add), (3, 4, 2, 2, sub))
 
 
 def _check_int(*vals):
@@ -51,9 +54,17 @@ def _check_int(*vals):
             raise TypeError(f"alpha coordinates must be integers, got {v!r}")
 
 
-@lru_cache(maxsize=1 << 16, typed=True)
 def kpf_q(m: int, n: int, k: int) -> QPoly:
-    """q-analog of the partition function by the nested-sum formula.
+    """q-analog of the partition function by the nested-sum formula:
+    kpf_packed's value, unpacked; it raises what kpf_packed raises.  kpf_q
+    keeps no cache of its own, so kpf_q.cache_clear and kpf_q.cache_info
+    are the kernel's."""
+    return unpack(kpf_packed(m, n, k))
+
+
+@lru_cache(maxsize=1 << 16, typed=True)
+def kpf_packed(m: int, n: int, k: int) -> int:
+    """kpf_q(m, n, k) packed (qpoly.pack): the value at q = 2**PACK_BITS.
 
     With a0 = n-2i, c0 = k-i, d0 = min(m, a0) and b = m+n+k-2i, K_0 adds 1
     to each exponent in [b-2f-d-min(a0-f-d, c0-f), b-2f-d] for d = 0..d0-f,
@@ -72,11 +83,11 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     This cache is the only memo: cache_clear() makes every vector cold.
     It bounds entries, not bytes, and maxsize 65,536 is what measured
     traffic needs: from a cold cache, kpf_q(210, 315, 175) leaves 9,805
-    entries (peak near 100 MB), and mult_q_direct((60, 60, 60), (0, 0, 0)),
-    the m_q KPF_MAX_HEIGHT is sized for, leaves 36,421 (peak 272 MB).
-    An entry at the height bound holds 701 coefficients, each below 2**60
-    and so at most 32 bytes, about 28 KB in all, so a full cache of such
-    entries would hold about 1.9 GB.
+    entries (26 MB), and mult_q_direct((60, 60, 60), (0, 0, 0)), the m_q
+    KPF_MAX_HEIGHT is sized for, leaves 36,421 (95 MB; both by tracemalloc).
+    An entry at the height bound is one int of 701 64-bit digits, 6,000
+    bytes (sys.getsizeof), so a full cache of such entries would hold about
+    390 MB; with a tuple of 701 ints it was about 28 KB and 1.9 GB.
     Arguments must be Python ints, exactly: bool, float and numpy integers
     raise TypeError.  The check runs on a miss, and typed=True keys 1.0 or
     True apart from 1, so such an argument always misses.
@@ -84,7 +95,7 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     """
     _check_int(m, n, k)
     if m < 0 or n < 0 or k < 0:
-        return QPoly()
+        return 0
     total = m + n + k
     if total > KPF_MAX_HEIGHT:
         raise ValueError(f"kpf_q height m+n+k = {total} exceeds the bound {KPF_MAX_HEIGHT}")
@@ -121,13 +132,19 @@ def kpf_q(m: int, n: int, k: int) -> QPoly:
     d3[mk + 1] += mk3 + mk2
     d3[mk + 2] -= mk2
     runs2[total & 1::2] = accumulate(runs2[total & 1::2])
-    coeffs = list(accumulate(accumulate(map(add, accumulate(d3), runs2))))
-    # the decompositions with g + h >= 1, through the same cache
-    for dm, dn, dk, shift, op in _PEELS:
-        if m >= dm and n >= dn and k >= dk:
-            r = kpf_q(m - dm, n - dn, k - dk).coeffs
-            coeffs[shift:shift + len(r)] = map(op, coeffs[shift:], r)
-    return QPoly(tuple(coeffs))
+    value = pack(list(accumulate(accumulate(map(add, accumulate(d3), runs2)))))
+    # the decompositions with g + h >= 1, through the same cache; v - theta
+    # and v - gamma - theta lie below v - gamma, and a negative one is 0
+    # without a call, so that it takes no cache entry
+    if m >= 1 and n >= 2 and k >= 1:
+        theta = kpf_packed(m - 2, n - 2, k - 1) if m >= 2 else 0
+        both = kpf_packed(m - 3, n - 4, k - 2) if m >= 3 and n >= 4 and k >= 2 else 0
+        value += (kpf_packed(m - 1, n - 2, k - 1) + theta - (both << PACK_BITS)) << PACK_BITS
+    return value
+
+
+kpf_q.cache_clear = kpf_packed.cache_clear
+kpf_q.cache_info = kpf_packed.cache_info
 
 
 def kpf_q_oracle(m: int, n: int, k: int) -> QPoly:

@@ -46,7 +46,8 @@ from sp6q.multiplicity import (
     sigma_table,
     symbolic_sigma_rows,
 )
-from sp6q.qpoly import QPoly
+from sp6q.partition import kpf_q
+from sp6q.qpoly import QPoly, eval_at_one
 from sp6q.root_system import AlphaVector, WeightFW
 
 F = Fraction
@@ -374,7 +375,7 @@ def test_nonzero_terms_equal_the_full_scan():
     for lam in box:
         for mu in box:
             want = _full_scan(lam, mu)
-            assert _nonzero_terms(lam, mu) == [(sign, v) for _idx, sign, v in want], (lam, mu)
+            assert list(_nonzero_terms(lam, mu)) == [(sign, v) for _idx, sign, v in want], (lam, mu)
             assert alternation_set(lam, mu).mask == sum(1 << idx for idx, _sign, _v in want), (lam, mu)
             nonempty += bool(want)
             assert root_lattice_parity(lam, mu) == sigma_coeffs(weyl.IDENTITY, lam, mu).is_integral(), (lam, mu)
@@ -387,8 +388,21 @@ def test_mult_q_direct_examples():
     assert mult_q_direct((0, 0, 2), (1, 0, 1)) == QPoly((0, 0, 1))
     # outside the dominant chamber: 28 terms of up to 57 coefficients, which
     # all cancel, so the sum trims to the zero polynomial
-    assert len(_nonzero_terms((-1, 3, 3), (-3, -3, -3))) == 28
+    assert len(list(_nonzero_terms((-1, 3, 3), (-3, -3, -3)))) == 28
     assert mult_q_direct((-1, 3, 3), (-3, -3, -3)).coeffs == ()
+
+
+def test_mult_q_direct_pinned_at_60_60_60():
+    # the pair KPF_MAX_HEIGHT is sized for: its identity term has height 660;
+    # digest and value at q = 1 as computed with coefficient tuples in the
+    # kpf_q cache; the cold pair fills about 36,000 cache entries, cleared after
+    try:
+        p = mult_q_direct((60, 60, 60), (0, 0, 0))
+        assert hashlib.sha256(repr(p.coeffs).encode()).hexdigest() == (
+            "1e994fb7c7d2398600183efbce8b94390063089626be6cd3b723752b2104a529")
+        assert eval_at_one(p) == 9_770_290_399
+    finally:
+        kpf_q.cache_clear()
 
 
 def test_mult_q_cases_examples_and_dispatch():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp6q.multiplicity import _nonzero_terms, mult_q_direct
-from sp6q.partition import KPF_MAX_HEIGHT, KPF_ORACLE_MAX_HEIGHT, kpf_q, kpf_q_oracle
-from sp6q.qpoly import QPoly, eval_at_one
+from sp6q.partition import KPF_MAX_HEIGHT, KPF_ORACLE_MAX_HEIGHT, kpf_packed, kpf_q, kpf_q_oracle
+from sp6q.qpoly import QPoly, eval_at_one, pack
 from sp6q.root_system import POSITIVE_ROOTS
 
 
@@ -126,6 +126,21 @@ def test_dominant_root_peel_fills_the_lattice():
         for w in lattice:
             kpf_q(*w)
         assert kpf_q.cache_info().misses == len(lattice)
+    finally:
+        kpf_q.cache_clear()
+
+
+def test_kpf_q_reads_the_packed_kernel_cache():
+    # kpf_q keeps no cache of its own: cache_clear empties the kernel's, and
+    # cache_info reports it
+    kpf_q.cache_clear()
+    try:
+        assert kpf_q(5, 5, 5) == kpf_q_oracle(5, 5, 5)
+        assert kpf_packed(5, 5, 5) == pack(kpf_q(5, 5, 5).coeffs)
+        info = kpf_packed.cache_info()
+        assert info.currsize > 0 and kpf_q.cache_info() == info
+        kpf_q.cache_clear()
+        assert kpf_packed.cache_info().currsize == 0
     finally:
         kpf_q.cache_clear()
 

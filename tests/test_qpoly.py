@@ -1,7 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+import math
 
-from sp6q.qpoly import QPoly, add_signed, eval_at_one, signed_sum
+import pytest
+from hypothesis import example, given, strategies as st
+
+from sp6q.partition import KPF_MAX_HEIGHT
+from sp6q.qpoly import PACK_BITS, QPoly, add_signed, eval_at_one, pack, signed_sum, unpack
 
 
 def test_add_example():
@@ -133,3 +136,49 @@ def test_signed_sum_rejects_other_signs():
         signed_sum([(0, QPoly((1,)))])  # the first term, which is copied, not added
     with pytest.raises(ValueError):
         add_signed(QPoly(), 0, QPoly((1,)))
+
+
+# A packed signed sum decodes exactly while every coefficient of it is below
+# 2**63 in magnitude; with t terms, digits below (2**63 - 1) // t keep it so.
+_DIGIT = 2**63 - 1
+
+
+@st.composite
+def packed_terms(draw):
+    t = draw(st.integers(1, 4))
+    bound = _DIGIT // t
+    digit = st.one_of(st.integers(-bound, bound), st.sampled_from((-bound, -1, 0, 1, bound)))
+    terms = []
+    for _ in range(t):
+        lead, trail = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+        middle = draw(st.lists(digit, max_size=80 - lead - trail))
+        terms.append((draw(st.sampled_from((1, -1))), QPoly((0,) * lead + tuple(middle) + (0,) * trail)))
+    return terms
+
+
+@given(packed_terms())
+@example([(1, QPoly((-1, 1)))])  # x > 0 with a digit that reads negative
+@example([(-1, QPoly((0, 1)))])  # x < 0
+@example([(1, QPoly((_DIGIT, -_DIGIT, _DIGIT)))])
+@example([(1, QPoly((-_DIGIT, 0, 0, -_DIGIT)))])
+@example([(1, QPoly((5, 7))), (-1, QPoly((5, 7)))])  # x = 0
+def test_unpack_of_a_packed_signed_sum_is_the_signed_sum(terms):
+    # lengths 0-80 with leading and trailing zeros, of either sign, so x may
+    # be negative, zero, or positive with digits that read negative
+    x = sum(s * pack(r.coeffs) for s, r in terms)
+    assert x == sum(s * c << PACK_BITS * j for s, r in terms for j, c in enumerate(r.coeffs))
+    assert unpack(x) == signed_sum(terms)
+
+
+def test_pack_refuses_a_coefficient_outside_a_signed_word():
+    for coeffs in ([2**63], [0, 1, 2**63], [-(2**63) - 1]):
+        with pytest.raises(OverflowError):
+            pack(coeffs)
+
+
+def test_packed_kpf_sums_fit_a_signed_word():
+    # a vector of height H has at most comb(H // 2 + 6, 6) decompositions,
+    # since the six non-simple positive roots have height >= 2 and force the
+    # simple roots; an alternating sum adds at most 48 of them, so raising
+    # KPF_MAX_HEIGHT must not push such a sum past a signed digit
+    assert 48 * math.comb(KPF_MAX_HEIGHT // 2 + 6, 6) < 2 ** (PACK_BITS - 1)

@@ -113,7 +113,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("contains-next-bit", MULT, "self.mask >> weyl.canonical_index(el) & 1",
            "self.mask >> weyl.canonical_index(el) + 1 & 1", (T_MULT,)),
     # multiplicity: the alternating sum and the case dispatch
-    Mutant("scan-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return []\n", "",
+    Mutant("scan-gate-dropped", MULT, "    if not root_lattice_parity(lam, mu):\n        return iter(())\n", "",
            (T_MULT,)),
     Mutant("cases-parity-unchecked", MULT, "    if not root_lattice_parity(lam, mu):\n        return QPoly()\n", "",
            (T_MULT,)),
@@ -149,13 +149,22 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("f-star-by-one", PART, "fs = d0 - a0 + c0", "fs = d0 - a0 + c0 + 1", (T_PART,)),
     Mutant("upper-run-end-by-one", PART, "d3[b + 2 - d0] += 1", "d3[b + 3 - d0] += 1", (T_PART,)),
     Mutant("ramp-height-by-one", PART, "mk2 -= top + 1", "mk2 -= top", (T_PART,)),
-    Mutant("peel-sign", PART, "(3, 4, 2, 2, sub)", "(3, 4, 2, 2, add)", (T_PART,)),
-    Mutant("peel-guard", PART, "if m >= dm and", "if m > dm and", (T_PART,)),
+    Mutant("peel-sign", PART, "theta - (both << PACK_BITS)", "theta + (both << PACK_BITS)", (T_PART,)),
+    Mutant("peel-guard", PART, "if m >= 1 and n >= 2 and k >= 1:", "if m > 1 and n >= 2 and k >= 1:", (T_PART,)),
+    Mutant("peel-theta-guard", PART, "if m >= 2 else 0", "if m >= 1 else 0", (T_PART,)),
+    Mutant("peel-gamma-theta-guard", PART, "if m >= 3 and n >= 4 and k >= 2 else 0", "if m >= 3 and n >= 4 else 0",
+           (T_PART,)),
+    Mutant("peel-gamma-theta-unshifted", PART, "- (both << PACK_BITS)) << PACK_BITS", "- both) << PACK_BITS",
+           (T_PART,)),
     # qpoly
     Mutant("qpoly-not-normalised", QPOLY, "        while end and c[end - 1] == 0:\n            end -= 1\n", "", (T_QPOLY,)),
     Mutant("qpoly-keeps-a-trailing-zero", QPOLY, "c[-1] != 0)", "c[-1] is not None)", (T_QPOLY,)),
     Mutant("signed-sum-any-sign", QPOLY, "op = _SIGNED.get(s)", "op = _SIGNED.get(s, add)", (T_QPOLY,)),
     Mutant("signed-sum-copies-a-negative-first-term", QPOLY, "if not out and op is add:", "if not out:", (T_QPOLY,)),
+    Mutant("pack-negative-digit-unborrowed", QPOLY, "    if not data[7::8].isascii():", "    if False:", (T_QPOLY,)),
+    Mutant("unpack-borrow-dropped", QPOLY, "d + (below < 0) for", "d for", (T_QPOLY,)),
+    Mutant("unpack-fast-path-on-a-negative-digit", QPOLY, "        if data[7::8].isascii():", "        if True:",
+           (T_QPOLY,)),
     # weyl
     Mutant("weyl-words-degenerate-unchecked", WEYL, "        if el in by_element:", "        if False:", (T_WEYL,)),
     Mutant("weyl-group-order-unchecked", WEYL, "    if len(elements) != 48:", "    if False:", (T_WEYL,)),
